@@ -15,6 +15,7 @@ from .prob_core import (
     expectation,
     expectation_under,
     quantile_function,
+    rearranged_expectation,
     relative_entropy,
     same_distribution,
     wasserstein_distance,
@@ -66,7 +67,6 @@ from .duality import (
     minimal_penalty,
     non_expansivity_check,
     penalty_type,
-    rearranged_expectation,
     simplex_grid,
     support_function,
     verify_convex_cash_additive_dual,

@@ -4,17 +4,14 @@ when its whole uncertainty set is acceptable at m."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .prob_core import Position
+from .prob_core import Position, _bisect
 from .risk_measures import RiskFunctional
 from .robustify import robust_value
 from .uncertainty import UncertaintyFamily
 
 __all__ = [
-    "AcceptanceQuery",
     "is_acceptable",
     "acceptance_level",
     "robust_acceptance_check",
@@ -24,47 +21,36 @@ __all__ = [
 _TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class AcceptanceQuery:
-    rho: RiskFunctional
-    level: float
-
-
 def is_acceptable(rho: RiskFunctional, X: Position, m: float) -> bool:
     """X lies in the acceptance set at target level m: rho(X) <= m."""
     return rho(X) <= m
 
 
-def _default_bracket(X: Position) -> tuple:
-    r = float(np.max(np.abs(X.values))) + 10.0
-    return (-r, r)
-
-
-def acceptance_level(rho: RiskFunctional, X: Position, bracket=None) -> float:
-    """inf{m : X acceptable at m}; bisection, reproduces rho(X) within 1e-9."""
+def _level_by_bisection(holds, X: Position, bracket, unbounded: str) -> float:
+    """inf{m : holds(m)} for a test that holds at all large enough m: the
+    bracket (default: around the values of X) grows until it straddles the
+    level, then bisection to relative width 1e-12."""
     if bracket is None:
-        bracket = _default_bracket(X)
+        r = float(np.max(np.abs(X.values))) + 10.0
+        bracket = (-r, r)
     lo, hi = bracket
     grow = 0
-    while not is_acceptable(rho, X, hi):
+    while not holds(hi):
         lo, hi = hi, hi + 2.0 * (hi - lo)
         grow += 1
         if grow > 80:
-            raise ValueError("bracket expansion failed: risk appears unbounded")
-    while is_acceptable(rho, X, lo):
+            raise ValueError(f"bracket expansion failed: {unbounded}")
+    while holds(lo):
         lo, hi = lo - 2.0 * (hi - lo), lo
         grow += 1
         if grow > 160:
             raise ValueError("bracket expansion failed downward")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if is_acceptable(rho, X, mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-12 * max(1.0, abs(hi)):
-            break
-    return hi
+    return _bisect(lambda m: not holds(m), lo, hi, 200, 1e-12)[1]
+
+
+def acceptance_level(rho: RiskFunctional, X: Position, bracket=None) -> float:
+    """inf{m : X acceptable at m}; bisection, reproduces rho(X) within 1e-9."""
+    return _level_by_bisection(lambda m: is_acceptable(rho, X, m), X, bracket, "risk appears unbounded")
 
 
 def robust_acceptance_check(
@@ -116,26 +102,4 @@ def robust_level_by_sets(
             return rv.value - m <= _TOL
         return rv.value <= m + _TOL
 
-    if bracket is None:
-        bracket = _default_bracket(X)
-    lo, hi = bracket
-    grow = 0
-    while not subset_at(hi):
-        lo, hi = hi, hi + 2.0 * (hi - lo)
-        grow += 1
-        if grow > 80:
-            raise ValueError("bracket expansion failed: robust level unbounded")
-    while subset_at(lo):
-        lo, hi = lo - 2.0 * (hi - lo), lo
-        grow += 1
-        if grow > 160:
-            raise ValueError("bracket expansion failed downward")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if subset_at(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-12 * max(1.0, abs(hi)):
-            break
-    return hi
+    return _level_by_bisection(subset_at, X, bracket, "robust level unbounded")

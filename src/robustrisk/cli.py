@@ -25,7 +25,7 @@ __all__ = ["ScenarioFile", "RunConfig", "parse_scenario", "parse_config", "run",
 
 
 class InputError(Exception):
-    pass
+    """A problem reported as ``error: ...`` with exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,8 @@ def parse_scenario(path: str) -> ScenarioFile:
             raise InputError(f"positions.{name}: {e}")
     measures = {}
     for name, spec_ in raw.get("measures", {}).items():
+        if not isinstance(spec_, dict):
+            raise InputError(f'measures.{name}: expected an object such as {{"density": [...]}}')
         try:
             measures[name] = ScenarioMeasure(space, spec_["density"])
         except (KeyError, ValueError) as e:
@@ -77,57 +79,65 @@ def parse_scenario(path: str) -> ScenarioFile:
     return ScenarioFile(space=space, positions=positions, measures=measures)
 
 
+_LOSSES = {
+    "exp": lambda p: risk_measures.exponential_loss(),
+    "identity": lambda p: risk_measures.identity_loss(),
+    "power": lambda p: risk_measures.power_loss(float(p["k"])),
+}
+
+_MEASURES = {
+    "neg_expectation": lambda p: risk_measures.neg_expectation(),
+    "expectation_floor": lambda p: risk_measures.expectation_floor(float(p["K"])),
+    "worst_case": lambda p: risk_measures.worst_case(),
+    "entropic": lambda p: risk_measures.entropic(float(p.get("gamma", 1.0))),
+    "expected_shortfall": lambda p: risk_measures.expected_shortfall(float(p["alpha"])),
+    "certainty_equivalent": lambda p: risk_measures.certainty_equivalent(_build_loss(p.get("loss", {"kind": "exp"}))),
+    "q_entropic": lambda p: risk_measures.q_entropic(float(p["q"]), float(p["beta"])),
+}
+
+_FAMILIES = {
+    "sup_norm_ball": lambda p: uncertainty.sup_norm_ball(float(p.get("eps", 0.0))),
+    "p_norm_ball": lambda p: uncertainty.p_norm_ball(float(p.get("p", 1.0)), float(p.get("eps", 0.0))),
+    "wasserstein_ball": lambda p: uncertainty.wasserstein_ball(float(p.get("p", 1.0)), float(p.get("eps", 0.0))),
+    "level_band": lambda p: uncertainty.level_band(build_rho(p["rho1"]), float(p.get("eps", 0.0))),
+    "level_upper_set": lambda p: uncertainty.level_upper_set(build_rho(p["rho1"]), float(p.get("eps", 0.0))),
+}
+
+
 def _build_loss(spec_: dict):
     kind = spec_.get("kind", "exp")
-    if kind == "exp":
-        return risk_measures.exponential_loss()
-    if kind == "identity":
-        return risk_measures.identity_loss()
-    if kind == "power":
-        return risk_measures.power_loss(float(spec_["k"]))
-    raise InputError(f"unknown loss kind {kind!r}")
+    if kind not in _LOSSES:
+        raise InputError(f"unknown loss kind {kind!r}")
+    return _LOSSES[kind](spec_)
+
+
+def _spec_kind(spec_, what: str, table: dict) -> str:
+    """The kind of a {"kind": ..., "params": {...}} spec, checked against its table."""
+    if not isinstance(spec_, dict) or not isinstance(spec_.get("params", {}), dict):
+        raise InputError(f'{what} spec must be an object {{"kind": ..., "params": {{...}}}}')
+    extra = sorted(set(spec_) - {"kind", "params"})
+    if extra:
+        raise InputError(f"{what} spec has unknown keys {extra}; parameters go under params")
+    kind = spec_.get("kind")
+    if not isinstance(kind, str) or kind not in table:
+        raise InputError(f"unknown {what} kind {kind!r}")
+    return kind
 
 
 def build_rho(spec_: dict) -> risk_measures.RiskFunctional:
-    kind = spec_.get("kind")
-    p = spec_.get("params", {})
+    kind = _spec_kind(spec_, "risk measure", _MEASURES)
     try:
-        if kind == "neg_expectation":
-            return risk_measures.neg_expectation()
-        if kind == "expectation_floor":
-            return risk_measures.expectation_floor(float(p["K"]))
-        if kind == "worst_case":
-            return risk_measures.worst_case()
-        if kind == "entropic":
-            return risk_measures.entropic(float(p.get("gamma", 1.0)))
-        if kind == "expected_shortfall":
-            return risk_measures.expected_shortfall(float(p["alpha"]))
-        if kind == "certainty_equivalent":
-            return risk_measures.certainty_equivalent(_build_loss(p.get("loss", {"kind": "exp"})))
-        if kind == "q_entropic":
-            return risk_measures.q_entropic(float(p["q"]), float(p["beta"]))
+        return _MEASURES[kind](spec_.get("params", {}))
     except (KeyError, ValueError) as e:
         raise InputError(f"rho.params: {e}")
-    raise InputError(f"unknown risk measure kind {kind!r}")
 
 
 def build_family(spec_: dict) -> uncertainty.UncertaintyFamily:
-    kind = spec_.get("kind")
-    p = spec_.get("params", {})
+    kind = _spec_kind(spec_, "family", _FAMILIES)
     try:
-        if kind == "sup_norm_ball":
-            return uncertainty.sup_norm_ball(float(p.get("eps", 0.0)))
-        if kind == "p_norm_ball":
-            return uncertainty.p_norm_ball(float(p.get("p", 1.0)), float(p.get("eps", 0.0)))
-        if kind == "wasserstein_ball":
-            return uncertainty.wasserstein_ball(float(p.get("p", 1.0)), float(p.get("eps", 0.0)))
-        if kind == "level_band":
-            return uncertainty.level_band(build_rho(p["rho1"]), float(p.get("eps", 0.0)))
-        if kind == "level_upper_set":
-            return uncertainty.level_upper_set(build_rho(p["rho1"]), float(p.get("eps", 0.0)))
+        return _FAMILIES[kind](spec_.get("params", {}))
     except (KeyError, ValueError) as e:
         raise InputError(f"family.params: {e}")
-    raise InputError(f"unknown family kind {kind!r}")
 
 
 def parse_config(path: Optional[str]) -> RunConfig:
@@ -343,14 +353,17 @@ def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dic
         if family is None:
             raise InputError("properties subcommand requires a family in the config")
         props = [args.property] if args.property else list(uncertainty.FAMILY_PROPERTIES)
-        trials = args.trials or 200
+        trials = 200 if args.trials is None else args.trials
+        if trials < 1:
+            raise InputError(f"--trials must be at least 1, got {trials}")
         out = {}
         found_counterexample = False
         for prop in props:
             v = uncertainty.check_property(family, prop, scenario.space, trials=trials, seed=seed)
             if v.is_counterexample:
                 found_counterexample = True
-                assert uncertainty.replay_witness(family, prop, v.witness)
+                if not uncertainty.replay_witness(family, prop, v.witness):
+                    raise InputError(f"{prop}: the counterexample found does not replay")
             out[prop] = _verdict_report(v)
         report["properties"] = out
         report["counterexample_found"] = found_counterexample

@@ -20,16 +20,14 @@ from .prob_core import (
     ScenarioMeasure,
     density_norm,
     expectation_under,
-    quantile_function,
     relative_entropy,
-    same_distribution,
-    _quantile_of,
 )
-from .risk_measures import LossFunction, RiskFunctional
+from .risk_measures import LossFunction, RiskFunctional, _batch_rho, _closed_form_penalty
 from .robustify import robust_value
 from .uncertainty import (
     PropertyVerdict,
     UncertaintyFamily,
+    _conjugate_order,
     counterexample,
     no_counterexample,
 )
@@ -117,27 +115,6 @@ def simplex_grid(
 # support functions
 
 
-def _conjugate_order(p: float) -> float:
-    if math.isinf(p):
-        return 1.0
-    if p == 1.0:
-        return math.inf
-    return p / (p - 1.0)
-
-
-def rearranged_expectation(Q: ScenarioMeasure, Y: Position) -> float:
-    """sup over Y' with the law of Y of E_Q[Y']: the comonotone quantile integral
-    of Y against the density dQ/dP."""
-    qy = quantile_function(Y)
-    qd = _quantile_of(Q.density, Q.space.probs)
-    cum = np.union1d(qy.cum, qd.cum)
-    cum = cum[cum > 0]
-    widths = np.diff(np.concatenate(([0.0], cum)))
-    iy = np.minimum(np.searchsorted(qy.cum, cum, side="left"), qy.values.size - 1)
-    idx = np.minimum(np.searchsorted(qd.cum, cum, side="left"), qd.values.size - 1)
-    return float(np.dot(widths, qy.values[iy] * qd.values[idx]))
-
-
 def support_function(
     family: UncertaintyFamily,
     Q: ScenarioMeasure,
@@ -146,24 +123,11 @@ def support_function(
     budget: int = 64,
     seed: int = 0,
 ) -> float:
-    """phi_Q(X) = sup over U_X of E_Q[-Z]; closed forms for ball families."""
-    kind, eps = family.kind, family.eps
-    p = family.params.get("p")
-    if kind == "sup_norm_ball":
-        return expectation_under(Q, -X) + eps
-    if kind == "p_norm_ball":
-        if math.isinf(p):
-            return expectation_under(Q, -X) + eps
-        return expectation_under(Q, -X) + eps * density_norm(Q, _conjugate_order(p))
-    if kind == "wasserstein_ball":
-        return rearranged_expectation(Q, -X) + eps * density_norm(Q, _conjugate_order(p))
-    if kind in ("level_band", "level_upper_set"):
-        rho1 = family.rho1
-        c1 = _closed_form_penalty(rho1, Q)
-        if c1 is not None and rho1.flags.cash_additive:
-            # members satisfy E_Q[-Z] <= rho1(Z) + c(Q) <= rho1(X) + eps + c(Q)
-            return rho1(X) + eps + c1
-    # numeric lower bound over discretized members
+    """phi_Q(X) = sup over U_X of E_Q[-Z]: the family's closed form where it
+    has one, else a numeric lower bound over discretized members."""
+    closed = family._support(Q, X)
+    if closed is not None:
+        return closed
     best = -math.inf
     for Z in [X, *family.discretize(X, resolution, budget, seed)]:
         best = max(best, expectation_under(Q, -Z))
@@ -174,62 +138,28 @@ def support_function(
 # minimal penalties
 
 
-def _closed_form_penalty(rho: RiskFunctional, Q: ScenarioMeasure) -> Optional[float]:
-    kind = rho.kind
-    if kind == "entropic":
-        return relative_entropy(Q) / rho.params["gamma"]
-    if kind == "expected_shortfall":
-        alpha = rho.params["alpha"]
-        return 0.0 if float(Q.density.max()) <= 1.0 / alpha + 1e-9 else math.inf
-    if kind == "neg_expectation":
-        return 0.0 if np.allclose(Q.density, 1.0, rtol=0.0, atol=1e-9) else math.inf
-    if kind == "worst_case":
-        return 0.0
-    if kind == "certainty_equivalent" and rho.params.get("loss") is not None:
-        if rho.params["loss"].name == "exp":
-            return relative_entropy(Q)
-    return None
+# Largest box lattice minimal_penalty and brute-force surfaces may build. With
+# the default bound and step, n = 2 needs 160,801 points and n = 3 needs
+# 64,481,201 (several GB once evaluated).
+_LATTICE_CAP = 2_000_000
 
 
 def _box_lattice(n: int, B: float, h: float) -> np.ndarray:
     axis = np.arange(-B, B + h / 2, h)
+    if axis.size**n > _LATTICE_CAP:
+        raise ValueError(
+            f"box lattice of {axis.size}^{n} points exceeds the cap of {_LATTICE_CAP}; "
+            "use a coarser step or a smaller bound"
+        )
     return np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
-
-
-def _batch_rho(rho: RiskFunctional, pts: np.ndarray, space: ProbSpace) -> np.ndarray:
-    """Vectorized evaluation for the shipped measure kinds; loop otherwise."""
-    pr = space.probs
-    kind = rho.kind
-    if kind == "neg_expectation":
-        return -pts @ pr
-    if kind == "expectation_floor":
-        return np.maximum(-pts @ pr, rho.params["K"])
-    if kind == "worst_case":
-        return np.max(-pts, axis=1)
-    if kind == "entropic" or (
-        kind == "certainty_equivalent" and rho.params.get("loss") is not None and rho.params["loss"].name == "exp"
-    ):
-        gamma = rho.params.get("gamma", 1.0)
-        a = np.log(pr)[None, :] - gamma * pts
-        m = a.max(axis=1, keepdims=True)
-        return (m[:, 0] + np.log(np.exp(a - m).sum(axis=1))) / gamma
-    if kind == "expected_shortfall":
-        alpha = rho.params["alpha"]
-        losses = -pts
-        order = np.argsort(-losses, axis=1)
-        w = pr[order]
-        l_sorted = np.take_along_axis(losses, order, axis=1)
-        cum = np.cumsum(w, axis=1)
-        take = np.minimum(w, np.maximum(alpha - (cum - w), 0.0))
-        return (take * l_sorted).sum(axis=1) / alpha
-    return np.array([rho(Position(space, row)) for row in pts])
 
 
 def minimal_penalty(
     rho: RiskFunctional, Q: ScenarioMeasure, bound: float = 20.0, step: float = 0.1
 ) -> float:
     """c_rho(Q) = sup_X {E_Q[-X] - rho(X)}; closed form where known, else a
-    box-lattice supremum with linear-growth detection."""
+    box-lattice supremum with linear-growth detection. Raises ValueError when
+    the lattice would exceed ``_LATTICE_CAP`` points."""
     closed = _closed_form_penalty(rho, Q)
     if closed is not None:
         return closed
@@ -260,8 +190,6 @@ class PenaltySurface:
 
 
 def _brute_force_R(rho_eval, space: ProbSpace, B: float, h: float, anchors: Sequence[Position]):
-    axis = np.arange(-B, B + h / 2, h)
-
     def evaluator(t: float, Q: ScenarioMeasure) -> float:
         a = space.probs * Q.density  # weights of E_Q[.]
         live = a > 1e-15
@@ -270,10 +198,7 @@ def _brute_force_R(rho_eval, space: ProbSpace, B: float, h: float, anchors: Sequ
         best = math.inf
         free = [i for i in range(space.n) if i != j and live[i]]
         base = np.full(space.n, B, dtype=float)  # null atoms pushed to the top
-        if free:
-            mesh = np.stack(np.meshgrid(*([axis] * len(free)), indexing="ij"), axis=-1).reshape(-1, len(free))
-        else:
-            mesh = np.zeros((1, 0))
+        mesh = _box_lattice(len(free), B, h) if free else np.zeros((1, 0))
         pts = np.tile(base, (mesh.shape[0], 1))
         for col, i in enumerate(free):
             pts[:, i] = mesh[:, col]
@@ -326,7 +251,7 @@ def penalty_type(
 
 def loss_penalty(loss: LossFunction, t: float, Q: ScenarioMeasure) -> float:
     """R_ell(t, Q) = ell^-1(max_{x >= 0} { x t - E_P[ell*(x dQ/dP)] })."""
-    if loss.name == "exp":
+    if loss.exponential:
         return t - relative_entropy(Q)
     pr, d = Q.space.probs, Q.density
 
@@ -375,22 +300,27 @@ def loss_penalty(loss: LossFunction, t: float, Q: ScenarioMeasure) -> float:
 # dual verifiers
 
 
-def _grid_max(grid: SimplexGrid, f) -> float:
-    best = -math.inf
-    for Q in grid:
-        v = f(Q)
-        if v > best:
-            best = v
-    return best
-
-
-def _grid_opt(grid: SimplexGrid, f):
+def _grid_sup(grid: SimplexGrid, f, polish: bool) -> float:
+    """Max of f over the grid, refined by ``_polish_simplex`` around the
+    first maximizer when ``polish`` is set."""
     best, arg = -math.inf, None
     for Q in grid:
         v = f(Q)
         if v > best:
             best, arg = v, Q
-    return best, arg
+    if polish and arg is not None:
+        best = max(best, _polish_simplex(grid.space, f, arg, grid.step)[0])
+    return best
+
+
+def _robust_report(lhs, dual: float, grid: SimplexGrid) -> dict:
+    return {
+        "robust": lhs.value,
+        "dual": dual,
+        "gap": lhs.value - dual,
+        "step": grid.step,
+        "guarantee": lhs.guarantee,
+    }
 
 
 def _polish_simplex(space: ProbSpace, f, Q0: ScenarioMeasure, radius: float, rounds: int = 120):
@@ -436,9 +366,7 @@ def verify_primal_dual(
     def g(Q):
         return penalty(expectation_under(Q, -X), Q)
 
-    dual, arg = _grid_opt(grid, g)
-    if polish and arg is not None:
-        dual = max(dual, _polish_simplex(grid.space, g, arg, grid.step)[0])
+    dual = _grid_sup(grid, g, polish)
     return {"primal": primal, "dual": dual, "gap": primal - dual, "step": grid.step}
 
 
@@ -469,43 +397,8 @@ def verify_robust_dual(
     def g(Q):
         return penalty(support_function(family, Q, X, seed=seed), Q)
 
-    dual, arg = _grid_opt(grid, g)
-    if polish and arg is not None:
-        dual = max(dual, _polish_simplex(grid.space, g, arg, grid.step)[0])
-    return {
-        "robust": lhs.value,
-        "dual": dual,
-        "gap": lhs.value - dual,
-        "step": grid.step,
-        "guarantee": lhs.guarantee,
-    }
-
-
-def _support_penalty(
-    family: UncertaintyFamily, Q: ScenarioMeasure, Qt: ScenarioMeasure
-) -> Optional[float]:
-    """Minimal penalty of the support functional phi_Q, evaluated at Qt.
-
-    For translated norm balls phi_Q is E_Q[-.] plus a constant, so the penalty
-    is finite only at Qt = Q; for Wasserstein balls, at rearrangements of Q.
-    """
-    kind, eps = family.kind, family.eps
-    p = family.params.get("p")
-    if kind == "sup_norm_ball" or (kind == "p_norm_ball" and math.isinf(p)):
-        if np.allclose(Q.density, Qt.density, atol=1e-9):
-            return -eps
-        return math.inf
-    if kind == "p_norm_ball":
-        if np.allclose(Q.density, Qt.density, atol=1e-9):
-            return -eps * density_norm(Q, _conjugate_order(p))
-        return math.inf
-    if kind == "wasserstein_ball":
-        a = Position(Q.space, Q.density)
-        b = Position(Q.space, Qt.density)
-        if same_distribution(a, b, tol=1e-9):
-            return -eps * density_norm(Q, _conjugate_order(p))
-        return math.inf
-    return None
+    dual = _grid_sup(grid, g, polish)
+    return _robust_report(lhs, dual, grid)
 
 
 def verify_convex_cash_additive_dual(
@@ -523,7 +416,7 @@ def verify_convex_cash_additive_dual(
         for Q, cr in zip(pts, c_rho):
             if math.isinf(cr):
                 continue
-            cphi = _support_penalty(family, Q, Qt)
+            cphi = family._support_penalty(Q, Qt)
             if cphi is None:
                 raise ValueError(f"no support-penalty closed form for {family.name}")
             if math.isinf(cphi):
@@ -538,17 +431,11 @@ def verify_convex_cash_additive_dual(
         # along the diagonal Qt = Q the inner infimum collapses to the closed
         # form -k_Q + c_rho(Q), giving a one-measure objective to refine
         def g(Q):
-            cphi = _support_penalty(family, Q, Q)
+            cphi = family._support_penalty(Q, Q)
             return expectation_under(Q, -X) - cphi - minimal_penalty(rho, Q)
 
         dual = max(dual, _polish_simplex(grid.space, g, arg, grid.step)[0])
-    return {
-        "robust": lhs.value,
-        "dual": dual,
-        "gap": lhs.value - dual,
-        "step": grid.step,
-        "guarantee": lhs.guarantee,
-    }
+    return _robust_report(lhs, dual, grid)
 
 
 def verify_second_approach_dual(
@@ -563,58 +450,39 @@ def verify_second_approach_dual(
     if not (rho.flags.convex and rho.flags.cash_additive and rho.flags.continuous_from_above):
         raise ValueError(f"{rho.name} must be convex, cash-additive, continuous from above")
     lhs = robust_value(rho, family, X, seed=seed)
-    kind, eps = family.kind, family.eps
-    p = family.params.get("p")
-    if kind in ("sup_norm_ball", "p_norm_ball", "wasserstein_ball"):
-        # phi_Q = E_Q[-.] + k_Q up to rearrangement, so R_{phi_Q}(t, Qt) is
-        # t + k_Q at Qt = Q and -inf otherwise
-        def g(Q):
-            cr = minimal_penalty(rho, Q)
-            if math.isinf(cr):
-                return -math.inf
-            if kind == "sup_norm_ball" or math.isinf(p):
-                k_Q = eps
-            else:
-                k_Q = eps * density_norm(Q, _conjugate_order(p))
-            t = expectation_under(Q, -X) if kind != "wasserstein_ball" else rearranged_expectation(Q, -X)
-            return t + k_Q - cr
-
-        dual, arg = _grid_opt(grid, g)
-        if polish and arg is not None:
-            dual = max(dual, _polish_simplex(grid.space, g, arg, grid.step)[0])
-    elif kind in ("level_band", "level_upper_set"):
-        rho1 = family.rho1
-        base = penalty_type(rho1, "cash_additive") if rho1.flags.cash_additive else None
-        if base is None:
+    rho1, P = family.rho1, ScenarioMeasure.reference(X.space)
+    if rho1 is not None:
+        if not rho1.flags.cash_additive:
             raise ValueError("second-approach verifier needs a cash-additive base for level families")
+        base = penalty_type(rho1, "cash_additive")
 
         # phi_Q(Y) = rho1(Y) + eps + c_rho1(Q), hence R_{phi_Q} = R_rho1 + eps + c_rho1(Q)
         def g_inner(Qt):
             return base(expectation_under(Qt, -X), Qt)
 
-        inner, arg_in = _grid_opt(grid, g_inner)
-        if polish and arg_in is not None:
-            inner = max(inner, _polish_simplex(grid.space, g_inner, arg_in, grid.step)[0])
+        inner = _grid_sup(grid, g_inner, polish)
 
         def g_outer(Q):
             cr = minimal_penalty(rho, Q)
             c1 = _closed_form_penalty(rho1, Q)
             if c1 is None or math.isinf(c1) or math.isinf(cr):
                 return -math.inf
-            return inner + eps + c1 - cr
+            return inner + family.eps + c1 - cr
 
-        dual, arg = _grid_opt(grid, g_outer)
-        if polish and arg is not None:
-            dual = max(dual, _polish_simplex(grid.space, g_outer, arg, grid.step)[0])
+        dual = _grid_sup(grid, g_outer, polish)
+    elif family._support_penalty(P, P) is not None:
+        # phi_Q = E_Q[-.] + k_Q up to rearrangement, so R_{phi_Q}(t, Qt) is
+        # t + k_Q at Qt = Q and -inf otherwise
+        def g(Q):
+            cr = minimal_penalty(rho, Q)
+            if math.isinf(cr):
+                return -math.inf
+            return support_function(family, Q, X) - cr
+
+        dual = _grid_sup(grid, g, polish)
     else:
         raise ValueError(f"no second-approach closed form for {family.name}")
-    return {
-        "robust": lhs.value,
-        "dual": dual,
-        "gap": lhs.value - dual,
-        "step": grid.step,
-        "guarantee": lhs.guarantee,
-    }
+    return _robust_report(lhs, dual, grid)
 
 
 def non_expansivity_check(

@@ -18,12 +18,12 @@ __all__ = [
     "ProbSpace",
     "Position",
     "ScenarioMeasure",
-    "ext_add",
     "expectation",
     "expectation_under",
     "quantile_function",
     "QuantileSteps",
     "wasserstein_distance",
+    "rearranged_expectation",
     "relative_entropy",
     "density_norm",
     "same_distribution",
@@ -33,11 +33,19 @@ __all__ = [
 ATOL = 1e-12
 
 
-def ext_add(a: float, b: float) -> float:
-    """Extended-real addition; (+inf) + (-inf) is an error rather than nan."""
-    if (a == math.inf and b == -math.inf) or (a == -math.inf and b == math.inf):
-        raise ValueError("undefined extended-real sum (+inf) + (-inf)")
-    return a + b
+def _bisect(below, lo: float, hi: float, steps: int, rtol: float = 0.0):
+    """Bisection on [lo, hi]: where ``below(mid)`` holds lo moves up to mid,
+    else hi moves down. Stops after ``steps`` halvings, or as soon as
+    hi - lo < rtol * max(1, |hi|). Returns the final (lo, hi)."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < rtol * max(1.0, abs(hi)):
+            break
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -84,9 +92,6 @@ class Position:
         v.flags.writeable = False
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", v)
-
-    def replace(self, values) -> "Position":
-        return Position(self.space, values)
 
     def __add__(self, other):
         if isinstance(other, Position):
@@ -195,14 +200,21 @@ def _quantile_of(values: np.ndarray, probs: np.ndarray) -> QuantileSteps:
 
 
 def _merged_quantile_gaps(qx: QuantileSteps, qy: QuantileSteps):
-    """Interval widths and |F_X^-1 - F_Y^-1| gaps on merged breakpoints."""
+    """Interval widths on the merged breakpoints of two quantile functions,
+    with the values of F_X^-1 and F_Y^-1 on each interval."""
     cum = np.union1d(qx.cum, qy.cum)
     cum = cum[cum > 0]
     widths = np.diff(np.concatenate(([0.0], cum)))
     ix = np.minimum(np.searchsorted(qx.cum, cum, side="left"), qx.values.size - 1)
     iy = np.minimum(np.searchsorted(qy.cum, cum, side="left"), qy.values.size - 1)
-    gaps = np.abs(qx.values[ix] - qy.values[iy])
-    return widths, gaps
+    return widths, qx.values[ix], qy.values[iy]
+
+
+def _quantile_norm(widths: np.ndarray, v: np.ndarray, p: float) -> float:
+    """L^p norm on (0, 1] of the step function equal to v on intervals of the given widths."""
+    if math.isinf(p):
+        return float(v[widths > 0].max(initial=0.0))
+    return float(np.dot(widths, v**p) ** (1.0 / p))
 
 
 def wasserstein_distance(X: Position, Y: Position, p: float = 1.0) -> float:
@@ -213,10 +225,15 @@ def wasserstein_distance(X: Position, Y: Position, p: float = 1.0) -> float:
     """
     if p < 1:
         raise ValueError("Wasserstein order p must be >= 1")
-    widths, gaps = _merged_quantile_gaps(quantile_function(X), quantile_function(Y))
-    if math.isinf(p):
-        return float(gaps[widths > 0].max(initial=0.0))
-    return float(np.dot(widths, gaps**p) ** (1.0 / p))
+    widths, ax, ay = _merged_quantile_gaps(quantile_function(X), quantile_function(Y))
+    return _quantile_norm(widths, np.abs(ax - ay), p)
+
+
+def rearranged_expectation(Q: ScenarioMeasure, Y: Position) -> float:
+    """sup over Y' with the law of Y of E_Q[Y']: the comonotone quantile integral
+    of Y against the density dQ/dP."""
+    widths, ay, ad = _merged_quantile_gaps(quantile_function(Y), _quantile_of(Q.density, Q.space.probs))
+    return float(np.dot(widths, ay * ad))
 
 
 def relative_entropy(Q: ScenarioMeasure) -> float:
@@ -237,6 +254,5 @@ def density_norm(Q: ScenarioMeasure, q: float) -> float:
 
 def same_distribution(X: Position, Y: Position, tol: float = ATOL) -> bool:
     """True iff X and Y induce the same law under P (atoms merged, tolerance tol)."""
-    qx, qy = quantile_function(X), quantile_function(Y)
-    widths, gaps = _merged_quantile_gaps(qx, qy)
-    return bool(np.all(gaps[widths > 0] <= tol))
+    widths, ax, ay = _merged_quantile_gaps(quantile_function(X), quantile_function(Y))
+    return bool(np.all(np.abs(ax - ay)[widths > 0] <= tol))

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from .prob_core import Position, expectation
+from .prob_core import Position, ProbSpace, ScenarioMeasure, expectation, relative_entropy
 
 __all__ = [
     "AxiomFlags",
@@ -49,8 +49,8 @@ class RiskFunctional:
     """A risk measure rho together with its declared axioms.
 
     ``evaluate`` maps a Position to an extended real (float, possibly +-inf).
-    ``kind``/``params`` identify the measure for reports and closed-form
-    dispatch in the duality module.
+    ``kind``/``params`` identify the measure for reports and for the
+    closed forms at the end of this module, the only code that reads them.
     """
 
     name: str
@@ -65,20 +65,32 @@ class RiskFunctional:
 
 @dataclass(frozen=True)
 class LossFunction:
-    """Strictly increasing convex loss with inverse and convex conjugate."""
+    """Strictly increasing convex loss with inverse and convex conjugate.
+
+    ``exponential`` is true only for the loss built by ``exponential_loss``,
+    whose closed forms (vectorized ell, relative-entropy penalty) the package
+    uses; a loss built by hand, even from the same callables, takes the
+    generic numeric path.
+    """
 
     name: str
     ell: Callable[[float], float]
     ell_inv: Callable[[float], float]
     ell_conj: Callable[[float], float]
+    exponential = False
 
     def ell_vec(self, x: np.ndarray) -> np.ndarray:
-        if self.name == "exp":  # same keyed shortcut as the penalty closed forms
-            return np.exp(x)
         return np.vectorize(self.ell, otypes=[float])(x)
 
     def conj_vec(self, y: np.ndarray) -> np.ndarray:
         return np.vectorize(self.ell_conj, otypes=[float])(y)
+
+
+class _ExponentialLoss(LossFunction):
+    exponential = True
+
+    def ell_vec(self, x: np.ndarray) -> np.ndarray:
+        return np.exp(x)
 
 
 def exponential_loss() -> LossFunction:
@@ -91,7 +103,7 @@ def exponential_loss() -> LossFunction:
             return 0.0
         return y * math.log(y) - y
 
-    return LossFunction("exp", math.exp, math.log, conj)
+    return _ExponentialLoss("exp", math.exp, math.log, conj)
 
 
 def identity_loss() -> LossFunction:
@@ -304,3 +316,78 @@ def q_entropic(q: float, beta: float) -> RiskFunctional:
         kind="q_entropic",
         params={"q": q, "beta": beta},
     )
+
+
+# ---------------------------------------------------------------------------
+# closed forms keyed on the measure's kind
+
+
+def _entropic_gamma(rho: RiskFunctional) -> Optional[float]:
+    """gamma when rho is an entropic measure; CE of the exponential loss is entropic(1)."""
+    if rho.kind == "entropic":
+        return rho.params["gamma"]
+    if rho.kind == "certainty_equivalent" and getattr(rho.params.get("loss"), "exponential", False):
+        return 1.0
+    return None
+
+
+def _same_functional(rho: RiskFunctional, other: RiskFunctional) -> bool:
+    if rho is other:
+        return True
+    if rho.kind != other.kind:
+        return False
+    pa = {k: v for k, v in rho.params.items() if isinstance(v, (int, float))}
+    pb = {k: v for k, v in other.params.items() if isinstance(v, (int, float))}
+    return pa == pb and rho.kind != ""
+
+
+def _shifted_mean(rho: RiskFunctional, X: Position, eps: float) -> Optional[float]:
+    """rho(X - eps) from E[X] alone, for the measures that depend on the mean only."""
+    if rho.kind == "neg_expectation":
+        return -expectation(X) + eps
+    if rho.kind == "expectation_floor":
+        return max(-expectation(X) + eps, rho.params["K"])
+    return None
+
+
+def _closed_form_penalty(rho: RiskFunctional, Q: ScenarioMeasure) -> Optional[float]:
+    """Minimal penalty c_rho(Q) where it is known in closed form, else None."""
+    kind = rho.kind
+    gamma = _entropic_gamma(rho)
+    if gamma is not None:
+        return relative_entropy(Q) / gamma
+    if kind == "expected_shortfall":
+        alpha = rho.params["alpha"]
+        return 0.0 if float(Q.density.max()) <= 1.0 / alpha + 1e-9 else math.inf
+    if kind == "neg_expectation":
+        return 0.0 if np.allclose(Q.density, 1.0, rtol=0.0, atol=1e-9) else math.inf
+    if kind == "worst_case":
+        return 0.0
+    return None
+
+
+def _batch_rho(rho: RiskFunctional, pts: np.ndarray, space: ProbSpace) -> np.ndarray:
+    """rho on each row of pts, vectorized for the shipped measure kinds; loop otherwise."""
+    pr = space.probs
+    kind = rho.kind
+    gamma = _entropic_gamma(rho)
+    if kind == "neg_expectation":
+        return -pts @ pr
+    if kind == "expectation_floor":
+        return np.maximum(-pts @ pr, rho.params["K"])
+    if kind == "worst_case":
+        return np.max(-pts, axis=1)
+    if gamma is not None:
+        a = np.log(pr)[None, :] - gamma * pts
+        m = a.max(axis=1, keepdims=True)
+        return (m[:, 0] + np.log(np.exp(a - m).sum(axis=1))) / gamma
+    if kind == "expected_shortfall":
+        alpha = rho.params["alpha"]
+        losses = -pts
+        order = np.argsort(-losses, axis=1)
+        w = pr[order]
+        l_sorted = np.take_along_axis(losses, order, axis=1)
+        cum = np.cumsum(w, axis=1)
+        take = np.minimum(w, np.maximum(alpha - (cum - w), 0.0))
+        return (take * l_sorted).sum(axis=1) / alpha
+    return np.array([rho(Position(space, row)) for row in pts])

@@ -1,27 +1,27 @@
 """Robustification: worst-case risk over an uncertainty set, with labelled solvers.
 
-``robust_value`` dispatches between closed forms (Exact), polytope vertex
-enumeration (Exact), and discretize-based search (LowerBound). Preservation
-checks for the robustified measure and the induced largest family are sound
-one-sided tests: with LowerBound solvers, candidates are transported between
-the compared sets so a reported counterexample is a genuine violation.
+``robust_value`` dispatches between the family's closed-form worst case
+(Exact, or LowerBound where attainment is not certified), vertex enumeration
+of polytope families (Exact), and discretize-based search (LowerBound).
+Preservation checks for the robustified measure and the induced largest
+family are sound one-sided tests: with LowerBound solvers, candidates are
+transported between the compared sets so a reported counterexample is a
+genuine violation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .prob_core import Position, ProbSpace, expectation
+from .prob_core import Position, ProbSpace, _bisect
 from .risk_measures import RiskFunctional
 from .uncertainty import (
     PropertyVerdict,
     UncertaintyFamily,
-    _boundary_step,
     check_property,
     cone_witness,
     counterexample,
@@ -73,110 +73,13 @@ def _best(rho: RiskFunctional, candidates: Sequence[Position]):
     return best_v, best_z
 
 
-def _same_functional(rho: RiskFunctional, other: RiskFunctional) -> bool:
-    if rho is other:
-        return True
-    if rho.kind != other.kind:
-        return False
-    pa = {k: v for k, v in rho.params.items() if isinstance(v, (int, float))}
-    pb = {k: v for k, v in other.params.items() if isinstance(v, (int, float))}
-    return pa == pb and rho.kind != ""
-
-
-def _analytic(rho: RiskFunctional, family: UncertaintyFamily, X: Position) -> Optional[RobustValue]:
-    kind, eps = family.kind, family.eps
-    f = rho.flags
-    p = family.params.get("p")
-
-    if kind == "sup_norm_ball" or (kind == "p_norm_ball" and math.isinf(p)):
-        if f.monotone:
-            W = X - eps
-            return RobustValue(rho(W), W, "analytic", "exact")
-        return None
-
-    if kind == "p_norm_ball":
-        if eps == 0.0:
-            return RobustValue(rho(X), X, "analytic", "exact")
-        W = X - eps  # constant shift has L^p(P) norm exactly eps
-        if rho.kind == "expectation_floor":
-            return RobustValue(max(-expectation(X) + eps, rho.params["K"]), W, "analytic", "exact")
-        if rho.kind == "neg_expectation":
-            return RobustValue(-expectation(X) + eps, W, "analytic", "exact")
-        return None
-
-    if kind == "wasserstein_ball":
-        if eps == 0.0 and f.law_invariant:
-            return RobustValue(rho(X), X, "analytic", "exact")
-        if math.isinf(p) and f.monotone and f.law_invariant:
-            W = X - eps
-            return RobustValue(rho(W), W, "analytic", "exact")
-        if rho.kind == "neg_expectation":
-            return RobustValue(-expectation(X) + eps, X - eps, "analytic", "exact")
-        if rho.kind == "expectation_floor":
-            return RobustValue(max(-expectation(X) + eps, rho.params["K"]), X - eps, "analytic", "exact")
-        if f.convex and f.law_invariant:
-            # comonotone shift: X - eps sits on the ball boundary for every
-            # order; attainment of the supremum there is not certified
-            W = X - eps
-            return RobustValue(rho(W), W, "analytic", "lower_bound")
-        return None
-
-    if kind in ("level_band", "level_upper_set"):
-        rho1 = family.rho1
-        if _same_functional(rho, rho1):
-            target = rho(X) + eps
-            k = _boundary_step(rho1, X, target)
-            W = X - k
-            val = rho(W)
-            if abs(val - target) <= 1e-8:
-                return RobustValue(target, W, "analytic", "exact")
-            return RobustValue(val, W, "analytic", "lower_bound")
-        return None
-
-    return None
-
-
-def _vertex_enum(rho: RiskFunctional, family: UncertaintyFamily, X: Position) -> Optional[RobustValue]:
-    if not rho.flags.convex:
-        return None
-    kind, eps = family.kind, family.eps
-    space = X.space
-    n = space.n
-    p = family.params.get("p")
-
-    if kind == "sup_norm_ball" or (kind == "p_norm_ball" and math.isinf(p)):
-        if n > 20:
-            raise ValueError(f"vertex enumeration guarded at n <= 20, got n = {n}")
-        verts = [Position(space, X.values + eps * np.array(signs)) for signs in product((-1.0, 1.0), repeat=n)]
-        v, w = _best(rho, verts)
-        return RobustValue(v, w, "vertex_enum", "exact")
-
-    if kind == "p_norm_ball" and p == 1.0:
-        verts = [X]
-        for i in range(n):
-            for s in (-1.0, 1.0):
-                vals = np.array(X.values, dtype=float)
-                vals[i] += s * eps / space.probs[i]
-                verts.append(Position(space, vals))
-        v, w = _best(rho, verts)
-        return RobustValue(v, w, "vertex_enum", "exact")
-
-    return None
-
-
 def _project(family: UncertaintyFamily, X: Position, Z: Position) -> Optional[Position]:
     """Pull Z back into U_X along the segment toward X (sets are X-star-shaped here)."""
     if family.membership(X, Z):
         return Z
-    lo, hi = 0.0, 1.0
     if not family.membership(X, X):
         return None
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if family.membership(X, X + mid * (Z - X)):
-            lo = mid
-        else:
-            hi = mid
+    lo, _ = _bisect(lambda t: family.membership(X, X + t * (Z - X)), 0.0, 1.0, 60)
     return X + lo * (Z - X)
 
 
@@ -222,27 +125,26 @@ def robust_value(
     """
     extras = [Z for Z in extra_candidates if family.membership(X, Z)]
 
+    rv = None
     if solver in ("auto", "analytic"):
-        rv = _analytic(rho, family, X)
-        if rv is not None:
-            if extras:
-                v, w = _best(rho, [rv.witness, *extras])
-                if v > rv.value + 1e-12:
-                    return RobustValue(v, w, rv.solver, rv.guarantee)
-            return rv
-        if solver == "analytic":
+        closed = family._worst_case(rho, X)
+        if closed is not None:
+            value, witness, guarantee = closed
+            rv = RobustValue(value, witness, "analytic", guarantee)
+        elif solver == "analytic":
             raise ValueError(f"no analytic solver for {rho.name} over {family.name}")
-
-    if solver in ("auto", "vertex_enum"):
-        rv = _vertex_enum(rho, family, X)
-        if rv is not None:
-            if extras:
-                v, w = _best(rho, [rv.witness, *extras])
-                if v > rv.value + 1e-12:
-                    return RobustValue(v, w, rv.solver, rv.guarantee)
-            return rv
-        if solver == "vertex_enum":
+    if rv is None and solver in ("auto", "vertex_enum"):
+        verts = family._vertices(X) if rho.flags.convex else None
+        if verts is not None:
+            rv = RobustValue(*_best(rho, verts), "vertex_enum", "exact")
+        elif solver == "vertex_enum":
             raise ValueError(f"vertex enumeration not applicable to {rho.name} over {family.name}")
+    if rv is not None:
+        if extras:
+            v, w = _best(rho, [rv.witness, *extras])
+            if v > rv.value + 1e-12:
+                return RobustValue(v, w, rv.solver, rv.guarantee)
+        return rv
 
     candidates = [X, *family.discretize(X, resolution, budget, seed), *extras]
     v, w = _best(rho, candidates)
@@ -311,16 +213,9 @@ def verify_preservation(
             X = random_position(space, rng)
             Y = X + Position(space, np.abs(rng.normal(size=space.n)))
             rY = _solve(rho, family, Y, seed + t)
-            extra = []
-            if not rY.exact:
-                for Z in [rY.witness, *family.discretize(Y, 0.25, 8, seed + t)]:
-                    W = transport_member(family, Y, X, Z)
-                    if W is not None:
-                        extra.append(W)
-            elif rY.witness is not None:
-                W = transport_member(family, Y, X, rY.witness)
-                if W is not None:
-                    extra.append(W)
+            pool = [rY.witness] if rY.exact else [rY.witness, *family.discretize(Y, 0.25, 8, seed + t)]
+            moved = [transport_member(family, Y, X, Z) for Z in pool if Z is not None]
+            extra = [W for W in moved if W is not None]
             rX = _solve(rho, family, X, seed + t, extra=extra)
             if rX.value < rY.value - _TOL:
                 return counterexample({"X": X, "Y": Y, "rX": rX.value, "rY": rY.value})
@@ -506,12 +401,7 @@ def largest_family_properties(
 
     # monotonicity of the induced family, via monotonicity of the robust value
     mono = verify_preservation(rho, family, "monotone", trials=trials, seed=seed + 1, space=space)
-    if mono.tag == "unknown":
-        out["monotone"] = mono
-    elif mono.is_counterexample:
-        out["monotone"] = mono
-    else:
-        out["monotone"] = no_counterexample(trials)
+    out["monotone"] = mono if mono.tag == "unknown" or mono.is_counterexample else no_counterexample(trials)
 
     # quasi-convexity of the induced family from quasi-convexity of the value
     qc = verify_preservation(rho, family, "quasi_convex", trials=trials, seed=seed + 2, space=space)

@@ -1,16 +1,22 @@
 """Uncertainty-set families: the map X -> U_X, property checkers, solidification.
 
-Each family carries an exact membership predicate, a solver-facing
-``discretize`` generator, and descriptor metadata used for closed-form
-dispatch. ``check_property`` combines certified rules (closed-form arguments
-or constructed counterexamples, verified before being returned) with seeded
+Each family carries an exact membership predicate and a solver-facing
+``discretize`` generator. A family's kind is its class: norm balls (p in
+[1, inf], where p = inf is the sup ball), Wasserstein balls, and level bands
+and upper sets each keep their closed forms (worst cases, support functions,
+cone, transport and split witnesses, certified property rules) as methods.
+The module functions add only what does not depend on the kind: membership
+checks of what a closed form returns, and generic numeric fallbacks.
+``check_property`` combines certified rules (closed-form arguments or
+constructed counterexamples, verified before being returned) with seeded
 sampled falsification.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,12 +24,18 @@ import numpy as np
 from .prob_core import (
     Position,
     ProbSpace,
+    ScenarioMeasure,
+    density_norm,
+    expectation_under,
     quantile_function,
+    rearranged_expectation,
     same_distribution,
     wasserstein_distance,
+    _bisect,
     _merged_quantile_gaps,
+    _quantile_norm,
 )
-from .risk_measures import RiskFunctional
+from .risk_measures import RiskFunctional, _closed_form_penalty, _same_functional, _shifted_mean
 
 __all__ = [
     "MEMBER_TOL",
@@ -106,16 +118,19 @@ def unknown(note: str = "") -> PropertyVerdict:
 
 @dataclass(frozen=True)
 class UncertaintyFamily:
-    """A family of uncertainty sets X -> U_X with solver-facing structure."""
+    """A family of uncertainty sets X -> U_X with solver-facing structure.
+
+    A family's kind is its class. The underscore methods are its closed forms;
+    here each returns None ("no closed form"), which sends the callers to
+    generic numerics, and the kinds below override them. They test membership
+    through ``self.membership``, so a copy made with ``dataclasses.replace``
+    keeps its closed forms around the replaced predicate.
+    """
 
     name: str
-    kind: str
     params: dict
     membership: Callable[[Position, Position], bool]
     discretize: Callable[[Position, float, int, int], list]
-
-    def contains(self, X: Position, Z: Position) -> bool:
-        return self.membership(X, Z)
 
     @property
     def eps(self) -> float:
@@ -124,6 +139,54 @@ class UncertaintyFamily:
     @property
     def rho1(self) -> Optional[RiskFunctional]:
         return self.params.get("rho1")
+
+    def _worst_case(self, rho: RiskFunctional, X: Position) -> Optional[tuple]:
+        """(value, witness, guarantee) for sup over U_X of rho."""
+        return None
+
+    def _vertices(self, X: Position) -> Optional[list]:
+        """Vertices of the polytope U_X; a convex rho attains its sup at one."""
+        return None
+
+    def _support(self, Q: ScenarioMeasure, X: Position) -> Optional[float]:
+        """phi_Q(X) = sup over U_X of E_Q[-Z]."""
+        return None
+
+    def _support_penalty(self, Q: ScenarioMeasure, Qt: ScenarioMeasure) -> Optional[float]:
+        """Minimal penalty of the support functional phi_Q, evaluated at Qt."""
+        return None
+
+    def _plus_cone(self, X: Position, Z: Position) -> Optional[bool]:
+        """Whether Z lies in U_X + L^p_+."""
+        return None
+
+    def _below(self, X: Position, Yp: Position) -> Optional[bool]:
+        """Whether some member of U_X lies pointwise below Yp."""
+        return None
+
+    def _minkowski(self, X: Position, Y: Position, lam: float, Z: Position) -> Optional[bool]:
+        """Whether Z lies in lam*U_X + (1-lam)*U_Y."""
+        return None
+
+    def _dominated(self, X: Position, Z: Position) -> Optional[Position]:
+        """A candidate member W <= Z of U_X, given that Z lies in U_X + L^p_+."""
+        return None
+
+    def _split(self, X: Position, Y: Position, lam: float, Z: Position) -> Optional[tuple]:
+        """Candidates (Z1, Z2) for U_X and U_Y with Z = lam*Z1 + (1-lam)*Z2."""
+        return None
+
+    def _transport(self, src: Position, dst: Position, Z: Position) -> Optional[Position]:
+        """A candidate member of U_dst for a member Z of U_src."""
+        return Z
+
+    def _rule(self, prop: str, space: ProbSpace) -> Optional[PropertyVerdict]:
+        """A certified verdict (or verified counterexample) for the property."""
+        return None
+
+    def _margin(self, X: Position, Z: Position) -> Optional[float]:
+        """Distance-style violation margin of Z relative to U_X."""
+        return None
 
 
 def random_position(space: ProbSpace, rng: np.random.Generator, scale: float = 2.0) -> Position:
@@ -136,86 +199,286 @@ def _lp_norm(space: ProbSpace, v: np.ndarray, p: float) -> float:
     return float(np.dot(space.probs, np.abs(v) ** p) ** (1.0 / p))
 
 
+def _conjugate_order(p: float) -> float:
+    if math.isinf(p):
+        return 1.0
+    if p == 1.0:
+        return math.inf
+    return p / (p - 1.0)
+
+
 # ---------------------------------------------------------------------------
-# constructors
+# balls: translated L^p(P) balls and Wasserstein balls
 
 
-def sup_norm_ball(eps: float) -> UncertaintyFamily:
-    """U_X = {Z : X - eps <= Z <= X + eps pointwise}."""
+class _Ball(UncertaintyFamily):
+    """Balls of radius eps around X in the distance ``_dist``."""
+
+    @property
+    def p(self) -> float:
+        return self.params["p"]
+
+    def _dist(self, X: Position, Z: Position) -> float:
+        raise NotImplementedError
+
+    def _k(self, Q: ScenarioMeasure) -> float:
+        """phi_Q(X) minus the (rearranged) Q-expectation of -X: eps times the
+        dual norm of dQ/dP, which is 1 for p = inf."""
+        return self.eps if math.isinf(self.p) else self.eps * density_norm(Q, _conjugate_order(self.p))
+
+    def _below(self, X, Yp):
+        return self._plus_cone(X, Yp)
+
+    def _split(self, X, Y, lam, Z):
+        D = Z - (lam * X + (1.0 - lam) * Y)
+        return X + D, Y + D
+
+    def _margin(self, X, Z):
+        return self._dist(X, Z) - self.eps
+
+
+class _NormBall(_Ball):
+    """U_X = {Z : ||Z - X||_{L^p(P)} <= eps}, p in [1, inf]; p = inf is the sup ball."""
+
+    def _dist(self, X, Z):
+        return _lp_norm(X.space, Z.values - X.values, self.p)
+
+    def _worst_case(self, rho, X):
+        eps = self.eps
+        if math.isinf(self.p):
+            if not rho.flags.monotone:
+                return None
+            W = X - eps  # lies below every member
+            return rho(W), W, "exact"
+        if eps == 0.0:
+            return rho(X), X, "exact"
+        value = _shifted_mean(rho, X, eps)  # constant shift has L^p(P) norm exactly eps
+        return None if value is None else (value, X - eps, "exact")
+
+    def _vertices(self, X):
+        space, n, eps = X.space, X.space.n, self.eps
+        if math.isinf(self.p):
+            if n > 20:
+                raise ValueError(f"vertex enumeration guarded at n <= 20, got n = {n}")
+            return [Position(space, X.values + eps * np.array(signs)) for signs in product((-1.0, 1.0), repeat=n)]
+        if self.p != 1.0:
+            return None
+        verts = [X]
+        for i in range(n):
+            for s in (-1.0, 1.0):
+                vals = np.array(X.values, dtype=float)
+                vals[i] += s * eps / space.probs[i]
+                verts.append(Position(space, vals))
+        return verts
+
+    def _support(self, Q, X):
+        return expectation_under(Q, -X) + self._k(Q)
+
+    def _support_penalty(self, Q, Qt):
+        # phi_Q is E_Q[-.] plus a constant, so the penalty is finite only at Qt = Q
+        return -self._k(Q) if np.allclose(Q.density, Qt.density, atol=1e-9) else math.inf
+
+    def _plus_cone(self, X, Z):
+        deficit = np.maximum(X.values - Z.values, 0.0)
+        return _lp_norm(X.space, deficit, self.p) <= self.eps + MEMBER_TOL
+
+    def _minkowski(self, X, Y, lam, Z):
+        return self.membership(lam * X + (1.0 - lam) * Y, Z)
+
+    def _dominated(self, X, Z):
+        if math.isinf(self.p):
+            return Position(X.space, np.minimum(Z.values, X.values + self.eps))
+        D = Z.values - X.values
+        tau, _ = _bisect(
+            lambda t: _lp_norm(X.space, np.minimum(D, t), self.p) <= self.eps, 0.0, float(np.max(np.abs(D))) + 1.0, 80
+        )
+        return Position(X.space, X.values + np.minimum(D, tau))
+
+    def _transport(self, src, dst, Z):
+        return Z + (dst - src)
+
+    def _rule(self, prop, space):
+        eps = self.eps
+        if prop == "convex":
+            return certified("translated norm balls form a convex family")
+        if prop == "cash_invariant":
+            return certified("membership depends on Z - X only")
+        if prop == "order_preserving":
+            return certified("X' = Y' - (Y - X) is a dominated member")
+        if prop == "quasi_convex":
+            w = _ball_quasi_counterexample(self, space)
+            if w is not None:
+                return counterexample(w, "constant-shift witness")
+        if prop == "c_quasi_convex":
+            w = _ball_c_quasi_counterexample(self, space)
+            if w is not None:
+                return counterexample(w, "two-sided spread witness")
+        if prop == "solid" and eps < math.inf:
+            X = Position(space, np.zeros(space.n))
+            Zbar = Position(space, np.full(space.n, 2.0 * eps + 1.0))
+            if not self.membership(X, Zbar):
+                return counterexample({"X": X, "Z": X, "Zbar": Zbar}, "raise above the band")
+        if prop == "monotone" and eps < math.inf:
+            X = Position(space, np.zeros(space.n))
+            Y = Position(space, np.full(space.n, 3.0 * eps + 1.0))
+            if not self.membership(X, Y):
+                return counterexample({"X": X, "Y": Y, "Z": Y}, "translated ball escapes U_X")
+        if prop == "law_invariant" and eps < math.inf:
+            groups = _equal_mass_groups(space)
+            if groups == []:
+                return certified("no two atom groups share a mass, so no two distinct positions share a law")
+            c = 3.0 * eps + 1.0
+            for A, B in groups or ():
+                # X = c 1_A and X' = c 1_B share a law; the ball around X' misses X
+                X, Xp = Position(space, c * A), Position(space, c * B)
+                if same_distribution(X, Xp) and self.membership(X, X) and not self.membership(Xp, X):
+                    return counterexample({"X": X, "Xp": Xp, "Z": X}, "rearranged center moves the ball")
+        return None
+
+
+class _WassersteinBall(_Ball):
+    """U_X = {Z : d_Wp(X, Z) <= eps}; membership depends on laws only."""
+
+    def _dist(self, X, Z):
+        return wasserstein_distance(X, Z, self.p)
+
+    def _worst_case(self, rho, X):
+        eps, f = self.eps, rho.flags
+        if eps == 0.0 and f.law_invariant:
+            return rho(X), X, "exact"
+        if math.isinf(self.p) and f.monotone and f.law_invariant:
+            W = X - eps
+            return rho(W), W, "exact"
+        value = _shifted_mean(rho, X, eps)
+        if value is not None:
+            return value, X - eps, "exact"
+        if f.convex and f.law_invariant:
+            # comonotone shift: X - eps sits on the ball boundary for every
+            # order; attainment of the supremum there is not certified
+            W = X - eps
+            return rho(W), W, "lower_bound"
+        return None
+
+    def _support(self, Q, X):
+        return rearranged_expectation(Q, -X) + self._k(Q)
+
+    def _support_penalty(self, Q, Qt):
+        # phi_Q depends on the law of its argument: finite at rearrangements of Q
+        if same_distribution(Position(Q.space, Q.density), Position(Q.space, Qt.density), tol=1e-9):
+            return -self._k(Q)
+        return math.inf
+
+    def _plus_cone(self, X, Z):
+        # lowering coordinates reaches exactly the laws with dominated quantiles
+        widths, ax, az = _merged_quantile_gaps(quantile_function(X), quantile_function(Z))
+        return _quantile_norm(widths, np.maximum(ax - az, 0.0), self.p) <= self.eps + MEMBER_TOL
+
+    def _dominated(self, X, Z):
+        # dominated quantile envelope, realized comonotonically along Z
+        qx = quantile_function(X)
+        order = np.argsort(Z.values, kind="stable")
+        cum = np.cumsum(Z.space.probs[order])
+        mids = cum - 0.5 * Z.space.probs[order]
+        ixq = np.minimum(np.searchsorted(qx.cum, mids, side="left"), qx.values.size - 1)
+        vals = np.empty(order.size)
+        vals[order] = np.minimum(Z.values[order], qx.values[ixq])
+        return Position(Z.space, vals)
+
+    def _transport(self, src, dst, Z):
+        # quantile-space shift realized along Z's comonotone order; exact on
+        # uniform spaces, membership-verified in general
+        order_z = np.argsort(Z.values, kind="stable")
+        vals = np.empty(Z.space.n)
+        vals[order_z] = Z.values[order_z] + (np.sort(dst.values) - np.sort(src.values))
+        return Position(Z.space, vals)
+
+    def _rule(self, prop, space):
+        eps = self.eps
+        if prop == "convex":
+            return certified("Wasserstein balls form a convex family")
+        if prop == "law_invariant":
+            return certified("membership depends on laws only")
+        if prop == "cash_invariant":
+            return certified("d_W(X + c, Z) = d_W(X, Z - c)")
+        if prop == "order_preserving":
+            return certified("dominated comonotone quantile envelope is a member")
+        if prop in ("solid", "monotone") and eps < math.inf:
+            X = Position(space, np.zeros(space.n))
+            Zbar = Position(space, np.full(space.n, 3.0 * eps + 1.0))
+            if not self.membership(X, Zbar):
+                if prop == "solid":
+                    return counterexample({"X": X, "Z": X, "Zbar": Zbar}, "upward shift leaves the ball")
+                return counterexample({"X": X, "Y": Zbar, "Z": Zbar}, "ball around Y escapes U_X")
+        if prop == "quasi_convex":
+            w = _ball_quasi_counterexample(self, space)
+            if w is not None:
+                return counterexample(w, "constant-shift witness")
+        return None
+
+
+def _norm_ball(p: float, eps: float, name: str) -> UncertaintyFamily:
     if eps < 0:
         raise ValueError("radius eps must be nonnegative")
 
     def membership(X: Position, Z: Position) -> bool:
-        return bool(np.max(np.abs(Z.values - X.values)) <= eps + MEMBER_TOL)
+        return _lp_norm(X.space, Z.values - X.values, p) <= eps + MEMBER_TOL
 
-    def discretize(X: Position, resolution: float, budget: int, seed: int = 0) -> list:
-        rng = np.random.default_rng(seed)
-        pts = [X, X - eps, X + eps]
-        n = X.space.n
-        if 0 < n <= 16 and 2**n <= budget:
-            for mask in range(2**n):
-                signs = np.array([1.0 if mask >> i & 1 else -1.0 for i in range(n)])
-                pts.append(X + Position(X.space, eps * signs) - 0.0)
-        per_dim = max(2, int(round(2 * eps / resolution)) + 1) if eps > 0 else 1
-        if per_dim**n <= budget and eps > 0:
-            axes = np.linspace(-eps, eps, per_dim)
-            mesh = np.stack(np.meshgrid(*([axes] * n), indexing="ij"), axis=-1).reshape(-1, n)
-            pts.extend(Position(X.space, X.values + off) for off in mesh)
-        else:
-            for _ in range(max(0, budget - len(pts))):
-                off = rng.uniform(-eps, eps, size=n)
-                pts.append(Position(X.space, X.values + off))
-        return [Z for Z in pts if membership(X, Z)]
+    if math.isinf(p):
 
-    return UncertaintyFamily(
-        name=f"sup_norm_ball(eps={eps})",
-        kind="sup_norm_ball",
-        params={"eps": eps},
-        membership=membership,
-        discretize=discretize,
-    )
+        def discretize(X: Position, resolution: float, budget: int, seed: int = 0) -> list:
+            rng = np.random.default_rng(seed)
+            pts = [X, X - eps, X + eps]
+            n = X.space.n
+            if 0 < n <= 16 and 2**n <= budget:
+                for mask in range(2**n):
+                    signs = np.array([1.0 if mask >> i & 1 else -1.0 for i in range(n)])
+                    pts.append(Position(X.space, X.values + eps * signs))
+            per_dim = max(2, int(round(2 * eps / resolution)) + 1) if eps > 0 else 1
+            if per_dim**n <= budget and eps > 0:
+                axes = np.linspace(-eps, eps, per_dim)
+                mesh = np.stack(np.meshgrid(*([axes] * n), indexing="ij"), axis=-1).reshape(-1, n)
+                pts.extend(Position(X.space, X.values + off) for off in mesh)
+            else:
+                for _ in range(max(0, budget - len(pts))):
+                    off = rng.uniform(-eps, eps, size=n)
+                    pts.append(Position(X.space, X.values + off))
+            return [Z for Z in pts if membership(X, Z)]
+
+    else:
+
+        def discretize(X: Position, resolution: float, budget: int, seed: int = 0) -> list:
+            rng = np.random.default_rng(seed)
+            n = X.space.n
+            pts = [X, X - eps, X + eps]
+            # extreme spikes of the weighted-ell^p ball (exact vertices for p=1)
+            for i in range(n):
+                height = eps / X.space.probs[i] ** (1.0 / p)
+                for s in (-1.0, 1.0):
+                    off = np.zeros(n)
+                    off[i] = s * height
+                    pts.append(Position(X.space, X.values + off))
+            while len(pts) < budget:
+                d = rng.normal(size=n)
+                nrm = _lp_norm(X.space, d, p)
+                if nrm == 0:
+                    continue
+                r = eps * rng.uniform() ** (1.0 / max(n, 1))
+                pts.append(Position(X.space, X.values + d * (r / nrm)))
+            return [Z for Z in pts if membership(X, Z)]
+
+    return _NormBall(name=name, params={"p": p, "eps": eps}, membership=membership, discretize=discretize)
+
+
+def sup_norm_ball(eps: float) -> UncertaintyFamily:
+    """U_X = {Z : X - eps <= Z <= X + eps pointwise}, the family p_norm_ball(inf, eps)."""
+    return _norm_ball(math.inf, eps, f"sup_norm_ball(eps={eps})")
 
 
 def p_norm_ball(p: float, eps: float) -> UncertaintyFamily:
     """U_X = {Z : ||Z - X||_{L^p(P)} <= eps}."""
     if p < 1:
         raise ValueError("norm order p must be >= 1")
-    if eps < 0:
-        raise ValueError("radius eps must be nonnegative")
-    if math.isinf(p):
-        fam = sup_norm_ball(eps)
-        return replace(fam, name=f"p_norm_ball(p=inf,eps={eps})", kind="p_norm_ball", params={"p": p, "eps": eps})
-
-    def membership(X: Position, Z: Position) -> bool:
-        return _lp_norm(X.space, Z.values - X.values, p) <= eps + MEMBER_TOL
-
-    def discretize(X: Position, resolution: float, budget: int, seed: int = 0) -> list:
-        rng = np.random.default_rng(seed)
-        n = X.space.n
-        pts = [X, X - eps, X + eps]
-        # extreme spikes of the weighted-ell^p ball (exact vertices for p=1)
-        for i in range(n):
-            height = eps / X.space.probs[i] ** (1.0 / p)
-            for s in (-1.0, 1.0):
-                off = np.zeros(n)
-                off[i] = s * height
-                pts.append(Position(X.space, X.values + off))
-        while len(pts) < budget:
-            d = rng.normal(size=n)
-            nrm = _lp_norm(X.space, d, p)
-            if nrm == 0:
-                continue
-            r = eps * rng.uniform() ** (1.0 / max(n, 1))
-            pts.append(Position(X.space, X.values + d * (r / nrm)))
-        return [Z for Z in pts if membership(X, Z)]
-
-    return UncertaintyFamily(
-        name=f"p_norm_ball(p={p},eps={eps})",
-        kind="p_norm_ball",
-        params={"p": p, "eps": eps},
-        membership=membership,
-        discretize=discretize,
-    )
+    return _norm_ball(p, eps, f"p_norm_ball(p={p},eps={eps})")
 
 
 def wasserstein_ball(p: float, eps: float) -> UncertaintyFamily:
@@ -247,7 +510,6 @@ def wasserstein_ball(p: float, eps: float) -> UncertaintyFamily:
         n_shifts = max(4, budget // 4)
         for k in range(n_shifts):
             d = rng.normal(size=n)
-            nrm = _lp_norm(X.space, d[np.argsort(order)], p) if not math.isinf(p) else np.max(np.abs(d))
             if math.isinf(p):
                 nrm = float(np.max(np.abs(d)))
             else:
@@ -262,13 +524,16 @@ def wasserstein_ball(p: float, eps: float) -> UncertaintyFamily:
             pts.append(Position(X.space, X.values[perm]))
         return [Z for Z in pts if membership(X, Z)]
 
-    return UncertaintyFamily(
+    return _WassersteinBall(
         name=f"wasserstein_ball(p={p},eps={eps})",
-        kind="wasserstein_ball",
         params={"p": p, "eps": eps},
         membership=membership,
         discretize=discretize,
     )
+
+
+# ---------------------------------------------------------------------------
+# level families of a base measure rho1
 
 
 def _require_level_flags(rho1: RiskFunctional):
@@ -287,26 +552,18 @@ def _boundary_step(rho1: RiskFunctional, Z: Position, target: float, k_hi: float
     """
     if rho1(Z) >= target:
         return 0.0
-    lo, hi = 0.0, k_hi
+    hi = k_hi
     while rho1(Z - hi) < target:
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("level boundary bracket growth failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if rho1(Z - mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, abs(hi)):
-            break
-    return hi
+    return _bisect(lambda k: rho1(Z - k) < target, 0.0, hi, 200, 1e-13)[1]
 
 
-def _level_discretize(rho1: RiskFunctional, membership, band_lower):
+def _level_discretize(rho1: RiskFunctional, membership, eps: float):
     def discretize(X: Position, resolution: float, budget: int, seed: int = 0) -> list:
         rng = np.random.default_rng(seed)
-        level = rho1(X) + band_lower.eps_hi
+        level = rho1(X) + eps
         pts = [X]
         # scan along X - k down to the level boundary
         k_star = _boundary_step(rho1, X, level)
@@ -332,13 +589,7 @@ def _level_discretize(rho1: RiskFunctional, membership, band_lower):
                 pts.append(X + D)
                 continue
             sign = -1.0 if rho1(X - s_hi * D) >= level else 1.0
-            lo, hi = 0.0, s_hi
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if rho1(X + sign * mid * D) < level:
-                    lo = mid
-                else:
-                    hi = mid
+            lo, _ = _bisect(lambda s: rho1(X + sign * s * D) < level, 0.0, s_hi, 60)
             pts.append(X + sign * lo * D)
             pts.append(X + sign * 0.5 * lo * D)
         return [Z for Z in pts if membership(X, Z)]
@@ -346,9 +597,103 @@ def _level_discretize(rho1: RiskFunctional, membership, band_lower):
     return discretize
 
 
-class _Eps:
-    def __init__(self, eps_hi):
-        self.eps_hi = eps_hi
+class _LevelFamily(UncertaintyFamily):
+    """Level families of a quasi-convex, cash-subadditive base measure rho1."""
+
+    def _worst_case(self, rho, X):
+        rho1 = self.rho1
+        if not _same_functional(rho, rho1):
+            return None
+        target = rho(X) + self.eps
+        W = X - _boundary_step(rho1, X, target)
+        val = rho(W)
+        if abs(val - target) <= 1e-8:
+            return target, W, "exact"
+        return val, W, "lower_bound"
+
+    def _support(self, Q, X):
+        rho1 = self.rho1
+        c1 = _closed_form_penalty(rho1, Q)
+        if c1 is None or not rho1.flags.cash_additive:
+            return None
+        # members satisfy E_Q[-Z] <= rho1(Z) + c(Q) <= rho1(X) + eps + c(Q)
+        return rho1(X) + self.eps + c1
+
+    def _transport(self, src, dst, Z):
+        return cone_witness(self, dst, Z)
+
+    def _rule(self, prop, space):
+        rho1 = self.rho1
+        if prop == "c_quasi_convex":
+            return certified("intermediate-value scan over downward cash shifts")
+        if prop == "law_invariant" and rho1.flags.law_invariant:
+            return certified("base measure is law invariant")
+        if prop == "cash_invariant" and rho1.flags.cash_additive:
+            return certified("base measure is cash additive")
+        return None
+
+
+class _LevelUpperSet(_LevelFamily):
+    """U_X = {Z : rho1(Z) <= rho1(X) + eps}."""
+
+    def _plus_cone(self, X, Z):
+        return self.rho1(Z) <= self.rho1(X) + self.eps + MEMBER_TOL
+
+    def _below(self, X, Yp):
+        return self.membership(X, Yp)  # X' = Yp itself works by monotonicity
+
+    def _dominated(self, X, Z):
+        return Z - _boundary_step(self.rho1, Z, self.rho1(X))
+
+    def _rule(self, prop, space):
+        verdict = super()._rule(prop, space)
+        if verdict is None and prop in ("solid", "monotone"):
+            return certified("monotonicity of the base measure")
+        if verdict is None and prop == "order_preserving":
+            return certified("monotone families preserve order (take X' = Y')")
+        if verdict is None and prop == "quasi_convex":
+            return certified("c-quasi-convex and solid")
+        return verdict
+
+    def _margin(self, X, Z):
+        return self.rho1(Z) - self.rho1(X) - self.eps
+
+
+class _LevelBand(_LevelFamily):
+    """U_X = {Z : |rho1(Z) - rho1(X)| <= eps}."""
+
+    def _plus_cone(self, X, Z):
+        rho1, eps = self.rho1, self.eps
+        if rho1(Z) > rho1(X) + eps + MEMBER_TOL:
+            return False
+        # reachable values rho1(Z - k) sweep upward from rho1(Z); the band is hit
+        k = _boundary_step(rho1, Z, rho1(X) - eps)
+        return abs(rho1(Z - k) - rho1(X)) <= eps + 1e-9 or rho1(Z - k) <= rho1(X) + eps
+
+    def _below(self, X, Yp):
+        return self.rho1(Yp) <= self.rho1(X) + self.eps + MEMBER_TOL
+
+    def _dominated(self, X, Z):
+        return Z - _boundary_step(self.rho1, Z, self.rho1(X) - self.eps)
+
+    def _rule(self, prop, space):
+        verdict = super()._rule(prop, space)
+        eps = self.eps
+        if verdict is None and self.rho1.flags.cash_additive and eps < math.inf:
+            shift = 2.0 * eps + 1.0
+            X = Position(space, np.zeros(space.n))
+            if prop == "solid":
+                Zbar = Position(space, np.full(space.n, shift))
+                if not self.membership(X, Zbar):
+                    return counterexample({"X": X, "Z": X, "Zbar": Zbar}, "level drops out of the band")
+            if prop == "monotone":
+                Y = Position(space, np.full(space.n, shift))
+                if self.membership(Y, Y) and not self.membership(X, Y):
+                    return counterexample({"X": X, "Y": Y, "Z": Y}, "band around Y misses U_X")
+        return verdict
+
+    def _margin(self, X, Z):
+        return abs(self.rho1(Z) - self.rho1(X)) - self.eps
 
 
 def level_band(rho1: RiskFunctional, eps: float) -> UncertaintyFamily:
@@ -360,12 +705,11 @@ def level_band(rho1: RiskFunctional, eps: float) -> UncertaintyFamily:
     def membership(X: Position, Z: Position) -> bool:
         return abs(rho1(Z) - rho1(X)) <= eps + MEMBER_TOL
 
-    return UncertaintyFamily(
+    return _LevelBand(
         name=f"level_band({rho1.name},eps={eps})",
-        kind="level_band",
         params={"eps": eps, "rho1": rho1},
         membership=membership,
-        discretize=_level_discretize(rho1, membership, _Eps(eps)),
+        discretize=_level_discretize(rho1, membership, eps),
     )
 
 
@@ -378,12 +722,11 @@ def level_upper_set(rho1: RiskFunctional, eps: float) -> UncertaintyFamily:
     def membership(X: Position, Z: Position) -> bool:
         return rho1(Z) <= rho1(X) + eps + MEMBER_TOL
 
-    return UncertaintyFamily(
+    return _LevelUpperSet(
         name=f"level_upper_set({rho1.name},eps={eps})",
-        kind="level_upper_set",
         params={"eps": eps, "rho1": rho1},
         membership=membership,
-        discretize=_level_discretize(rho1, membership, _Eps(eps)),
+        discretize=_level_discretize(rho1, membership, eps),
     )
 
 
@@ -394,67 +737,21 @@ def level_upper_set(rho1: RiskFunctional, eps: float) -> UncertaintyFamily:
 def member_plus_cone(family: UncertaintyFamily, X: Position, Z: Position) -> Optional[bool]:
     """Decide Z in U_X + L^p_+, i.e. whether some Z - K (K >= 0) is a member.
 
-    Returns None when no exact decision procedure exists for the descriptor.
+    Returns None when no exact decision procedure exists for the family.
     """
-    kind = family.kind
-    if kind == "sup_norm_ball":
-        eps = family.eps
-        return bool(np.all(Z.values >= X.values - eps - MEMBER_TOL))
-    if kind == "p_norm_ball":
-        deficit = np.maximum(X.values - Z.values, 0.0)
-        return _lp_norm(X.space, deficit, family.params["p"]) <= family.eps + MEMBER_TOL
-    if kind == "wasserstein_ball":
-        # lowering coordinates reaches exactly the laws with dominated quantiles
-        p = family.params["p"]
-        qx, qz = quantile_function(X), quantile_function(Z)
-        widths, _ = _merged_quantile_gaps(qx, qz)
-        cum = np.cumsum(widths)
-        ix = np.minimum(np.searchsorted(qx.cum, cum, side="left"), qx.values.size - 1)
-        iz = np.minimum(np.searchsorted(qz.cum, cum, side="left"), qz.values.size - 1)
-        deficit = np.maximum(qx.values[ix] - qz.values[iz], 0.0)
-        if math.isinf(p):
-            dist = float(deficit[widths > 0].max(initial=0.0))
-        else:
-            dist = float(np.dot(widths, deficit**p) ** (1.0 / p))
-        return dist <= family.eps + MEMBER_TOL
-    if kind in ("level_band", "level_upper_set"):
-        rho1 = family.rho1
-        if rho1(Z) > rho1(X) + family.eps + MEMBER_TOL:
-            return False
-        if kind == "level_upper_set":
-            return True
-        # reachable values rho1(Z - k) sweep upward from rho1(Z); the band is hit
-        target = rho1(X) - family.eps
-        k = _boundary_step(rho1, Z, target)
-        return abs(rho1(Z - k) - rho1(X)) <= family.eps + 1e-9 or rho1(Z - k) <= rho1(X) + family.eps
-    return None
+    return family._plus_cone(X, Z)
 
 
 def member_below(family: UncertaintyFamily, X: Position, Yp: Position) -> Optional[bool]:
     """Decide whether some member of U_X lies pointwise below Yp (order preservation)."""
-    kind = family.kind
-    if kind == "sup_norm_ball":
-        return bool(np.all(Yp.values >= X.values - family.eps - MEMBER_TOL))
-    if kind == "p_norm_ball":
-        excess = np.maximum(X.values - Yp.values, 0.0)
-        return _lp_norm(X.space, excess, family.params["p"]) <= family.eps + MEMBER_TOL
-    if kind == "wasserstein_ball":
-        return member_plus_cone(family, X, Yp)
-    if kind == "level_upper_set":
-        return family.membership(X, Yp)  # X' = Yp itself works by monotonicity
-    if kind == "level_band":
-        return family.rho1(Yp) <= family.rho1(X) + family.eps + MEMBER_TOL
-    return None
+    return family._below(X, Yp)
 
 
 def member_minkowski(
     family: UncertaintyFamily, X: Position, Y: Position, lam: float, Z: Position
 ) -> Optional[bool]:
     """Decide Z in lam*U_X + (1-lam)*U_Y; exact for translated norm balls."""
-    if family.kind in ("sup_norm_ball", "p_norm_ball"):
-        mid = lam * X + (1.0 - lam) * Y
-        return family.membership(mid, Z)
-    return None
+    return family._minkowski(X, Y, lam, Z)
 
 
 def cone_witness(family: UncertaintyFamily, X: Position, Z: Position) -> Optional[Position]:
@@ -462,44 +759,12 @@ def cone_witness(family: UncertaintyFamily, X: Position, Z: Position) -> Optiona
 
     Used to turn cone-membership decisions into explicit dominated members.
     """
-    kind = family.kind
     if family.membership(X, Z):
         return Z
     if member_plus_cone(family, X, Z) is not True:
         return None
-    if kind == "sup_norm_ball":
-        W = Position(X.space, np.minimum(Z.values, X.values + family.eps))
-        return W if family.membership(X, W) else None
-    if kind == "p_norm_ball":
-        p = family.params["p"]
-        D = Z.values - X.values
-        lo, hi = 0.0, float(np.max(np.abs(D))) + 1.0
-        for _ in range(80):
-            tau = 0.5 * (lo + hi)
-            if _lp_norm(X.space, np.minimum(D, tau), p) <= family.eps:
-                lo = tau
-            else:
-                hi = tau
-        W = Position(X.space, X.values + np.minimum(D, lo))
-        return W if family.membership(X, W) else None
-    if kind == "wasserstein_ball":
-        # dominated quantile envelope, realized comonotonically along Z
-        qx = quantile_function(X)
-        order = np.argsort(Z.values, kind="stable")
-        cum = np.cumsum(Z.space.probs[order])
-        mids = cum - 0.5 * Z.space.probs[order]
-        ixq = np.minimum(np.searchsorted(qx.cum, mids, side="left"), qx.values.size - 1)
-        vals = np.empty(order.size)
-        vals[order] = np.minimum(Z.values[order], qx.values[ixq])
-        W = Position(Z.space, vals)
-        return W if family.membership(X, W) else None
-    if kind in ("level_band", "level_upper_set"):
-        rho1 = family.rho1
-        target = rho1(X) - family.eps if kind == "level_band" else rho1(X)
-        k = _boundary_step(rho1, Z, min(target, rho1(X) + family.eps))
-        W = Z - k
-        return W if family.membership(X, W) else None
-    return None
+    W = family._dominated(X, Z)
+    return W if W is not None and family.membership(X, W) else None
 
 
 def minkowski_split(
@@ -510,12 +775,9 @@ def minkowski_split(
     Exact for translated norm balls; attempted (membership-verified) for
     Wasserstein balls; None otherwise.
     """
-    if family.kind in ("sup_norm_ball", "p_norm_ball", "wasserstein_ball"):
-        mid = lam * X + (1.0 - lam) * Y
-        D = Z - mid
-        Z1, Z2 = X + D, Y + D
-        if family.membership(X, Z1) and family.membership(Y, Z2):
-            return Z1, Z2
+    pair = family._split(X, Y, lam, Z)
+    if pair is not None and family.membership(X, pair[0]) and family.membership(Y, pair[1]):
+        return pair
     return None
 
 
@@ -528,27 +790,8 @@ def transport_member(
     rho(W) >= rho(Z) for every decreasing rho (W is Z pushed down by src-dst,
     in payoff or quantile space).
     """
-    kind = family.kind
-    if kind in ("sup_norm_ball", "p_norm_ball"):
-        W = Z + (dst - src)
-        return W if family.membership(dst, W) else None
-    if kind == "wasserstein_ball":
-        # quantile-space shift realized along Z's comonotone order; exact on
-        # uniform spaces, membership-verified in general
-        space = Z.space
-        order_z = np.argsort(Z.values, kind="stable")
-        shift = np.sort(dst.values) - np.sort(src.values)
-        vals = np.empty(space.n)
-        vals[order_z] = Z.values[order_z] + shift
-        W = Position(space, vals)
-        return W if family.membership(dst, W) else None
-    if kind in ("level_band", "level_upper_set"):
-        if family.membership(dst, Z):
-            return Z
-        return cone_witness(family, dst, Z)
-    if family.membership(dst, Z):
-        return Z
-    return None
+    W = family._transport(src, dst, Z)
+    return W if W is not None and family.membership(dst, W) else None
 
 
 # ---------------------------------------------------------------------------
@@ -600,100 +843,31 @@ def _ball_c_quasi_counterexample(family: UncertaintyFamily, space: ProbSpace) ->
     return None
 
 
-def _certified_rules(family: UncertaintyFamily, prop: str, space: ProbSpace) -> Optional[PropertyVerdict]:
-    kind, eps = family.kind, family.eps
-    rho1 = family.rho1
+_GROUP_SEARCH_MAX_N = 16
 
-    if kind in ("sup_norm_ball", "p_norm_ball"):
-        if prop == "convex":
-            return certified("translated norm balls form a convex family")
-        if prop == "cash_invariant":
-            return certified("membership depends on Z - X only")
-        if prop == "order_preserving":
-            return certified("X' = Y' - (Y - X) is a dominated member")
-        if prop == "quasi_convex":
-            w = _ball_quasi_counterexample(family, space)
-            if w is not None:
-                return counterexample(w, "constant-shift witness")
-        if prop == "c_quasi_convex":
-            w = _ball_c_quasi_counterexample(family, space)
-            if w is not None:
-                return counterexample(w, "two-sided spread witness")
-        if prop == "solid" and eps < math.inf:
-            X = Position(space, np.zeros(space.n))
-            Zbar = Position(space, np.full(space.n, 2.0 * eps + 1.0))
-            if not family.membership(X, Zbar):
-                return counterexample({"X": X, "Z": X, "Zbar": Zbar}, "raise above the band")
-        if prop == "monotone" and eps < math.inf:
-            X = Position(space, np.zeros(space.n))
-            Y = Position(space, np.full(space.n, 3.0 * eps + 1.0))
-            if not family.membership(X, Y):
-                return counterexample({"X": X, "Y": Y, "Z": Y}, "translated ball escapes U_X")
-        if prop == "law_invariant" and space.n >= 2:
-            pr = space.probs
-            pairs = [(i, j) for i in range(space.n) for j in range(i + 1, space.n) if abs(pr[i] - pr[j]) < 1e-15]
-            if pairs:
-                i, j = pairs[0]
-                v = np.zeros(space.n)
-                v[i] = 3.0 * eps + 1.0
-                vp = np.zeros(space.n)
-                vp[j] = 3.0 * eps + 1.0
-                X, Xp = Position(space, v), Position(space, vp)
-                Z = X
-                if family.membership(X, Z) and not family.membership(Xp, Z):
-                    return counterexample({"X": X, "Xp": Xp, "Z": Z}, "rearranged center moves the ball")
+
+def _equal_mass_groups(space: ProbSpace) -> Optional[list]:
+    """Disjoint nonempty atom groups (A, B) of equal mass, as 0/1 vectors.
+
+    Two distinct positions share a law only if such groups exist: the sets
+    where they take one of their values differ. The empty list, returned only
+    when no two atom subsets have masses within 1e-12, is therefore a safe
+    certificate. None when the space has too many atoms to enumerate its
+    subsets, or when near-equal masses gave no candidate.
+    """
+    n = space.n
+    if n > _GROUP_SEARCH_MAX_N:
         return None
-
-    if kind == "wasserstein_ball":
-        if prop == "convex":
-            return certified("Wasserstein balls form a convex family")
-        if prop == "law_invariant":
-            return certified("membership depends on laws only")
-        if prop == "cash_invariant":
-            return certified("d_W(X + c, Z) = d_W(X, Z - c)")
-        if prop == "order_preserving":
-            return certified("dominated comonotone quantile envelope is a member")
-        if prop in ("solid", "monotone") and eps < math.inf:
-            X = Position(space, np.zeros(space.n))
-            Zbar = Position(space, np.full(space.n, 3.0 * eps + 1.0))
-            if not family.membership(X, Zbar):
-                if prop == "solid":
-                    return counterexample({"X": X, "Z": X, "Zbar": Zbar}, "upward shift leaves the ball")
-                return counterexample({"X": X, "Y": Zbar, "Z": Zbar}, "ball around Y escapes U_X")
-        if prop == "quasi_convex":
-            w = _ball_quasi_counterexample(family, space)
-            if w is not None:
-                return counterexample(w, "constant-shift witness")
-        return None
-
-    if kind in ("level_band", "level_upper_set"):
-        if prop == "c_quasi_convex":
-            return certified("intermediate-value scan over downward cash shifts")
-        if prop == "law_invariant" and rho1.flags.law_invariant:
-            return certified("base measure is law invariant")
-        if prop == "cash_invariant" and rho1.flags.cash_additive:
-            return certified("base measure is cash additive")
-        if kind == "level_upper_set":
-            if prop in ("solid", "monotone"):
-                return certified("monotonicity of the base measure")
-            if prop == "order_preserving":
-                return certified("monotone families preserve order (take X' = Y')")
-            if prop == "quasi_convex":
-                return certified("c-quasi-convex and solid")
-        if kind == "level_band" and rho1.flags.cash_additive and eps < math.inf:
-            shift = 2.0 * eps + 1.0
-            X = Position(space, np.zeros(space.n))
-            if prop == "solid":
-                Zbar = Position(space, np.full(space.n, shift))
-                if not family.membership(X, Zbar):
-                    return counterexample({"X": X, "Z": X, "Zbar": Zbar}, "level drops out of the band")
-            if prop == "monotone":
-                Y = Position(space, np.full(space.n, shift))
-                if family.membership(Y, Y) and not family.membership(X, Y):
-                    return counterexample({"X": X, "Y": Y, "Z": Y}, "band around Y misses U_X")
-        return None
-
-    return None
+    subsets = (np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1 == 1
+    mass = subsets @ space.probs
+    order = np.argsort(mass, kind="stable")
+    close = np.flatnonzero(np.diff(mass[order]) <= 1e-12)
+    groups = []
+    for k in close[:8]:  # a few candidates suffice: the rule verifies each
+        S, T = subsets[order[k]], subsets[order[k + 1]]
+        if np.any(S & ~T) and np.any(T & ~S):
+            groups.append(((S & ~T).astype(float), (T & ~S).astype(float)))
+    return groups if groups or close.size == 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +881,7 @@ def _sampled_check(
     resolution = max(family.eps / 2.0, 0.25)
     budget = 12
     undecided = 0
+    skipped = 0  # law-invariance trials whose permutation changed the law or moved nothing
 
     for t in range(trials):
         X = random_position(space, rng)
@@ -750,7 +925,8 @@ def _sampled_check(
                         return counterexample({"X": X, "Y": Y, "lam": lam, "Z": Z})
         elif prop == "law_invariant":
             perm = rng.permutation(space.n)
-            if not np.allclose(space.probs[perm], space.probs):
+            if not np.allclose(space.probs[perm], space.probs) or np.all(perm == np.arange(space.n)):
+                skipped += 1
                 continue
             Xp = Position(space, X.values[perm])
             for Z in family.discretize(X, resolution, budget, seed + 7 * t + 1):
@@ -773,8 +949,8 @@ def _sampled_check(
                     continue
                 # a finite chain cannot falsify the limit property unless the
                 # violation margin persists instead of decaying along the tail
-                m_prev = _membership_margin(family, chain[-2], Z)
-                m_last = _membership_margin(family, chain[-1], Z)
+                m_prev = family._margin(chain[-2], Z)
+                m_last = family._margin(chain[-1], Z)
                 if (
                     m_prev is not None
                     and m_last is not None
@@ -787,26 +963,12 @@ def _sampled_check(
         else:
             return unknown(f"unsupported property {prop!r}")
 
+    if skipped == trials:
+        return unknown("no trial permutation kept the law and moved an atom")
     if undecided and undecided == trials:
         return unknown("no decision procedure applied on any trial")
     note = f"{undecided} undecided trials" if undecided else ""
-    return no_counterexample(trials, note)
-
-
-def _membership_margin(family: UncertaintyFamily, X: Position, Z: Position) -> Optional[float]:
-    """Distance-style violation margin of Z relative to U_X, where computable."""
-    kind = family.kind
-    if kind == "sup_norm_ball":
-        return float(np.max(np.abs(Z.values - X.values))) - family.eps
-    if kind == "p_norm_ball":
-        return _lp_norm(X.space, Z.values - X.values, family.params["p"]) - family.eps
-    if kind == "wasserstein_ball":
-        return wasserstein_distance(X, Z, family.params["p"]) - family.eps
-    if kind == "level_upper_set":
-        return family.rho1(Z) - family.rho1(X) - family.eps
-    if kind == "level_band":
-        return abs(family.rho1(Z) - family.rho1(X)) - family.eps
-    return None
+    return no_counterexample(trials - skipped, note)
 
 
 def check_property(
@@ -825,7 +987,7 @@ def check_property(
         raise ValueError(f"unknown family property {prop!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    verdict = _certified_rules(family, prop, space)
+    verdict = family._rule(prop, space)
     if verdict is not None:
         return verdict
     return _sampled_check(family, prop, space, trials, seed)
@@ -867,7 +1029,7 @@ def replay_witness(family: UncertaintyFamily, prop: str, witness: dict) -> bool:
 
 def solidify(family: UncertaintyFamily) -> UncertaintyFamily:
     """Upward closure: membership'(X, Z) iff Z - K is a member for some K >= 0."""
-    if family.kind == "level_upper_set":
+    if isinstance(family, _LevelUpperSet):
         return family
 
     def membership(X: Position, Z: Position) -> bool:
@@ -890,7 +1052,6 @@ def solidify(family: UncertaintyFamily) -> UncertaintyFamily:
 
     return UncertaintyFamily(
         name=f"solidified({family.name})",
-        kind="solidified",
         params={"base": family, "eps": family.eps},
         membership=membership,
         discretize=discretize,

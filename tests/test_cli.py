@@ -190,3 +190,37 @@ def test_properties_strict_exit(scenario_file, config_file):
 def test_properties_requires_family(tmp_path, scenario_file):
     config = _write(tmp_path, "cfg_nofam.json", {"rho": {"kind": "entropic"}})
     assert main(["properties", "--scenario", scenario_file, "--config", config]) == 2
+
+
+def test_measure_given_as_list_exits_2(tmp_path, config_file, capsys):
+    bad = dict(SCENARIO, measures={"Q": [1.2, 0.8]})
+    assert main(["eval", "--scenario", _write(tmp_path, "s.json", bad), "--config", config_file]) == 2
+    assert "measures.Q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["rho", "family"])
+def test_unknown_spec_keys_exit_2(tmp_path, scenario_file, capsys, section):
+    """A parameter beside kind instead of under params is an error, not a
+    silent default (a radius of 0 would report the unrobustified value)."""
+    cfg = {"rho": {"kind": "entropic", "params": {"gamma": 1.0}},
+           "family": {"kind": "sup_norm_ball", "params": {"eps": 0.3}}}
+    cfg[section] = {"kind": cfg[section]["kind"], **cfg[section]["params"]}
+    config = _write(tmp_path, "cfg.json", cfg)
+    assert main(["robustify", "--scenario", scenario_file, "--config", config]) == 2
+    assert "unknown keys" in capsys.readouterr().err
+
+
+def test_trials_zero_exits_2(scenario_file, config_file, capsys):
+    assert main(["properties", "--scenario", scenario_file, "--config", config_file,
+                 "--property", "convex", "--trials", "0"]) == 2
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_unreplayable_counterexample_exits_2(scenario_file, config_file, capsys, monkeypatch):
+    """The replay check is a real check, not an assert that python -O drops."""
+    from robustrisk import uncertainty
+
+    monkeypatch.setattr(uncertainty, "replay_witness", lambda family, prop, witness: False)
+    assert main(["properties", "--scenario", scenario_file, "--config", config_file,
+                 "--property", "quasi_convex", "--trials", "10"]) == 2
+    assert "does not replay" in capsys.readouterr().err

@@ -228,3 +228,11 @@ def test_wasserstein_bound(pair, rng):
             out = wasserstein_bound_check(rho, eps, 1.0, X, grid)
             assert out["holds"], (rho.name, X.values, eps)
             assert out["lhs"] <= out["rhs"] + 1e-9
+
+
+def test_box_lattice_guard_fails_fast():
+    """The n = 3 lattice with the default bound and step has 64,481,201
+    points; it is refused before anything is allocated."""
+    space = ProbSpace([0.5, 0.3, 0.2])
+    with pytest.raises(ValueError, match="box lattice"):
+        minimal_penalty(rr.expectation_floor(1.0), ScenarioMeasure.reference(space))

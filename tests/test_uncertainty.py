@@ -222,3 +222,55 @@ def test_eps_zero_degenerate(uniform4):
     X = Position(uniform4, [1.0, 2.0, 3.0, 4.0])
     assert fam.membership(X, X)
     assert not fam.membership(X, X + 1e-6)
+
+
+def test_sup_ball_is_p_norm_ball_inf(uniform4, rng):
+    """sup_norm_ball(eps) and p_norm_ball(inf, eps) are one family."""
+    sup, pinf = rr.sup_norm_ball(0.3), rr.p_norm_ball(np.inf, 0.3)
+    Q = rr.ScenarioMeasure(uniform4, [1.6, 0.8, 0.4, 1.2])
+    for _ in range(5):
+        X, Z = random_pos(uniform4, rng), random_pos(uniform4, rng)
+        for rho in (rr.entropic(1.0), rr.expected_shortfall(0.5), rr.expectation_floor(0.5)):
+            a, b = rr.robust_value(rho, sup, X), rr.robust_value(rho, pinf, X)
+            assert (a.value, a.solver, a.guarantee) == (b.value, b.solver, b.guarantee)
+            assert np.array_equal(a.witness.values, b.witness.values)
+        assert rr.support_function(sup, Q, X) == rr.support_function(pinf, Q, X)
+        W, Wp = cone_witness(sup, X, X + 1.0), cone_witness(pinf, X, X + 1.0)
+        assert np.array_equal(W.values, Wp.values)
+        assert sup.membership(X, Z) == pinf.membership(X, Z)
+        assert rr.member_plus_cone(sup, X, Z) == rr.member_plus_cone(pinf, X, Z)
+
+
+def test_wasserstein_cone_aligns_quantiles():
+    """Z is a member of the W1 ball, so it is in the ball plus the cone; the
+    breakpoints re-derived by a cumulative sum used to land one ulp past a
+    breakpoint and compare the wrong quantile steps."""
+    space = rr.ProbSpace([0.723, 0.081, 0.1, 0.096])
+    X = Position(space, [0.6711929061650919, -0.30901040240300215, 2.110235832078213, 2.472649140898998])
+    Z = Position(space, [-0.22517651482444404, -0.432986202422363, -0.42193083420891836, -0.027680474249239154])
+    fam = rr.wasserstein_ball(1.0, 1.5)
+    assert rr.wasserstein_distance(X, Z, 1.0) == pytest.approx(1.1514, abs=1e-4)
+    assert fam.membership(X, Z)
+    assert rr.member_plus_cone(fam, X, Z)
+    assert rr.member_below(fam, X, Z)
+    assert solidify(fam).membership(X, Z)
+
+
+@pytest.mark.parametrize("ball", [rr.sup_norm_ball(0.3), rr.p_norm_ball(1.0, 0.3), rr.p_norm_ball(2.0, 0.3)],
+                         ids=["sup", "p1", "p2"])
+def test_ball_law_invariance_from_equal_mass_groups(ball, skewed3):
+    """{0} and {1, 2} have equal mass on (.5, .3, .2): c*1_A and c*1_B share a
+    law although no two atoms share a probability."""
+    v = check_property(ball, "law_invariant", skewed3, trials=200, seed=0)
+    assert v.is_counterexample
+    assert rr.same_distribution(v.witness["X"], v.witness["Xp"])
+    assert replay_witness(ball, "law_invariant", v.witness)
+
+
+def test_law_invariance_without_shared_laws():
+    """No two atom groups share a mass, so no two distinct positions share a
+    law: balls are certified, and sampling has no trial to run."""
+    space = rr.ProbSpace([0.15, 0.25, 0.6])
+    assert check_property(rr.sup_norm_ball(0.3), "law_invariant", space).tag == "certified_holds"
+    v = check_property(solidify(rr.sup_norm_ball(0.3)), "law_invariant", space, trials=20, seed=1)
+    assert v.tag == "unknown"
