@@ -40,7 +40,6 @@ class RunConfig:
     rho: dict
     family: Optional[dict]
     solver: dict
-    tolerances: dict
     grid: dict
     seed: int
     extra: dict
@@ -105,6 +104,8 @@ _FAMILIES = {
 
 
 def _build_loss(spec_: dict):
+    if not isinstance(spec_, dict):
+        raise InputError(f'loss spec must be an object such as {{"kind": "exp"}}, got {spec_!r}')
     kind = spec_.get("kind", "exp")
     if kind not in _LOSSES:
         raise InputError(f"unknown loss kind {kind!r}")
@@ -140,6 +141,9 @@ def build_family(spec_: dict) -> uncertainty.UncertaintyFamily:
         raise InputError(f"family.params: {e}")
 
 
+_CONFIG_KEYS = ("rho", "family", "solver", "grid", "seed", "verifier", "level", "allocate")
+
+
 def parse_config(path: Optional[str]) -> RunConfig:
     raw = {}
     if path is not None:
@@ -150,21 +154,27 @@ def parse_config(path: Optional[str]) -> RunConfig:
             raise InputError(f"config file not found: {path}")
         except json.JSONDecodeError as e:
             raise InputError(f"malformed JSON in {path}: {e}")
-    tol = {"analytic": 1e-9, "grid": 1e-5}
-    tol.update(raw.get("tolerances", {}))
-    if any(v <= 0 for v in tol.values()):
-        raise InputError("tolerances must be positive")
+    if not isinstance(raw, dict):
+        raise InputError("config must be a JSON object")
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+    if unknown:
+        raise InputError(f"config has unknown keys {unknown}; allowed keys are {list(_CONFIG_KEYS)}")
+    for key in ("solver", "grid"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise InputError(f"config {key} must be an object, got {raw[key]!r}")
     grid = {"simplex_step": 0.01, "box_bound": 20.0, "lattice_step": 0.4}
     grid.update(raw.get("grid", {}))
-    known = {"rho", "family", "solver", "tolerances", "grid", "seed"}
+    try:
+        seed = int(raw.get("seed", 42))
+    except (TypeError, ValueError):
+        raise InputError(f"config seed must be an integer, got {raw['seed']!r}")
     return RunConfig(
         rho=raw.get("rho", {"kind": "neg_expectation"}),
         family=raw.get("family"),
         solver=raw.get("solver", {"kind": "auto"}),
-        tolerances=tol,
         grid=grid,
-        seed=int(raw.get("seed", 42)),
-        extra={k: v for k, v in raw.items() if k not in known},
+        seed=seed,
+        extra={k: raw[k] for k in ("verifier", "level", "allocate") if k in raw},
     )
 
 
@@ -267,7 +277,10 @@ def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dic
             return report
         vals = {}
         for name, X in scenario.positions.items():
-            rv = robustify.robust_value(rho, family, X, solver=config.solver.get("kind", "auto"), seed=seed)
+            try:
+                rv = robustify.robust_value(rho, family, X, solver=config.solver.get("kind", "auto"), seed=seed)
+            except ValueError as e:
+                raise InputError(f"solver: {e}")
             vals[name] = {
                 "value": rv.value,
                 "witness": rv.witness,

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _TOL = 1e-9
+_SOLVERS = ("auto", "analytic", "vertex_enum", "grid", "projected_ascent")
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,8 @@ def robust_value(
     ``extra_candidates`` are membership-filtered and added to search-based
     solvers; callers use this to anchor known members (witness transport).
     """
+    if solver not in _SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}; expected one of {', '.join(_SOLVERS)}")
     extras = [Z for Z in extra_candidates if family.membership(X, Z)]
 
     rv = None
@@ -181,8 +184,53 @@ def _solve(rho, family, X, seed, extra=()):
 
 
 def _family_holds(family, prop, space, seed) -> bool:
-    v = check_property(family, prop, space, trials=40, seed=seed)
-    return v.holds
+    return check_property(family, prop, space, trials=40, seed=seed).holds
+
+
+def _carry(rho, family, W, src, exact, seed, dsts, place):
+    """Re-solve at each point of ``dsts`` with members carried over from U_src.
+
+    The pool is the witness W of a solve at src, plus a light discretization
+    of U_src when that solve was not exact. ``place(Z)`` gives, for each point
+    of ``dsts``, the candidates made from the pool member Z for its set (None
+    where it made none). Returns the re-solves and the pool members placed.
+    """
+    pool = [W] if exact else [W, *family.discretize(src, 0.25, 8, seed)]
+    extras, kept = [[] for _ in dsts], []
+    for Z in pool:
+        if Z is None:
+            continue
+        placed = [[V for V in cands if V is not None] for cands in place(Z)]
+        if any(placed):
+            kept.append(Z)
+        for extra, cands in zip(extras, placed):
+            extra.extend(cands)
+    return [_solve(rho, family, D, seed, extra) for D, extra in zip(dsts, extras)], kept
+
+
+def _place(family, X, Y, lam, Z, via_union, via_convex):
+    """Candidates for U_X and U_Y made from a member Z of the midpoint set:
+    with ``via_union`` a dominated member of U_X, else of U_Y (the midpoint set
+    of a (c-)quasi-convex family lies in their union plus the cone); failing
+    that, with ``via_convex`` the two parts of a Minkowski split."""
+    for k, P in enumerate((X, Y) if via_union else ()):
+        W = cone_witness(family, P, Z)
+        if W is not None:
+            return ([W], []) if k == 0 else ([], [W])
+    split = minkowski_split(family, X, Y, lam, Z) if via_convex else None
+    return ([], []) if split is None else ([split[0]], [split[1]])
+
+
+def _place_all(family, X, Y, lam, Z):
+    """Every candidate for U_X and U_Y made from Z: dominated members of both
+    sets and the parts of a Minkowski split."""
+    split = minkowski_split(family, X, Y, lam, Z) or (None, None)
+    return [cone_witness(family, X, Z), split[0]], [cone_witness(family, Y, Z), split[1]]
+
+
+def _tested(tested: int) -> PropertyVerdict:
+    """The verdict after ``tested`` trials that could each have found a violation."""
+    return no_counterexample(tested) if tested else unknown("no solve witness was a member of the largest family")
 
 
 def verify_preservation(
@@ -213,94 +261,39 @@ def verify_preservation(
             X = random_position(space, rng)
             Y = X + Position(space, np.abs(rng.normal(size=space.n)))
             rY = _solve(rho, family, Y, seed + t)
-            pool = [rY.witness] if rY.exact else [rY.witness, *family.discretize(Y, 0.25, 8, seed + t)]
-            moved = [transport_member(family, Y, X, Z) for Z in pool if Z is not None]
-            extra = [W for W in moved if W is not None]
-            rX = _solve(rho, family, X, seed + t, extra=extra)
+            (rX,), _ = _carry(rho, family, rY.witness, Y, rY.exact, seed + t, (X,),
+                              lambda Z: ([transport_member(family, Y, X, Z)],))
             if rX.value < rY.value - _TOL:
                 return counterexample({"X": X, "Y": Y, "rX": rX.value, "rY": rY.value})
         return no_counterexample(trials)
 
-    if prop == "convex":
-        if not rho.flags.convex:
-            return unknown("hypothesis violation: base measure not flagged convex")
-        if not _family_holds(family, "convex", space, seed):
-            return unknown("hypothesis violation: family not certified/sampled convex")
-        for t in range(trials):
-            X, Y = random_position(space, rng), random_position(space, rng)
-            lam = float(rng.uniform())
-            mid = lam * X + (1.0 - lam) * Y
-            r_mid = _solve(rho, family, mid, seed + t)
-            ex_x, ex_y = [], []
-            if not r_mid.exact:
-                kept = [mid]
-                for Z in [r_mid.witness, *family.discretize(mid, 0.25, 8, seed + t)]:
-                    split = minkowski_split(family, X, Y, lam, Z)
-                    if split is not None:
-                        kept.append(Z)
-                        ex_x.append(split[0])
-                        ex_y.append(split[1])
-                lhs, _ = _best(rho, kept)
-            else:
-                lhs = r_mid.value
-                split = minkowski_split(family, X, Y, lam, r_mid.witness) if r_mid.witness else None
-                if split is not None:
-                    ex_x.append(split[0])
-                    ex_y.append(split[1])
-            rX = _solve(rho, family, X, seed + t, extra=ex_x)
-            rY = _solve(rho, family, Y, seed + t, extra=ex_y)
-            if lhs > lam * rX.value + (1.0 - lam) * rY.value + _TOL:
-                return counterexample(
-                    {"X": X, "Y": Y, "lam": lam, "lhs": lhs, "rX": rX.value, "rY": rY.value}
-                )
-        return no_counterexample(trials)
-
-    if prop == "quasi_convex":
-        via_union = _family_holds(family, "c_quasi_convex", space, seed) or _family_holds(
-            family, "quasi_convex", space, seed
-        )
-        via_convex = rho.flags.quasi_convex and _family_holds(family, "convex", space, seed)
-        if via_union and not rho.flags.monotone:
-            via_union = False
-        if not (via_union or via_convex):
-            return unknown(
-                "hypothesis violation: need a (c-)quasi-convex family with monotone "
-                "base measure, or a quasi-convex base measure with a convex family"
+    if prop in ("convex", "quasi_convex"):
+        if prop == "convex":
+            if not rho.flags.convex:
+                return unknown("hypothesis violation: base measure not flagged convex")
+            if not _family_holds(family, "convex", space, seed):
+                return unknown("hypothesis violation: family not certified/sampled convex")
+            via_union, via_convex = False, True
+        else:
+            via_union = rho.flags.monotone and any(
+                _family_holds(family, p, space, seed) for p in ("c_quasi_convex", "quasi_convex")
             )
+            via_convex = rho.flags.quasi_convex and _family_holds(family, "convex", space, seed)
+            if not (via_union or via_convex):
+                return unknown(
+                    "hypothesis violation: need a (c-)quasi-convex family with monotone "
+                    "base measure, or a quasi-convex base measure with a convex family"
+                )
         for t in range(trials):
             X, Y = random_position(space, rng), random_position(space, rng)
             lam = float(rng.uniform())
             mid = lam * X + (1.0 - lam) * Y
             r_mid = _solve(rho, family, mid, seed + t)
-            ex_x, ex_y = [], []
-            pool = [r_mid.witness] if r_mid.exact else [r_mid.witness, *family.discretize(mid, 0.25, 8, seed + t)]
-            kept = [mid]
-            for Z in pool:
-                if Z is None:
-                    continue
-                placed = False
-                if via_union:
-                    W = cone_witness(family, X, Z)
-                    if W is not None:
-                        ex_x.append(W)
-                        placed = True
-                    else:
-                        W = cone_witness(family, Y, Z)
-                        if W is not None:
-                            ex_y.append(W)
-                            placed = True
-                if not placed and via_convex:
-                    split = minkowski_split(family, X, Y, lam, Z)
-                    if split is not None:
-                        ex_x.append(split[0])
-                        ex_y.append(split[1])
-                        placed = True
-                if placed:
-                    kept.append(Z)
-            lhs = r_mid.value if r_mid.exact else _best(rho, kept)[0]
-            rX = _solve(rho, family, X, seed + t, extra=ex_x)
-            rY = _solve(rho, family, Y, seed + t, extra=ex_y)
-            if lhs > max(rX.value, rY.value) + _TOL:
+            (rX, rY), kept = _carry(rho, family, r_mid.witness, mid, r_mid.exact, seed + t, (X, Y),
+                                    lambda Z: _place(family, X, Y, lam, Z, via_union, via_convex))
+            lhs = r_mid.value if r_mid.exact else _best(rho, [mid, *kept])[0]
+            rhs = lam * rX.value + (1.0 - lam) * rY.value if prop == "convex" else max(rX.value, rY.value)
+            if lhs > rhs + _TOL:
                 return counterexample(
                     {"X": X, "Y": Y, "lam": lam, "lhs": lhs, "rX": rX.value, "rY": rY.value}
                 )
@@ -309,8 +302,7 @@ def verify_preservation(
     if prop == "continuous_from_above":
         if not _family_holds(family, "monotone", space, seed):
             return unknown("hypothesis violation: family not monotone")
-        cfa = check_property(family, "continuous_from_above", space, trials=20, seed=seed)
-        if cfa.is_counterexample:
+        if check_property(family, "continuous_from_above", space, trials=20, seed=seed).is_counterexample:
             return unknown("hypothesis violation: family continuity from above falsified")
         depth = 12
         for t in range(trials):
@@ -319,33 +311,15 @@ def verify_preservation(
             Xn = X + (0.5**depth) * Delta
             rX = _solve(rho, family, X, seed + t)
             rXn = _solve(rho, family, Xn, seed + t)
-            if rXn.value > rX.value + _TOL:  # monotone half
-                if not (rX.exact and rXn.exact):
-                    carried = [
-                        Z
-                        for Z in [rXn.witness, *family.discretize(Xn, 0.25, 8, seed + t)]
-                        if Z is not None
-                    ]
-                    rX = _solve(rho, family, X, seed + t, extra=carried)
-                if rXn.value > rX.value + _TOL:
-                    return counterexample({"X": X, "Delta": Delta, "rX": rX.value, "rXn": rXn.value})
-            if rX.exact and rXn.exact:
-                # shipped measures are 1-Lipschitz in the sup norm, so the
-                # robust values along the chain may differ by at most the gap
-                gap = float(np.max(np.abs(Xn.values - X.values)))
-                if rX.value - rXn.value > gap + _TOL:
-                    return counterexample({"X": X, "Delta": Delta, "rX": rX.value, "rXn": rXn.value})
-            else:
-                extra = [
-                    Z
-                    for Z in [rX.witness, *family.discretize(X, 0.25, 8, seed + t)]
-                    if Z is not None and family.membership(Xn, Z)
-                ]
-                if extra:
-                    r2 = _solve(rho, family, Xn, seed + t, extra=extra)
-                    lb = _best(rho, extra)[0]
-                    if r2.value < lb - _TOL:
-                        return counterexample({"X": X, "Delta": Delta, "rXn": r2.value, "lb": lb})
+            exact = rX.exact and rXn.exact
+            if not exact and rXn.value > rX.value + _TOL:
+                # anchor U_X with members of U_Xn before judging the monotone half
+                (rX,), _ = _carry(rho, family, rXn.witness, Xn, exact, seed + t, (X,), lambda Z: ([Z],))
+            # shipped measures are 1-Lipschitz in the sup norm, so exact robust
+            # values along the chain may differ by at most the gap
+            gap = float(np.max(np.abs(Xn.values - X.values)))
+            if rXn.value > rX.value + _TOL or (exact and rX.value - rXn.value > gap + _TOL):
+                return counterexample({"X": X, "Delta": Delta, "rX": rX.value, "rXn": rXn.value})
         return no_counterexample(trials)
 
     if prop == "law_invariant":
@@ -363,9 +337,8 @@ def verify_preservation(
                 if abs(rX.value - rXp.value) > _TOL:
                     return counterexample({"X": X, "Xp": Xp, "rX": rX.value, "rXp": rXp.value})
             else:
-                cands = [rX.witness, *family.discretize(X, 0.25, 8, seed + t)]
-                moved = [Position(space, Z.values[perm]) for Z in cands if Z is not None]
-                rXp = _solve(rho, family, Xp, seed + t, extra=moved)
+                (rXp,), _ = _carry(rho, family, rX.witness, X, rX.exact, seed + t, (Xp,),
+                                   lambda Z: ([Position(space, Z.values[perm])],))
                 if rXp.value < rX.value - _TOL and rho.flags.law_invariant:
                     return counterexample({"X": X, "Xp": Xp, "rX": rX.value, "rXp": rXp.value})
         return no_counterexample(trials)
@@ -388,27 +361,30 @@ def largest_family_properties(
     out = {}
 
     # solidity: lift any member upward, it must stay a member
+    tested = 0
     for t in range(trials):
         X = random_position(space, rng)
         rX = _solve(rho, family, X, seed + t)
         Z = rX.witness if rX.witness is not None else X
         Zbar = Z + Position(space, np.abs(rng.normal(size=space.n)))
-        if largest_family_member(rho, rX.value, Z) and not largest_family_member(rho, rX.value, Zbar):
+        if not largest_family_member(rho, rX.value, Z):
+            continue
+        tested += 1
+        if not largest_family_member(rho, rX.value, Zbar):
             out["solid"] = counterexample({"X": X, "Z": Z, "Zbar": Zbar})
             break
     else:
-        out["solid"] = no_counterexample(trials)
+        out["solid"] = _tested(tested)
 
     # monotonicity of the induced family, via monotonicity of the robust value
-    mono = verify_preservation(rho, family, "monotone", trials=trials, seed=seed + 1, space=space)
-    out["monotone"] = mono if mono.tag == "unknown" or mono.is_counterexample else no_counterexample(trials)
+    out["monotone"] = verify_preservation(rho, family, "monotone", trials=trials, seed=seed + 1, space=space)
 
     # quasi-convexity of the induced family from quasi-convexity of the value
     qc = verify_preservation(rho, family, "quasi_convex", trials=trials, seed=seed + 2, space=space)
     if qc.tag == "unknown" or qc.is_counterexample:
         out["quasi_convex"] = qc
         return out
-    bad = None
+    tested = 0
     for t in range(trials):
         X, Y = random_position(space, rng), random_position(space, rng)
         lam = float(rng.uniform())
@@ -417,16 +393,12 @@ def largest_family_properties(
         Z = r_mid.witness if r_mid.witness is not None else mid
         if not largest_family_member(rho, r_mid.value, Z):
             continue
-        ex_x = [W for W in [cone_witness(family, X, Z)] if W is not None]
-        ex_y = [W for W in [cone_witness(family, Y, Z)] if W is not None]
-        split = minkowski_split(family, X, Y, lam, Z)
-        if split is not None:
-            ex_x.append(split[0])
-            ex_y.append(split[1])
-        rX = _solve(rho, family, X, seed + 3 * t, extra=ex_x)
-        rY = _solve(rho, family, Y, seed + 3 * t, extra=ex_y)
+        tested += 1
+        (rX, rY), _ = _carry(rho, family, Z, mid, True, seed + 3 * t, (X, Y),
+                             lambda Z: _place_all(family, X, Y, lam, Z))
         if rho(Z) > max(rX.value, rY.value) + _TOL:
-            bad = {"X": X, "Y": Y, "lam": lam, "Z": Z}
+            out["quasi_convex"] = counterexample({"X": X, "Y": Y, "lam": lam, "Z": Z})
             break
-    out["quasi_convex"] = counterexample(bad) if bad else no_counterexample(trials)
+    else:
+        out["quasi_convex"] = _tested(tested)
     return out

@@ -306,33 +306,22 @@ class _NormBall(_Ball):
         if prop == "order_preserving":
             return certified("X' = Y' - (Y - X) is a dominated member")
         if prop == "quasi_convex":
-            w = _ball_quasi_counterexample(self, space)
-            if w is not None:
-                return counterexample(w, "constant-shift witness")
+            return _ball_quasi_counterexample(self, space)
         if prop == "c_quasi_convex":
-            w = _ball_c_quasi_counterexample(self, space)
-            if w is not None:
-                return counterexample(w, "two-sided spread witness")
+            return _ball_c_quasi_counterexample(self, space)
         if prop == "solid" and eps < math.inf:
-            X = Position(space, np.zeros(space.n))
-            Zbar = Position(space, np.full(space.n, 2.0 * eps + 1.0))
-            if not self.membership(X, Zbar):
-                return counterexample({"X": X, "Z": X, "Zbar": Zbar}, "raise above the band")
+            return _lifted(self, prop, space, 2.0 * eps + 1.0, "raise above the band")
         if prop == "monotone" and eps < math.inf:
-            X = Position(space, np.zeros(space.n))
-            Y = Position(space, np.full(space.n, 3.0 * eps + 1.0))
-            if not self.membership(X, Y):
-                return counterexample({"X": X, "Y": Y, "Z": Y}, "translated ball escapes U_X")
+            return _lifted(self, prop, space, 3.0 * eps + 1.0, "translated ball escapes U_X")
         if prop == "law_invariant" and eps < math.inf:
             groups = _equal_mass_groups(space)
             if groups == []:
                 return certified("no two atom groups share a mass, so no two distinct positions share a law")
+            # X = c 1_A and X' = c 1_B share a law; the ball around X' misses X
             c = 3.0 * eps + 1.0
-            for A, B in groups or ():
-                # X = c 1_A and X' = c 1_B share a law; the ball around X' misses X
-                X, Xp = Position(space, c * A), Position(space, c * B)
-                if same_distribution(X, Xp) and self.membership(X, X) and not self.membership(Xp, X):
-                    return counterexample({"X": X, "Xp": Xp, "Z": X}, "rearranged center moves the ball")
+            pairs = ((Position(space, c * A), Position(space, c * B)) for A, B in groups or ())
+            witnesses = ({"X": X, "Xp": Xp, "Z": X} for X, Xp in pairs)
+            return _verified(self, prop, witnesses, "rearranged center moves the ball")
         return None
 
 
@@ -403,16 +392,10 @@ class _WassersteinBall(_Ball):
         if prop == "order_preserving":
             return certified("dominated comonotone quantile envelope is a member")
         if prop in ("solid", "monotone") and eps < math.inf:
-            X = Position(space, np.zeros(space.n))
-            Zbar = Position(space, np.full(space.n, 3.0 * eps + 1.0))
-            if not self.membership(X, Zbar):
-                if prop == "solid":
-                    return counterexample({"X": X, "Z": X, "Zbar": Zbar}, "upward shift leaves the ball")
-                return counterexample({"X": X, "Y": Zbar, "Z": Zbar}, "ball around Y escapes U_X")
+            note = "upward shift leaves the ball" if prop == "solid" else "ball around Y escapes U_X"
+            return _lifted(self, prop, space, 3.0 * eps + 1.0, note)
         if prop == "quasi_convex":
-            w = _ball_quasi_counterexample(self, space)
-            if w is not None:
-                return counterexample(w, "constant-shift witness")
+            return _ball_quasi_counterexample(self, space)
         return None
 
 
@@ -679,17 +662,9 @@ class _LevelBand(_LevelFamily):
     def _rule(self, prop, space):
         verdict = super()._rule(prop, space)
         eps = self.eps
-        if verdict is None and self.rho1.flags.cash_additive and eps < math.inf:
-            shift = 2.0 * eps + 1.0
-            X = Position(space, np.zeros(space.n))
-            if prop == "solid":
-                Zbar = Position(space, np.full(space.n, shift))
-                if not self.membership(X, Zbar):
-                    return counterexample({"X": X, "Z": X, "Zbar": Zbar}, "level drops out of the band")
-            if prop == "monotone":
-                Y = Position(space, np.full(space.n, shift))
-                if self.membership(Y, Y) and not self.membership(X, Y):
-                    return counterexample({"X": X, "Y": Y, "Z": Y}, "band around Y misses U_X")
+        if verdict is None and prop in ("solid", "monotone") and self.rho1.flags.cash_additive and eps < math.inf:
+            note = "level drops out of the band" if prop == "solid" else "band around Y misses U_X"
+            return _lifted(self, prop, space, 2.0 * eps + 1.0, note)
         return verdict
 
     def _margin(self, X, Z):
@@ -795,52 +770,97 @@ def transport_member(
 
 
 # ---------------------------------------------------------------------------
+# violations: one predicate per property, shared by sampling, replay and rules
+
+
+def _leq(A: Position, B: Position) -> bool:
+    return bool((A.values <= B.values).all())
+
+
+def _fails(decided: Optional[bool]) -> Optional[bool]:
+    return None if decided is None else not decided
+
+
+def _violation(family: UncertaintyFamily, prop: str, w: dict) -> Optional[bool]:
+    """Whether the witness w violates the property, with the property's full
+    hypothesis tested (last, as it rarely settles a sampled candidate); None
+    when the family has no decision procedure."""
+    m = family.membership
+    if prop == "monotone":
+        return _leq(w["X"], w["Y"]) and not m(w["X"], w["Z"]) and m(w["Y"], w["Z"])
+    if prop == "order_preserving":
+        return _leq(w["X"], w["Y"]) and _fails(member_below(family, w["X"], w["Yp"])) and m(w["Y"], w["Yp"])
+    if prop == "solid":
+        return _leq(w["Z"], w["Zbar"]) and not m(w["X"], w["Zbar"]) and m(w["X"], w["Z"])
+    if prop in ("convex", "quasi_convex", "c_quasi_convex"):
+        X, Y, lam, Z = w["X"], w["Y"], w["lam"], w["Z"]
+        if prop == "convex":
+            outside = _fails(member_minkowski(family, X, Y, lam, Z))
+        elif prop == "quasi_convex":
+            outside = not m(X, Z) and not m(Y, Z)
+        else:
+            inside = [member_plus_cone(family, V, Z) for V in (X, Y)]
+            outside = None if None in inside else not any(inside)
+        return outside and m(lam * X + (1.0 - lam) * Y, Z)
+    if prop == "law_invariant":
+        return m(w["X"], w["Z"]) != m(w["Xp"], w["Z"]) and same_distribution(w["X"], w["Xp"])
+    if prop == "cash_invariant":
+        return m(w["X"] + w["c"], w["Z"] + w["c"]) != m(w["X"], w["Z"])
+    if prop == "continuous_from_above":
+        # finite decreasing chain X_n = X + 2^-n * Delta; a member of U_X must
+        # eventually enter U_{X_n}
+        X, Z, Delta = w["X"], w["Z"], w["Delta"]
+
+        def chain(k):
+            return Position(X.space, X.values + 0.5**k * Delta.values)
+
+        # members usually enter near the end of the chain: test it from there
+        if any(m(chain(k), Z) for k in range(11, 0, -1)) or (Delta.values < 0).any() or not m(X, Z):
+            return False
+        # a finite chain cannot falsify the limit property unless the
+        # violation margin persists instead of decaying along the tail
+        m_prev, m_last = family._margin(chain(10), Z), family._margin(chain(11), Z)
+        persists = m_prev is not None and m_last is not None and m_last > 1e-9 and m_last > 0.75 * m_prev
+        return True if persists else None
+    raise ValueError(f"unknown family property {prop!r}")
+
+
+def _verified(family: UncertaintyFamily, prop: str, witnesses, note: str) -> Optional[PropertyVerdict]:
+    """A counterexample from the first of the witnesses that violates the property."""
+    return next((counterexample(w, note) for w in witnesses if _violation(family, prop, w)), None)
+
+
+# ---------------------------------------------------------------------------
 # certified rules
 
 
-def _verify_quasi_violation(family, X, Y, lam, Z) -> bool:
-    mid = lam * X + (1.0 - lam) * Y
-    return family.membership(mid, Z) and not family.membership(X, Z) and not family.membership(Y, Z)
+def _lifted(family: UncertaintyFamily, prop: str, space: ProbSpace, shift: float, note: str):
+    """Solidity or monotonicity tested at X = 0 and the constant S = shift:
+    the member 0 of U_0 lifted to S, or the center S of U_S."""
+    X, S = Position(space, np.zeros(space.n)), Position(space, np.full(space.n, shift))
+    w = {"X": X, "Z": X, "Zbar": S} if prop == "solid" else {"X": X, "Y": S, "Z": S}
+    return _verified(family, prop, [w], note)
 
 
-def _verify_c_quasi_violation(family, X, Y, lam, Z) -> Optional[bool]:
-    mid = lam * X + (1.0 - lam) * Y
-    if not family.membership(mid, Z):
-        return False
-    in_x = member_plus_cone(family, X, Z)
-    in_y = member_plus_cone(family, Y, Z)
-    if in_x is None or in_y is None:
-        return None
-    return not in_x and not in_y
-
-
-def _ball_quasi_counterexample(family: UncertaintyFamily, space: ProbSpace) -> Optional[dict]:
+def _ball_quasi_counterexample(family: UncertaintyFamily, space: ProbSpace) -> Optional[PropertyVerdict]:
     eps = family.eps
     c = 10.0 * eps if eps > 0 else 1.0
-    offset = 0.5 * eps if eps > 0 else 0.0
     X = Position(space, np.zeros(space.n))
     Y = Position(space, np.full(space.n, c))
-    Z = Position(space, np.full(space.n, 0.5 * c + offset))
-    if _verify_quasi_violation(family, X, Y, 0.5, Z):
-        return {"X": X, "Y": Y, "lam": 0.5, "Z": Z}
-    return None
+    Z = Position(space, np.full(space.n, 0.5 * c + 0.5 * eps))
+    return _verified(family, "quasi_convex", [{"X": X, "Y": Y, "lam": 0.5, "Z": Z}], "constant-shift witness")
 
 
-def _ball_c_quasi_counterexample(family: UncertaintyFamily, space: ProbSpace) -> Optional[dict]:
+def _ball_c_quasi_counterexample(family: UncertaintyFamily, space: ProbSpace) -> Optional[PropertyVerdict]:
     if space.n < 2:
         return None
     eps = family.eps
     base = max(eps, 1.0)
-    for scale in (10.0, 40.0, 160.0, 640.0):
-        y = np.full(space.n, -scale * base)
-        y[0] = scale * base
-        X = Position(space, np.zeros(space.n))
-        Y = Position(space, y)
-        Z = Position(space, 0.5 * y + 0.5 * eps)
-        out = _verify_c_quasi_violation(family, X, Y, 0.5, Z)
-        if out:
-            return {"X": X, "Y": Y, "lam": 0.5, "Z": Z}
-    return None
+    X = Position(space, np.zeros(space.n))
+    sign = np.where(np.arange(space.n) == 0, 1.0, -1.0)
+    ys = (scale * base * sign for scale in (10.0, 40.0, 160.0, 640.0))
+    witnesses = ({"X": X, "Y": Position(space, y), "lam": 0.5, "Z": Position(space, 0.5 * y + 0.5 * eps)} for y in ys)
+    return _verified(family, "c_quasi_convex", witnesses, "two-sided spread witness")
 
 
 _GROUP_SEARCH_MAX_N = 16
@@ -874,101 +894,60 @@ def _equal_mass_groups(space: ProbSpace) -> Optional[list]:
 # sampled falsification
 
 
+def _draw(prop: str, X: Position, rng: np.random.Generator):
+    """One trial's draws after X: the point whose set is discretized and the
+    witness made from each candidate Z of that set; None when the trial can
+    test nothing."""
+    space = X.space
+    if prop in ("monotone", "order_preserving"):
+        Y = X + Position(space, np.abs(rng.normal(size=space.n)))
+        key = "Z" if prop == "monotone" else "Yp"
+        return Y, lambda Z: {"X": X, "Y": Y, key: Z}
+    if prop == "solid":
+        return X, lambda Z: {"X": X, "Z": Z, "Zbar": Z + Position(space, np.abs(rng.normal(size=space.n)))}
+    if prop in ("convex", "quasi_convex", "c_quasi_convex"):
+        Y = random_position(space, rng)
+        lam = float(rng.uniform())
+        return lam * X + (1.0 - lam) * Y, lambda Z: {"X": X, "Y": Y, "lam": lam, "Z": Z}
+    if prop == "law_invariant":
+        # the identity, or a permutation that changes the law, cannot find a violation
+        perm = rng.permutation(space.n)
+        if not np.allclose(space.probs[perm], space.probs) or np.all(perm == np.arange(space.n)):
+            return None
+        Xp = Position(space, X.values[perm])
+        return X, lambda Z: {"X": X, "Xp": Xp, "Z": Z}
+    if prop == "cash_invariant":
+        c = float(rng.uniform(-3, 3))
+        return X, lambda Z: {"X": X, "c": c, "Z": Z}
+    Delta = Position(space, np.abs(rng.normal(size=space.n)))  # continuous_from_above
+    return X, lambda Z: {"X": X, "Delta": Delta, "Z": Z}
+
+
 def _sampled_check(
     family: UncertaintyFamily, prop: str, space: ProbSpace, trials: int, seed: int
 ) -> PropertyVerdict:
     rng = np.random.default_rng(seed)
     resolution = max(family.eps / 2.0, 0.25)
     budget = 12
-    undecided = 0
-    skipped = 0  # law-invariance trials whose permutation changed the law or moved nothing
+    undecided = 0  # trials that could not have found a violation
 
     for t in range(trials):
-        X = random_position(space, rng)
-        if prop == "monotone":
-            Y = X + Position(space, np.abs(rng.normal(size=space.n)))
-            for Z in family.discretize(Y, resolution, budget, seed + 7 * t + 1):
-                if not family.membership(X, Z):
-                    return counterexample({"X": X, "Y": Y, "Z": Z})
-        elif prop == "order_preserving":
-            Y = X + Position(space, np.abs(rng.normal(size=space.n)))
-            for Yp in family.discretize(Y, resolution, budget, seed + 7 * t + 1):
-                ok = member_below(family, X, Yp)
-                if ok is None:
-                    undecided += 1
-                elif not ok:
-                    return counterexample({"X": X, "Y": Y, "Yp": Yp})
-        elif prop == "solid":
-            for Z in family.discretize(X, resolution, budget, seed + 7 * t + 1):
-                Zbar = Z + Position(space, np.abs(rng.normal(size=space.n)))
-                if not family.membership(X, Zbar):
-                    return counterexample({"X": X, "Z": Z, "Zbar": Zbar})
-        elif prop in ("convex", "quasi_convex", "c_quasi_convex"):
-            Y = random_position(space, rng)
-            lam = float(rng.uniform())
-            mid = lam * X + (1.0 - lam) * Y
-            for Z in family.discretize(mid, resolution, budget, seed + 7 * t + 1):
-                if prop == "quasi_convex":
-                    if not family.membership(X, Z) and not family.membership(Y, Z):
-                        return counterexample({"X": X, "Y": Y, "lam": lam, "Z": Z})
-                elif prop == "c_quasi_convex":
-                    out = _verify_c_quasi_violation(family, X, Y, lam, Z)
-                    if out is None:
-                        undecided += 1
-                    elif out:
-                        return counterexample({"X": X, "Y": Y, "lam": lam, "Z": Z})
-                else:
-                    out = member_minkowski(family, X, Y, lam, Z)
-                    if out is None:
-                        undecided += 1
-                    elif not out:
-                        return counterexample({"X": X, "Y": Y, "lam": lam, "Z": Z})
-        elif prop == "law_invariant":
-            perm = rng.permutation(space.n)
-            if not np.allclose(space.probs[perm], space.probs) or np.all(perm == np.arange(space.n)):
-                skipped += 1
-                continue
-            Xp = Position(space, X.values[perm])
-            for Z in family.discretize(X, resolution, budget, seed + 7 * t + 1):
-                if family.membership(X, Z) != family.membership(Xp, Z):
-                    return counterexample({"X": X, "Xp": Xp, "Z": Z})
-        elif prop == "cash_invariant":
-            c = float(rng.uniform(-3, 3))
-            for Z in family.discretize(X, resolution, budget, seed + 7 * t + 1):
-                if family.membership(X + c, Z + c) != family.membership(X, Z):
-                    return counterexample({"X": X, "c": c, "Z": Z})
-        elif prop == "continuous_from_above":
-            # finite decreasing chain X_n = X + 2^-n * Delta; a member of U_X must
-            # eventually enter U_{X_n}, with a margin bounded away from zero
-            Delta = Position(space, np.abs(rng.normal(size=space.n)))
-            chain = [X + (0.5**k) * Delta for k in range(1, 12)]
-            entered = False
-            for Z in family.discretize(X, resolution, budget, seed + 7 * t + 1):
-                if any(family.membership(Xn, Z) for Xn in chain):
-                    entered = True
-                    continue
-                # a finite chain cannot falsify the limit property unless the
-                # violation margin persists instead of decaying along the tail
-                m_prev = family._margin(chain[-2], Z)
-                m_last = family._margin(chain[-1], Z)
-                if (
-                    m_prev is not None
-                    and m_last is not None
-                    and m_last > 1e-9
-                    and m_last > 0.75 * m_prev
-                ):
-                    return counterexample({"X": X, "Delta": Delta, "Z": Z})
-            if not entered:
-                undecided += 1
-        else:
-            return unknown(f"unsupported property {prop!r}")
+        drawn = _draw(prop, random_position(space, rng), rng)
+        decided = False
+        if drawn is not None:
+            point, witness = drawn
+            for Z in family.discretize(point, resolution, budget, seed + 7 * t + 1):
+                w = witness(Z)
+                out = _violation(family, prop, w)
+                if out:
+                    return counterexample(w)
+                decided = decided or out is not None
+        undecided += not decided
 
-    if skipped == trials:
-        return unknown("no trial permutation kept the law and moved an atom")
-    if undecided and undecided == trials:
-        return unknown("no decision procedure applied on any trial")
+    if undecided == trials:
+        return unknown("no trial could have found a violation")
     note = f"{undecided} undecided trials" if undecided else ""
-    return no_counterexample(trials - skipped, note)
+    return no_counterexample(trials - undecided, note)
 
 
 def check_property(
@@ -995,32 +974,7 @@ def check_property(
 
 def replay_witness(family: UncertaintyFamily, prop: str, witness: dict) -> bool:
     """Re-verify that a counterexample witness violates the property. Deterministic."""
-    w = witness
-    if prop == "quasi_convex":
-        return _verify_quasi_violation(family, w["X"], w["Y"], w["lam"], w["Z"])
-    if prop == "c_quasi_convex":
-        return bool(_verify_c_quasi_violation(family, w["X"], w["Y"], w["lam"], w["Z"]))
-    if prop == "convex":
-        out = member_minkowski(family, w["X"], w["Y"], w["lam"], w["Z"])
-        mid = w["lam"] * w["X"] + (1.0 - w["lam"]) * w["Y"]
-        return family.membership(mid, w["Z"]) and out is False
-    if prop == "solid":
-        return family.membership(w["X"], w["Z"]) and not family.membership(w["X"], w["Zbar"])
-    if prop == "monotone":
-        return family.membership(w["Y"], w["Z"]) and not family.membership(w["X"], w["Z"])
-    if prop == "order_preserving":
-        return member_below(family, w["X"], w["Yp"]) is False
-    if prop == "law_invariant":
-        Z = w["Z"]
-        return same_distribution(w["X"], w["Xp"]) and (
-            family.membership(w["X"], Z) != family.membership(w["Xp"], Z)
-        )
-    if prop == "cash_invariant":
-        return family.membership(w["X"] + w["c"], w["Z"] + w["c"]) != family.membership(w["X"], w["Z"])
-    if prop == "continuous_from_above":
-        chain = [w["X"] + (0.5**k) * w["Delta"] for k in range(1, 12)]
-        return family.membership(w["X"], w["Z"]) and not any(family.membership(Xn, w["Z"]) for Xn in chain)
-    raise ValueError(f"unknown family property {prop!r}")
+    return bool(_violation(family, prop, witness))
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,6 @@ def test_parse_config_defaults():
     assert cfg.rho == {"kind": "neg_expectation"}
     assert cfg.family is None
     assert cfg.seed == 42
-    assert cfg.tolerances["analytic"] == 1e-9
     assert cfg.grid["simplex_step"] == 0.01
 
 
@@ -224,3 +223,19 @@ def test_unreplayable_counterexample_exits_2(scenario_file, config_file, capsys,
     assert main(["properties", "--scenario", scenario_file, "--config", config_file,
                  "--property", "quasi_convex", "--trials", "10"]) == 2
     assert "does not replay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"rho": CONFIG["rho"], "famly": CONFIG["family"]}, "unknown keys"),
+    (dict(CONFIG, seed="abc"), "seed"),
+    (dict(CONFIG, rho={"kind": "certainty_equivalent", "params": {"loss": "exp"}}), "loss spec"),
+    (dict(CONFIG, solver="grid"), "solver"),
+    (dict(CONFIG, grid=0.1), "grid"),
+    (dict(CONFIG, solver={"kind": "bogus"}), "unknown solver"),
+], ids=["misspelt-key", "seed", "loss", "solver", "grid", "bogus-solver"])
+def test_bad_config_exits_2(tmp_path, scenario_file, capsys, config, message):
+    """A malformed config is an input error, never a traceback or a default
+    (a misspelt family would report the unrobustified value)."""
+    path = _write(tmp_path, "cfg.json", config)
+    assert main(["robustify", "--scenario", scenario_file, "--config", path]) == 2
+    assert message in capsys.readouterr().err

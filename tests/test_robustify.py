@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import robustrisk as rr
-from robustrisk import Position, robust_value, verify_preservation
+from robustrisk import Position, robust_value, robustify, verify_preservation
 
 from conftest import random_pos
 
@@ -97,6 +97,8 @@ def test_solver_selection_errors(uniform4):
         robust_value(rr.certainty_equivalent(rr.identity_loss()), rr.wasserstein_ball(1.0, 0.2), X, solver="analytic")
     with pytest.raises(ValueError):
         robust_value(rr.neg_expectation(), rr.level_band(rr.entropic(1.0), 0.2), X, solver="vertex_enum")
+    with pytest.raises(ValueError, match="unknown solver"):
+        robust_value(rr.entropic(1.0), rr.sup_norm_ball(0.2), X, solver="bogus")
 
 
 def test_extra_candidates_anchor(uniform4):
@@ -162,3 +164,12 @@ def test_largest_family(uniform4):
     assert verdicts["solid"].holds
     assert verdicts["monotone"].holds
     assert verdicts["quasi_convex"].holds
+
+
+def test_largest_family_counts_only_tested_trials(uniform4, monkeypatch):
+    """A trial whose witness is not in the largest family tests nothing, so
+    with no such member the verdicts are unknown, not sampled passes."""
+    monkeypatch.setattr(robustify, "largest_family_member", lambda rho, value, Z: False)
+    verdicts = rr.largest_family_properties(rr.entropic(1.0), rr.sup_norm_ball(0.3), trials=3, seed=3, space=uniform4)
+    assert verdicts["solid"].tag == "unknown"
+    assert verdicts["quasi_convex"].tag == "unknown"

@@ -274,3 +274,43 @@ def test_law_invariance_without_shared_laws():
     assert check_property(rr.sup_norm_ball(0.3), "law_invariant", space).tag == "certified_holds"
     v = check_property(solidify(rr.sup_norm_ball(0.3)), "law_invariant", space, trials=20, seed=1)
     assert v.tag == "unknown"
+
+
+def test_undecided_trials_are_not_counted():
+    """Convexity of a level set has no decision procedure, so every trial is
+    undecided: the verdict is unknown, not a sampled pass."""
+    lev = rr.level_upper_set(rr.entropic(1.0), 0.3)
+    v = check_property(lev, "convex", rr.ProbSpace([0.5, 0.5]), trials=20, seed=4)
+    assert v.tag == "unknown" and v.trials == 0
+
+
+def test_forged_witnesses_do_not_replay():
+    """A witness that breaks the property's hypothesis is no counterexample,
+    although the memberships alone would flag it."""
+    space = rr.ProbSpace([0.5, 0.5])
+    lev, ball = rr.level_upper_set(rr.entropic(1.0), 0.3), rr.sup_norm_ball(0.3)
+    zero, one, low = (Position(space, [v, v]) for v in (0.0, 1.0, -5.0))
+    cases = [
+        (lev, "monotone", {"X": one, "Y": zero, "Z": Position(space, [-0.3, -0.3])}),  # X > Y
+        (lev, "solid", {"X": zero, "Z": zero, "Zbar": low}),  # Zbar < Z
+        (ball, "order_preserving", {"X": zero, "Y": one, "Yp": low}),  # Yp not in U_Y
+    ]
+    for fam, prop, w in cases:
+        assert check_property(fam, prop, space).tag == "certified_holds", prop
+        assert not replay_witness(fam, prop, w), prop
+
+
+@pytest.mark.parametrize("probs", [[0.5, 0.5], [0.5, 0.3, 0.2]], ids=["n2", "n3"])
+def test_counterexamples_replay(probs):
+    """Rules and sampling share one violation predicate with the replay."""
+    space = rr.ProbSpace(probs)
+    families = [rr.sup_norm_ball(0.3), rr.p_norm_ball(1.0, 0.3), rr.p_norm_ball(2.0, 0.3),
+                rr.wasserstein_ball(1.0, 0.3), rr.level_upper_set(rr.entropic(1.0), 0.3)]
+    found = 0
+    for fam in families:
+        for prop in FAMILY_PROPERTIES:
+            v = check_property(fam, prop, space, trials=20, seed=11)
+            if v.is_counterexample:
+                found += 1
+                assert replay_witness(fam, prop, v.witness), (fam.name, prop)
+    assert found >= 10
