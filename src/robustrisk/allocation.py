@@ -40,11 +40,24 @@ class AllocationRule:
     name: str
     lam: Callable[[Position, Position], float]
     base_rho: RiskFunctional
-    kind: str = ""
     params: dict = field(default_factory=dict)
 
     def __call__(self, X: Position, Y: Position) -> float:
         return self.lam(X, Y)
+
+    def _robust(self, family, X, Y, resolution, budget, seed) -> Optional[float]:
+        """sup_{Z in U_X} Lambda(Z, Y) where the rule knows it, else None."""
+        return None
+
+
+class _GradientRule(AllocationRule):
+    def _robust(self, family, X, Y, resolution, budget, seed):
+        # Lambda(., Y) is linear, so its supremum over U_X is the support
+        # function at the aggregate's dual scenario
+        Qs = self.params["scenario_for"](Y)
+        return support_function(family, Qs, X, resolution=resolution, budget=budget, seed=seed) - minimal_penalty(
+            self.base_rho, Qs
+        )
 
 
 def gradient_car(rho: RiskFunctional, grid: SimplexGrid, q: float = 2.0) -> AllocationRule:
@@ -73,11 +86,10 @@ def gradient_car(rho: RiskFunctional, grid: SimplexGrid, q: float = 2.0) -> Allo
         Qs = scenario_for(Y)
         return expectation_under(Qs, -X) - minimal_penalty(rho, Qs)
 
-    return AllocationRule(
+    return _GradientRule(
         name=f"gradient_car({rho.name})",
         lam=lam,
         base_rho=rho,
-        kind="gradient",
         params={"grid": grid, "q": q, "scenario_for": scenario_for},
     )
 
@@ -99,15 +111,13 @@ def robust_car(
 ) -> float:
     """Robustified allocation sup_{Z in U_X} Lambda(Z, Y).
 
-    For the gradient rule the objective is linear in Z, so the supremum is the
-    support function of U_X at the aggregate's dual scenario (exact on norm
-    balls via the Hoelder closed forms).
+    A rule that knows this supremum gives it; the gradient rule's is exact on
+    norm balls via the Hoelder closed forms. Other rules take the best of X
+    and the members ``discretize`` yields.
     """
-    if rule.kind == "gradient":
-        Qs = rule.params["scenario_for"](Y)
-        return support_function(family, Qs, X, resolution=resolution, budget=budget, seed=seed) - minimal_penalty(
-            rule.base_rho, Qs
-        )
+    closed = rule._robust(family, X, Y, resolution, budget, seed)
+    if closed is not None:
+        return closed
     best = rule(X, Y)
     for Z in family.discretize(X, resolution, budget, seed):
         best = max(best, rule(Z, Y))

@@ -129,7 +129,7 @@ def build_rho(spec_: dict) -> risk_measures.RiskFunctional:
     kind = _spec_kind(spec_, "risk measure", _MEASURES)
     try:
         return _MEASURES[kind](spec_.get("params", {}))
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"rho.params: {e}")
 
 
@@ -137,11 +137,35 @@ def build_family(spec_: dict) -> uncertainty.UncertaintyFamily:
     kind = _spec_kind(spec_, "family", _FAMILIES)
     try:
         return _FAMILIES[kind](spec_.get("params", {}))
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"family.params: {e}")
 
 
 _CONFIG_KEYS = ("rho", "family", "solver", "grid", "seed", "verifier", "level", "allocate")
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_values(raw: dict, grid_keys):
+    """Type and range checks of the grid steps, the level and the allocate spec."""
+    for key, v in raw.get("grid", {}).items():
+        if key not in grid_keys:
+            raise InputError(f"config grid has unknown key {key!r}; allowed keys are {list(grid_keys)}")
+        bounds = "in (0, 1]" if key == "simplex_step" else "> 0"
+        if not _number(v) or v <= 0 or (key == "simplex_step" and v > 1):
+            raise InputError(f"config grid.{key} must be a number {bounds}, got {v!r}")
+    if "level" in raw and not _number(raw["level"]):
+        raise InputError(f"config level must be a number, got {raw['level']!r}")
+    spec_ = raw.get("allocate", {})
+    if not isinstance(spec_, dict) or set(spec_) - {"aggregate", "parts"}:
+        raise InputError(f'config allocate must be an object {{"aggregate": ..., "parts": [...]}}, got {spec_!r}')
+    if not isinstance(spec_.get("aggregate", ""), str):
+        raise InputError(f"config allocate.aggregate must be a position name, got {spec_['aggregate']!r}")
+    parts = spec_.get("parts", [])
+    if not isinstance(parts, list) or not all(isinstance(pn, str) for pn in parts):
+        raise InputError(f"config allocate.parts must be a list of position names, got {parts!r}")
 
 
 def parse_config(path: Optional[str]) -> RunConfig:
@@ -163,6 +187,7 @@ def parse_config(path: Optional[str]) -> RunConfig:
         if not isinstance(raw.get(key, {}), dict):
             raise InputError(f"config {key} must be an object, got {raw[key]!r}")
     grid = {"simplex_step": 0.01, "box_bound": 20.0, "lattice_step": 0.4}
+    _check_values(raw, grid)
     grid.update(raw.get("grid", {}))
     try:
         seed = int(raw.get("seed", 42))
@@ -294,30 +319,33 @@ def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dic
         name, X = _pick_position(scenario, args)
         grid = duality.simplex_grid(scenario.space, config.grid["simplex_step"], seed=seed)
         verifier = args.verifier or config.extra.get("verifier", "primal_dual")
-        if verifier == "primal_dual":
-            if rho.flags.cash_additive:
-                surface = duality.penalty_type(rho, "cash_additive")
+        try:
+            if verifier == "primal_dual":
+                if rho.flags.cash_additive:
+                    surface = duality.penalty_type(rho, "cash_additive")
+                else:
+                    surface = duality.penalty_type(
+                        rho,
+                        "brute_force",
+                        space=scenario.space,
+                        bound=config.grid["box_bound"],
+                        step=config.grid["lattice_step"],
+                        anchors=(X,),
+                    )
+                rep = duality.verify_primal_dual(rho, X, grid, surface)
+            elif verifier == "robust_dual":
+                rep = duality.verify_robust_dual(rho, family, X, grid, seed=seed)
+            elif verifier == "robust_dual_ce":
+                loss = rho.params.get("loss") or risk_measures.exponential_loss()
+                rep = duality.verify_robust_dual(rho, family, X, grid, loss=loss, seed=seed)
+            elif verifier == "convex_cash_additive":
+                rep = duality.verify_convex_cash_additive_dual(rho, family, X, grid)
+            elif verifier == "second_approach":
+                rep = duality.verify_second_approach_dual(rho, family, X, grid, seed=seed)
             else:
-                surface = duality.penalty_type(
-                    rho,
-                    "brute_force",
-                    space=scenario.space,
-                    bound=config.grid["box_bound"],
-                    step=config.grid["lattice_step"],
-                    anchors=(X,),
-                )
-            rep = duality.verify_primal_dual(rho, X, grid, surface)
-        elif verifier == "robust_dual":
-            rep = duality.verify_robust_dual(rho, family, X, grid, seed=seed)
-        elif verifier == "robust_dual_ce":
-            loss = rho.params.get("loss") or risk_measures.exponential_loss()
-            rep = duality.verify_robust_dual(rho, family, X, grid, loss=loss, seed=seed)
-        elif verifier == "convex_cash_additive":
-            rep = duality.verify_convex_cash_additive_dual(rho, family, X, grid)
-        elif verifier == "second_approach":
-            rep = duality.verify_second_approach_dual(rho, family, X, grid, seed=seed)
-        else:
-            raise InputError(f"unknown verifier {verifier!r}")
+                raise InputError(f"unknown verifier {verifier!r}")
+        except ValueError as e:  # a measure or family the verifier does not cover
+            raise InputError(f"{verifier}: {e}")
         report["position"] = name
         report["verifier"] = verifier
         report["result"] = rep
@@ -343,7 +371,10 @@ def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dic
             raise InputError(f"allocate.aggregate: unknown position {agg_name!r}")
         Y = scenario.positions[agg_name]
         grid = duality.simplex_grid(scenario.space, config.grid["simplex_step"], seed=seed)
-        rule = alloc.gradient_car(rho, grid)
+        try:
+            rule = alloc.gradient_car(rho, grid)
+        except ValueError as e:
+            raise InputError(f"allocate: {e}")
         report["aggregate"] = agg_name
         report["rho"] = rho(Y)
         if family is not None:

@@ -22,7 +22,7 @@ from .prob_core import (
     expectation_under,
     relative_entropy,
 )
-from .risk_measures import LossFunction, RiskFunctional, _batch_rho, _closed_form_penalty
+from .risk_measures import LossFunction, RiskFunctional
 from .robustify import robust_value
 from .uncertainty import (
     PropertyVerdict,
@@ -160,12 +160,12 @@ def minimal_penalty(
     """c_rho(Q) = sup_X {E_Q[-X] - rho(X)}; closed form where known, else a
     box-lattice supremum with linear-growth detection. Raises ValueError when
     the lattice would exceed ``_LATTICE_CAP`` points."""
-    closed = _closed_form_penalty(rho, Q)
+    closed = rho._penalty(Q)
     if closed is not None:
         return closed
     space = Q.space
     lattice = _box_lattice(space.n, bound, step)
-    gains = -(lattice @ (space.probs * Q.density)) - _batch_rho(rho, lattice, space)
+    gains = -(lattice @ (space.probs * Q.density)) - rho._batch(lattice, space)
     inner = np.max(np.abs(lattice), axis=1) <= bound / 2 + 1e-12
     s_full, s_half = float(gains.max()), float(gains[inner].max())
     if s_full > s_half + 1e-6:
@@ -208,7 +208,7 @@ def _brute_force_R(rho_eval, space: ProbSpace, B: float, h: float, anchors: Sequ
         if np.any(ok):
             pts = pts[ok]
             pts[:, j] = yj[ok]
-            best = float(np.min(_batch_rho(rho_eval, pts, space)))
+            best = float(np.min(rho_eval._batch(pts, space)))
         for Y in anchors:
             shift = expectation_under(Q, -Y) - t  # move the anchor onto the hyperplane
             best = min(best, rho_eval(Y + shift))
@@ -464,7 +464,7 @@ def verify_second_approach_dual(
 
         def g_outer(Q):
             cr = minimal_penalty(rho, Q)
-            c1 = _closed_form_penalty(rho1, Q)
+            c1 = rho1._penalty(Q)
             if c1 is None or math.isinf(c1) or math.isinf(cr):
                 return -math.inf
             return inner + family.eps + c1 - cr

@@ -9,7 +9,7 @@ robustify and duality modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,18 +49,46 @@ class RiskFunctional:
     """A risk measure rho together with its declared axioms.
 
     ``evaluate`` maps a Position to an extended real (float, possibly +-inf).
-    ``kind``/``params`` identify the measure for reports and for the
-    closed forms at the end of this module, the only code that reads them.
+    A measure's kind is its class. The underscore methods are its closed
+    forms; here they give the generic answer, and the kinds built below
+    override what they have. A measure built by hand takes the generic
+    numeric paths.
     """
 
     name: str
     evaluate: Callable[[Position], float]
     flags: AxiomFlags
-    kind: str = ""
     params: dict = field(default_factory=dict)
 
     def __call__(self, X: Position) -> float:
         return self.evaluate(X)
+
+    def _batch(self, pts: np.ndarray, space: ProbSpace) -> np.ndarray:
+        """rho on each row of pts."""
+        return np.array([self(Position(space, row)) for row in pts])
+
+    def _penalty(self, Q: ScenarioMeasure) -> Optional[float]:
+        """Minimal penalty c_rho(Q) where it is known in closed form, else None."""
+        return None
+
+    def _shifted_mean(self, X: Position, eps: float) -> Optional[float]:
+        """rho(X - eps) from E[X] alone, for the measures that depend on the mean only."""
+        return None
+
+    def _same(self, other: RiskFunctional) -> bool:
+        """Whether other is known to be the same measure."""
+        return self is other
+
+
+_ALL_AXIOMS = AxiomFlags(**{f.name: True for f in fields(AxiomFlags)})
+_QUASI_CONVEX_AXIOMS = AxiomFlags(monotone=True, quasi_convex=True, law_invariant=True, continuous_from_above=True)
+
+
+class _Kind(RiskFunctional):
+    """A shipped measure: the same as another of its class with equal params."""
+
+    def _same(self, other: RiskFunctional) -> bool:
+        return self is other or (type(other) is type(self) and self.params == other.params)
 
 
 @dataclass(frozen=True)
@@ -137,22 +165,28 @@ def power_loss(k: float) -> LossFunction:
     return LossFunction(f"power{k}", ell, lambda y: y ** (1.0 / k), conj)
 
 
+class _NegExpectation(_Kind):
+    def _batch(self, pts, space):
+        return -pts @ space.probs
+
+    def _penalty(self, Q):
+        return 0.0 if np.allclose(Q.density, 1.0, rtol=0.0, atol=1e-9) else math.inf
+
+    def _shifted_mean(self, X, eps):
+        return -expectation(X) + eps
+
+
 def neg_expectation() -> RiskFunctional:
     """rho(X) = E[-X], the linear benchmark measure."""
-    return RiskFunctional(
-        name="neg_expectation",
-        evaluate=lambda X: -expectation(X),
-        flags=AxiomFlags(
-            monotone=True,
-            convex=True,
-            quasi_convex=True,
-            cash_additive=True,
-            cash_subadditive=True,
-            law_invariant=True,
-            continuous_from_above=True,
-        ),
-        kind="neg_expectation",
-    )
+    return _NegExpectation(name="neg_expectation", evaluate=lambda X: -expectation(X), flags=_ALL_AXIOMS)
+
+
+class _ExpectationFloor(_Kind):
+    def _batch(self, pts, space):
+        return np.maximum(-pts @ space.probs, self.params["K"])
+
+    def _shifted_mean(self, X, eps):
+        return max(-expectation(X) + eps, self.params["K"])
 
 
 def expectation_floor(K: float) -> RiskFunctional:
@@ -160,36 +194,36 @@ def expectation_floor(K: float) -> RiskFunctional:
     if K <= 0:
         raise ValueError("floor level K must be positive")
 
-    return RiskFunctional(
+    return _ExpectationFloor(
         name=f"expectation_floor(K={K})",
         evaluate=lambda X: max(-expectation(X), K),
-        flags=AxiomFlags(
-            monotone=True,
-            quasi_convex=True,
-            law_invariant=True,
-            continuous_from_above=True,
-        ),
-        kind="expectation_floor",
+        flags=_QUASI_CONVEX_AXIOMS,
         params={"K": K},
     )
 
 
+class _WorstCase(_Kind):
+    def _batch(self, pts, space):
+        return np.max(-pts, axis=1)
+
+    def _penalty(self, Q):
+        return 0.0
+
+
 def worst_case() -> RiskFunctional:
     """rho(X) = max_i(-x_i), the essential supremum of the loss."""
-    return RiskFunctional(
-        name="worst_case",
-        evaluate=lambda X: float(np.max(-X.values)),
-        flags=AxiomFlags(
-            monotone=True,
-            convex=True,
-            quasi_convex=True,
-            cash_additive=True,
-            cash_subadditive=True,
-            law_invariant=True,
-            continuous_from_above=True,
-        ),
-        kind="worst_case",
-    )
+    return _WorstCase(name="worst_case", evaluate=lambda X: float(np.max(-X.values)), flags=_ALL_AXIOMS)
+
+
+class _Entropic(_Kind):
+    def _batch(self, pts, space):
+        gamma = self.params["gamma"]
+        a = np.log(space.probs)[None, :] - gamma * pts
+        m = a.max(axis=1, keepdims=True)
+        return (m[:, 0] + np.log(np.exp(a - m).sum(axis=1))) / gamma
+
+    def _penalty(self, Q):
+        return relative_entropy(Q) / self.params["gamma"]
 
 
 def entropic(gamma: float) -> RiskFunctional:
@@ -202,21 +236,25 @@ def entropic(gamma: float) -> RiskFunctional:
         m = float(z.max())
         return (m + math.log(float(np.dot(X.space.probs, np.exp(z - m))))) / gamma
 
-    return RiskFunctional(
-        name=f"entropic(gamma={gamma})",
-        evaluate=evaluate,
-        flags=AxiomFlags(
-            monotone=True,
-            convex=True,
-            quasi_convex=True,
-            cash_additive=True,
-            cash_subadditive=True,
-            law_invariant=True,
-            continuous_from_above=True,
-        ),
-        kind="entropic",
-        params={"gamma": gamma},
-    )
+    return _Entropic(name=f"entropic(gamma={gamma})", evaluate=evaluate, flags=_ALL_AXIOMS, params={"gamma": gamma})
+
+
+_ENTROPIC_1 = entropic(1.0)
+
+
+class _ExpectedShortfall(_Kind):
+    def _batch(self, pts, space):
+        alpha = self.params["alpha"]
+        losses = -pts
+        order = np.argsort(-losses, axis=1)
+        w = space.probs[order]
+        l_sorted = np.take_along_axis(losses, order, axis=1)
+        cum = np.cumsum(w, axis=1)
+        take = np.minimum(w, np.maximum(alpha - (cum - w), 0.0))
+        return (take * l_sorted).sum(axis=1) / alpha
+
+    def _penalty(self, Q):
+        return 0.0 if float(Q.density.max()) <= 1.0 / self.params["alpha"] + 1e-9 else math.inf
 
 
 def expected_shortfall(alpha: float) -> RiskFunctional:
@@ -237,21 +275,28 @@ def expected_shortfall(alpha: float) -> RiskFunctional:
         take = np.minimum(w, np.maximum(alpha - (cum - w), 0.0))
         return float(np.dot(take, l_sorted) / alpha)
 
-    return RiskFunctional(
-        name=f"expected_shortfall(alpha={alpha})",
-        evaluate=evaluate,
-        flags=AxiomFlags(
-            monotone=True,
-            convex=True,
-            quasi_convex=True,
-            cash_additive=True,
-            cash_subadditive=True,
-            law_invariant=True,
-            continuous_from_above=True,
-        ),
-        kind="expected_shortfall",
-        params={"alpha": alpha},
+    return _ExpectedShortfall(
+        name=f"expected_shortfall(alpha={alpha})", evaluate=evaluate, flags=_ALL_AXIOMS, params={"alpha": alpha}
     )
+
+
+class _CertaintyEquivalent(_Kind):
+    """CE of the exponential loss is entropic(1) and takes its closed forms;
+    two CEs are the same when their losses share class and name."""
+
+    def _batch(self, pts, space):
+        if self.params["loss"].exponential:
+            return _ENTROPIC_1._batch(pts, space)
+        return super()._batch(pts, space)
+
+    def _penalty(self, Q):
+        return _ENTROPIC_1._penalty(Q) if self.params["loss"].exponential else None
+
+    def _same(self, other):
+        if type(other) is not type(self):
+            return False
+        la, lb = self.params["loss"], other.params["loss"]
+        return la is lb or (type(la) is type(lb) and la.name == lb.name)
 
 
 def certainty_equivalent(loss: LossFunction) -> RiskFunctional:
@@ -260,17 +305,8 @@ def certainty_equivalent(loss: LossFunction) -> RiskFunctional:
     def evaluate(X: Position) -> float:
         return float(loss.ell_inv(float(np.dot(X.space.probs, loss.ell_vec(-X.values)))))
 
-    return RiskFunctional(
-        name=f"certainty_equivalent({loss.name})",
-        evaluate=evaluate,
-        flags=AxiomFlags(
-            monotone=True,
-            quasi_convex=True,
-            law_invariant=True,
-            continuous_from_above=True,
-        ),
-        kind="certainty_equivalent",
-        params={"loss": loss},
+    return _CertaintyEquivalent(
+        name=f"certainty_equivalent({loss.name})", evaluate=evaluate, flags=_QUASI_CONVEX_AXIOMS, params={"loss": loss}
     )
 
 
@@ -285,6 +321,10 @@ def _exp_q(x: np.ndarray, q: float) -> np.ndarray:
     if np.any(base < 0):
         raise ValueError("exp_q argument out of domain: need x >= 1/(q-1)")
     return base ** (1.0 / (1.0 - q))
+
+
+class _QEntropic(_Kind):
+    pass
 
 
 def q_entropic(q: float, beta: float) -> RiskFunctional:
@@ -302,92 +342,7 @@ def q_entropic(q: float, beta: float) -> RiskFunctional:
         loss_part = np.maximum(-(X.values + beta), 0.0)
         return _ln_q(float(np.dot(X.space.probs, _exp_q(loss_part, q))), q)
 
-    return RiskFunctional(
-        name=f"q_entropic(q={q},beta={beta})",
-        evaluate=evaluate,
-        flags=AxiomFlags(
-            monotone=True,
-            convex=True,
-            quasi_convex=True,
-            cash_subadditive=True,
-            law_invariant=True,
-            continuous_from_above=True,
-        ),
-        kind="q_entropic",
-        params={"q": q, "beta": beta},
+    flags = replace(_ALL_AXIOMS, cash_additive=False)
+    return _QEntropic(
+        name=f"q_entropic(q={q},beta={beta})", evaluate=evaluate, flags=flags, params={"q": q, "beta": beta}
     )
-
-
-# ---------------------------------------------------------------------------
-# closed forms keyed on the measure's kind
-
-
-def _entropic_gamma(rho: RiskFunctional) -> Optional[float]:
-    """gamma when rho is an entropic measure; CE of the exponential loss is entropic(1)."""
-    if rho.kind == "entropic":
-        return rho.params["gamma"]
-    if rho.kind == "certainty_equivalent" and getattr(rho.params.get("loss"), "exponential", False):
-        return 1.0
-    return None
-
-
-def _same_functional(rho: RiskFunctional, other: RiskFunctional) -> bool:
-    if rho is other:
-        return True
-    if rho.kind != other.kind:
-        return False
-    pa = {k: v for k, v in rho.params.items() if isinstance(v, (int, float))}
-    pb = {k: v for k, v in other.params.items() if isinstance(v, (int, float))}
-    return pa == pb and rho.kind != ""
-
-
-def _shifted_mean(rho: RiskFunctional, X: Position, eps: float) -> Optional[float]:
-    """rho(X - eps) from E[X] alone, for the measures that depend on the mean only."""
-    if rho.kind == "neg_expectation":
-        return -expectation(X) + eps
-    if rho.kind == "expectation_floor":
-        return max(-expectation(X) + eps, rho.params["K"])
-    return None
-
-
-def _closed_form_penalty(rho: RiskFunctional, Q: ScenarioMeasure) -> Optional[float]:
-    """Minimal penalty c_rho(Q) where it is known in closed form, else None."""
-    kind = rho.kind
-    gamma = _entropic_gamma(rho)
-    if gamma is not None:
-        return relative_entropy(Q) / gamma
-    if kind == "expected_shortfall":
-        alpha = rho.params["alpha"]
-        return 0.0 if float(Q.density.max()) <= 1.0 / alpha + 1e-9 else math.inf
-    if kind == "neg_expectation":
-        return 0.0 if np.allclose(Q.density, 1.0, rtol=0.0, atol=1e-9) else math.inf
-    if kind == "worst_case":
-        return 0.0
-    return None
-
-
-def _batch_rho(rho: RiskFunctional, pts: np.ndarray, space: ProbSpace) -> np.ndarray:
-    """rho on each row of pts, vectorized for the shipped measure kinds; loop otherwise."""
-    pr = space.probs
-    kind = rho.kind
-    gamma = _entropic_gamma(rho)
-    if kind == "neg_expectation":
-        return -pts @ pr
-    if kind == "expectation_floor":
-        return np.maximum(-pts @ pr, rho.params["K"])
-    if kind == "worst_case":
-        return np.max(-pts, axis=1)
-    if gamma is not None:
-        a = np.log(pr)[None, :] - gamma * pts
-        m = a.max(axis=1, keepdims=True)
-        return (m[:, 0] + np.log(np.exp(a - m).sum(axis=1))) / gamma
-    if kind == "expected_shortfall":
-        alpha = rho.params["alpha"]
-        losses = -pts
-        order = np.argsort(-losses, axis=1)
-        w = pr[order]
-        l_sorted = np.take_along_axis(losses, order, axis=1)
-        cum = np.cumsum(w, axis=1)
-        take = np.minimum(w, np.maximum(alpha - (cum - w), 0.0))
-        return (take * l_sorted).sum(axis=1) / alpha
-    return np.array([rho(Position(space, row)) for row in pts])

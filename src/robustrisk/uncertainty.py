@@ -35,7 +35,7 @@ from .prob_core import (
     _merged_quantile_gaps,
     _quantile_norm,
 )
-from .risk_measures import RiskFunctional, _closed_form_penalty, _same_functional, _shifted_mean
+from .risk_measures import RiskFunctional
 
 __all__ = [
     "MEMBER_TOL",
@@ -252,7 +252,7 @@ class _NormBall(_Ball):
             return rho(W), W, "exact"
         if eps == 0.0:
             return rho(X), X, "exact"
-        value = _shifted_mean(rho, X, eps)  # constant shift has L^p(P) norm exactly eps
+        value = rho._shifted_mean(X, eps)  # constant shift has L^p(P) norm exactly eps
         return None if value is None else (value, X - eps, "exact")
 
     def _vertices(self, X):
@@ -338,7 +338,7 @@ class _WassersteinBall(_Ball):
         if math.isinf(self.p) and f.monotone and f.law_invariant:
             W = X - eps
             return rho(W), W, "exact"
-        value = _shifted_mean(rho, X, eps)
+        value = rho._shifted_mean(X, eps)
         if value is not None:
             return value, X - eps, "exact"
         if f.convex and f.law_invariant:
@@ -585,7 +585,7 @@ class _LevelFamily(UncertaintyFamily):
 
     def _worst_case(self, rho, X):
         rho1 = self.rho1
-        if not _same_functional(rho, rho1):
+        if not rho._same(rho1):
             return None
         target = rho(X) + self.eps
         W = X - _boundary_step(rho1, X, target)
@@ -596,7 +596,7 @@ class _LevelFamily(UncertaintyFamily):
 
     def _support(self, Q, X):
         rho1 = self.rho1
-        c1 = _closed_form_penalty(rho1, Q)
+        c1 = rho1._penalty(Q)
         if c1 is None or not rho1.flags.cash_additive:
             return None
         # members satisfy E_Q[-Z] <= rho1(Z) + c(Q) <= rho1(X) + eps + c(Q)

@@ -1,5 +1,7 @@
 """Capital allocation rules and their robust counterparts."""
 
+import dataclasses
+
 import pytest
 
 import robustrisk as rr
@@ -131,3 +133,21 @@ def test_robust_car_generic_rule(pair, rng):
     out = robust_car(rule, fam, X, Y, budget=48)
     assert out >= rho(X) - 1e-12
     assert out <= rho(X - 0.3) + 1e-9  # worst case of the standalone charge
+
+
+def test_robust_car_calls_replaced_scenario_for(pair, grid, rng):
+    """A gradient rule rebuilt with a wrapped ``scenario_for`` keeps its class,
+    and its robust charge goes through the wrapper."""
+    rule = gradient_car(rr.entropic(1.0), grid)
+    seen = []
+
+    def scenario_for(Y):
+        seen.append(Y)
+        return rule.params["scenario_for"](Y)
+
+    twin = dataclasses.replace(rule, params={**rule.params, "scenario_for": scenario_for})
+    assert type(twin) is type(rule)
+    fam = rr.sup_norm_ball(0.3)
+    X, Y = random_pos(pair, rng), random_pos(pair, rng)
+    assert robust_car(twin, fam, X, Y) == robust_car(rule, fam, X, Y)
+    assert seen == [Y]

@@ -232,10 +232,28 @@ def test_unreplayable_counterexample_exits_2(scenario_file, config_file, capsys,
     (dict(CONFIG, solver="grid"), "solver"),
     (dict(CONFIG, grid=0.1), "grid"),
     (dict(CONFIG, solver={"kind": "bogus"}), "unknown solver"),
-], ids=["misspelt-key", "seed", "loss", "solver", "grid", "bogus-solver"])
+    (dict(CONFIG, grid={"simplex_step": "x"}), "grid.simplex_step"),
+    (dict(CONFIG, grid={"simplex_step": 0}), "grid.simplex_step"),
+    (dict(CONFIG, grid={"simplex_stp": 0.05}), "unknown key 'simplex_stp'"),
+    (dict(CONFIG, level="high"), "level"),
+    (dict(CONFIG, allocate="Y"), "allocate"),
+    (dict(CONFIG, allocate={"parts": "XY"}), "allocate.parts"),
+    (dict(CONFIG, rho={"kind": "entropic", "params": {"gamma": None}}), "rho.params"),
+    (dict(CONFIG, family={"kind": "sup_norm_ball", "params": {"eps": [0.3]}}), "family.params"),
+], ids=["misspelt-key", "seed", "loss", "solver", "grid", "bogus-solver", "grid-step-type", "grid-step-range",
+        "grid-key", "level", "allocate", "allocate-parts", "rho-param-type", "family-param-type"])
 def test_bad_config_exits_2(tmp_path, scenario_file, capsys, config, message):
     """A malformed config is an input error, never a traceback or a default
     (a misspelt family would report the unrobustified value)."""
     path = _write(tmp_path, "cfg.json", config)
     assert main(["robustify", "--scenario", scenario_file, "--config", path]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["dual-check", "--verifier", "robust_dual"], ["allocate"]])
+def test_uncovered_measure_exits_2(tmp_path, scenario_file, capsys, argv):
+    """A verifier or allocation rule that does not cover the measure is an
+    input error, as an unknown solver is for robustify."""
+    path = _write(tmp_path, "cfg.json", dict(CONFIG, rho={"kind": "expectation_floor", "params": {"K": 0.3}}))
+    assert main(argv + ["--scenario", scenario_file, "--config", path]) == 2
+    assert "expectation_floor(K=0.3)" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Risk functionals: values, axiom flags, loss functions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import robustrisk as rr
-from robustrisk import Position, ProbSpace
+from robustrisk import Position, ProbSpace, ScenarioMeasure, minimal_penalty
 
 from conftest import random_pos
 
@@ -146,3 +147,56 @@ def test_entropic_gamma_monotone(uniform4, rng):
     X = random_pos(uniform4, rng)
     vals = [rr.entropic(g)(X) for g in (0.5, 1.0, 2.0, 4.0)]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+# every shipped kind, CE by the losses with their own paths
+SHIPPED = ALL_MEASURES + [rr.certainty_equivalent(rr.identity_loss())]
+
+
+@pytest.mark.parametrize("rho", SHIPPED, ids=lambda r: r.name)
+def test_replaced_measure_keeps_its_closed_forms(rho, rng):
+    """A copy with a wrapped ``evaluate`` keeps its class and closed forms,
+    and calls the wrapper, as a tracing harness that rebuilds measures needs."""
+    space = ProbSpace([0.5, 0.5])
+    calls = []
+
+    def wrapped(X):
+        calls.append(X)
+        return rho.evaluate(X)
+
+    twin = dataclasses.replace(rho, evaluate=wrapped)
+    assert type(twin) is type(rho) and twin._same(rho) and rho._same(twin)
+    X = random_pos(space, rng)
+    assert twin(X) == rho(X) and calls == [X]
+    pts = rng.normal(size=(20, 2)) * 2
+    np.testing.assert_array_equal(twin._batch(pts, space), rho._batch(pts, space))
+    for density in ([1.0, 1.0], [1.4, 0.6]):
+        Q = ScenarioMeasure(space, density)
+        assert minimal_penalty(twin, Q, bound=4.0, step=0.5) == minimal_penalty(rho, Q, bound=4.0, step=0.5)
+
+
+def test_measure_identity():
+    ce_exp, ent = rr.certainty_equivalent(rr.exponential_loss()), rr.entropic(1)
+    assert not ce_exp._same(rr.certainty_equivalent(rr.identity_loss()))
+    assert ce_exp._same(rr.certainty_equivalent(rr.exponential_loss()))
+    assert ent._same(rr.entropic(1.0)) and not ent._same(rr.entropic(2.0))
+    assert not ent._same(ce_exp) and not ce_exp._same(ent)
+    bare = rr.RiskFunctional("bare", ALL_MEASURES[0].evaluate, ALL_MEASURES[0].flags)
+    assert bare._same(bare)
+    for other in SHIPPED:
+        assert not bare._same(other) and not other._same(bare)
+
+
+@pytest.mark.parametrize(
+    "rho, sign",
+    [(m, 1.0) for m in SHIPPED] + [(rr.certainty_equivalent(rr.power_loss(2.0)), -1.0)],
+    ids=lambda v: v.name if isinstance(v, rr.RiskFunctional) else "",
+)
+def test_batch_rows_match_scalar(rho, sign, skewed3, rng):
+    """``_batch`` agrees with the scalar on every row; CE(power) on X <= 0."""
+    pts = rng.normal(size=(40, 3)) * 2
+    if sign < 0:
+        pts = -np.abs(pts)
+    rows = rho._batch(pts, skewed3)
+    scalar = [rho(Position(skewed3, row)) for row in pts]
+    np.testing.assert_allclose(rows, scalar, rtol=1e-12, atol=1e-15)
