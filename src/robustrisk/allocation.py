@@ -64,13 +64,20 @@ def gradient_car(rho: RiskFunctional, grid: SimplexGrid, q: float = 2.0) -> Allo
     """Dual-argmax allocation: charge X the scenario price of the aggregate Y.
 
     Lambda(X, Y) = E_{Q*}[-X] - c_rho(Q*) with Q* the dual argmax for rho(Y).
-    Satisfies the CAR identity up to grid attainment, and no-undercut for
-    convex cash-additive rho by the Fenchel inequality.
+    For the shipped convex cash-additive measures Q* is the measure's closed
+    form, and the CAR identity Lambda(Y, Y) = rho(Y) holds to rounding. A
+    measure without one takes the argmax over ``grid`` (ties by smallest
+    density q-norm), refined by a local search on the simplex; ``grid`` and
+    ``q`` serve only that fallback. No-undercut holds for convex
+    cash-additive rho by the Fenchel inequality.
     """
     if not (rho.flags.convex and rho.flags.cash_additive):
         raise ValueError(f"gradient allocation requires a convex cash-additive measure, got {rho.name}")
 
     def scenario_for(Y: Position) -> ScenarioMeasure:
+        Qs = rho._dual_scenario(Y)
+        if Qs is not None:
+            return Qs
         Q0 = dual_argmax(rho, Y, grid, q)
         # refine the lattice argmax so the identity Lambda(Y,Y)=rho(Y) holds
         # to solver precision rather than lattice precision
@@ -95,7 +102,8 @@ def gradient_car(rho: RiskFunctional, grid: SimplexGrid, q: float = 2.0) -> Allo
 
 
 def identity_gap(rule: AllocationRule, Y: Position) -> float:
-    """|Lambda(Y,Y) - rho(Y)|: the grid-attainment error of the CAR identity."""
+    """|Lambda(Y,Y) - rho(Y)|: the error of the CAR identity, rounding for a
+    measure with a closed-form dual scenario, else grid attainment."""
     return abs(rule(Y, Y) - rule.base_rho(Y))
 
 

@@ -78,28 +78,37 @@ def parse_scenario(path: str) -> ScenarioFile:
     return ScenarioFile(space=space, positions=positions, measures=measures)
 
 
+def _param(p: dict, key: str, default: Optional[float] = None) -> float:
+    """The number p[key], or the default where one is given; a bool is a
+    TypeError, not 0 or 1."""
+    v = p[key] if default is None else p.get(key, default)
+    if isinstance(v, bool):
+        raise TypeError(f"{key} must be a number, got {v!r}")
+    return float(v)
+
+
 _LOSSES = {
     "exp": lambda p: risk_measures.exponential_loss(),
     "identity": lambda p: risk_measures.identity_loss(),
-    "power": lambda p: risk_measures.power_loss(float(p["k"])),
+    "power": lambda p: risk_measures.power_loss(_param(p, "k")),
 }
 
 _MEASURES = {
     "neg_expectation": lambda p: risk_measures.neg_expectation(),
-    "expectation_floor": lambda p: risk_measures.expectation_floor(float(p["K"])),
+    "expectation_floor": lambda p: risk_measures.expectation_floor(_param(p, "K")),
     "worst_case": lambda p: risk_measures.worst_case(),
-    "entropic": lambda p: risk_measures.entropic(float(p.get("gamma", 1.0))),
-    "expected_shortfall": lambda p: risk_measures.expected_shortfall(float(p["alpha"])),
+    "entropic": lambda p: risk_measures.entropic(_param(p, "gamma", 1.0)),
+    "expected_shortfall": lambda p: risk_measures.expected_shortfall(_param(p, "alpha")),
     "certainty_equivalent": lambda p: risk_measures.certainty_equivalent(_build_loss(p.get("loss", {"kind": "exp"}))),
-    "q_entropic": lambda p: risk_measures.q_entropic(float(p["q"]), float(p["beta"])),
+    "q_entropic": lambda p: risk_measures.q_entropic(_param(p, "q"), _param(p, "beta")),
 }
 
 _FAMILIES = {
-    "sup_norm_ball": lambda p: uncertainty.sup_norm_ball(float(p.get("eps", 0.0))),
-    "p_norm_ball": lambda p: uncertainty.p_norm_ball(float(p.get("p", 1.0)), float(p.get("eps", 0.0))),
-    "wasserstein_ball": lambda p: uncertainty.wasserstein_ball(float(p.get("p", 1.0)), float(p.get("eps", 0.0))),
-    "level_band": lambda p: uncertainty.level_band(build_rho(p["rho1"]), float(p.get("eps", 0.0))),
-    "level_upper_set": lambda p: uncertainty.level_upper_set(build_rho(p["rho1"]), float(p.get("eps", 0.0))),
+    "sup_norm_ball": lambda p: uncertainty.sup_norm_ball(_param(p, "eps", 0.0)),
+    "p_norm_ball": lambda p: uncertainty.p_norm_ball(_param(p, "p", 1.0), _param(p, "eps", 0.0)),
+    "wasserstein_ball": lambda p: uncertainty.wasserstein_ball(_param(p, "p", 1.0), _param(p, "eps", 0.0)),
+    "level_band": lambda p: uncertainty.level_band(build_rho(p["rho1"]), _param(p, "eps", 0.0)),
+    "level_upper_set": lambda p: uncertainty.level_upper_set(build_rho(p["rho1"]), _param(p, "eps", 0.0)),
 }
 
 
@@ -189,10 +198,9 @@ def parse_config(path: Optional[str]) -> RunConfig:
     grid = {"simplex_step": 0.01, "box_bound": 20.0, "lattice_step": 0.4}
     _check_values(raw, grid)
     grid.update(raw.get("grid", {}))
-    try:
-        seed = int(raw.get("seed", 42))
-    except (TypeError, ValueError):
-        raise InputError(f"config seed must be an integer, got {raw['seed']!r}")
+    seed = raw.get("seed", 42)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise InputError(f"config seed must be an integer, got {seed!r}")
     return RunConfig(
         rho=raw.get("rho", {"kind": "neg_expectation"}),
         family=raw.get("family"),
@@ -354,6 +362,8 @@ def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dic
     if subcommand == "acceptance":
         name, X = _pick_position(scenario, args)
         m = args.level if args.level is not None else config.extra.get("level", 0.0)
+        if not math.isfinite(m):
+            raise InputError(f"--level must be a finite number, got {m!r}")
         report["position"] = name
         report["level"] = m
         report["acceptable"] = acc.is_acceptable(rho, X, m)

@@ -60,7 +60,7 @@ class ProbSpace:
             raise ValueError("probs must be a non-empty 1-D sequence")
         if np.any(p <= 0):
             raise ValueError("all atom probabilities must be strictly positive")
-        if abs(p.sum() - 1.0) > ATOL:
+        if not abs(p.sum() - 1.0) <= ATOL:  # NaN fails it
             raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
@@ -130,7 +130,7 @@ class ScenarioMeasure:
         if np.any(d < 0):
             raise ValueError("density must be nonnegative")
         mass = float(np.dot(space.probs, d))
-        if abs(mass - 1.0) > 1e-9:
+        if not abs(mass - 1.0) <= 1e-9:  # NaN fails it
             raise ValueError(f"density integrates to {mass!r}, expected 1")
         d.flags.writeable = False
         object.__setattr__(self, "space", space)
@@ -223,7 +223,7 @@ def wasserstein_distance(X: Position, Y: Position, p: float = 1.0) -> float:
     Computed exactly from the quantile-function gap on merged breakpoints:
     (integral_0^1 |F_X^-1(u) - F_Y^-1(u)|^p du)^(1/p), essential sup for p=inf.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError("Wasserstein order p must be >= 1")
     widths, ax, ay = _merged_quantile_gaps(quantile_function(X), quantile_function(Y))
     return _quantile_norm(widths, np.abs(ax - ay), p)
@@ -245,7 +245,7 @@ def relative_entropy(Q: ScenarioMeasure) -> float:
 
 def density_norm(Q: ScenarioMeasure, q: float) -> float:
     """L^q(P) norm of the density dQ/dP; q = inf gives the max."""
-    if q < 1:
+    if not q >= 1:
         raise ValueError("norm order q must be >= 1")
     if math.isinf(q):
         return float(Q.density.max())

@@ -75,6 +75,11 @@ class RiskFunctional:
         """rho(X - eps) from E[X] alone, for the measures that depend on the mean only."""
         return None
 
+    def _dual_scenario(self, X: Position) -> Optional[ScenarioMeasure]:
+        """A maximizer Q of E_Q[-X] - c_rho(Q) where it is known in closed
+        form, else None. Ties are spread in proportion to P."""
+        return None
+
     def _same(self, other: RiskFunctional) -> bool:
         """Whether other is known to be the same measure."""
         return self is other
@@ -148,8 +153,8 @@ def power_loss(k: float) -> LossFunction:
 
     Defined on x >= 0 only (sufficient for losses); k must be > 1.
     """
-    if k <= 1:
-        raise ValueError("power loss requires exponent k > 1")
+    if not 1 < k < math.inf:
+        raise ValueError("power loss requires a finite exponent k > 1")
     kc = k / (k - 1)
 
     def ell(x: float) -> float:
@@ -170,10 +175,13 @@ class _NegExpectation(_Kind):
         return -pts @ space.probs
 
     def _penalty(self, Q):
-        return 0.0 if np.allclose(Q.density, 1.0, rtol=0.0, atol=1e-9) else math.inf
+        return 0.0 if float(np.max(np.abs(Q.density - 1.0))) <= 1e-9 else math.inf
 
     def _shifted_mean(self, X, eps):
         return -expectation(X) + eps
+
+    def _dual_scenario(self, X):
+        return ScenarioMeasure.reference(X.space)
 
 
 def neg_expectation() -> RiskFunctional:
@@ -191,8 +199,8 @@ class _ExpectationFloor(_Kind):
 
 def expectation_floor(K: float) -> RiskFunctional:
     """rho(X) = max(E[-X], K): quasi-convex and monotone, not cash-additive."""
-    if K <= 0:
-        raise ValueError("floor level K must be positive")
+    if not 0 < K < math.inf:
+        raise ValueError("floor level K must be positive and finite")
 
     return _ExpectationFloor(
         name=f"expectation_floor(K={K})",
@@ -208,6 +216,11 @@ class _WorstCase(_Kind):
 
     def _penalty(self, Q):
         return 0.0
+
+    def _dual_scenario(self, X):
+        # P conditioned on the atoms where X is smallest
+        worst = X.values == X.values.min()
+        return ScenarioMeasure(X.space, worst / X.space.probs[worst].sum())
 
 
 def worst_case() -> RiskFunctional:
@@ -225,11 +238,17 @@ class _Entropic(_Kind):
     def _penalty(self, Q):
         return relative_entropy(Q) / self.params["gamma"]
 
+    def _dual_scenario(self, X):
+        # the Esscher density e^{-gamma X} / E[e^{-gamma X}]
+        z = -self.params["gamma"] * X.values
+        w = np.exp(z - z.max())
+        return ScenarioMeasure(X.space, w / np.dot(X.space.probs, w))
+
 
 def entropic(gamma: float) -> RiskFunctional:
     """rho(X) = (1/gamma) ln E[exp(-gamma X)], overflow-safe via log-sum-exp."""
-    if gamma <= 0:
-        raise ValueError("entropic parameter gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("entropic parameter gamma must be positive and finite")
 
     def evaluate(X: Position) -> float:
         z = -gamma * X.values
@@ -255,6 +274,16 @@ class _ExpectedShortfall(_Kind):
 
     def _penalty(self, Q):
         return 0.0 if float(Q.density.max()) <= 1.0 / self.params["alpha"] + 1e-9 else math.inf
+
+    def _dual_scenario(self, X):
+        # density 1/alpha on the lowest values of X up to mass alpha; the
+        # atoms of the value that crosses alpha share what mass is left
+        alpha, probs = self.params["alpha"], X.space.probs
+        _, group = np.unique(X.values, return_inverse=True)
+        mass = np.bincount(group, weights=probs)
+        before = np.cumsum(mass) - mass
+        share = np.clip((alpha - before) / mass, 0.0, 1.0)
+        return ScenarioMeasure(X.space, share[group] / alpha)
 
 
 def expected_shortfall(alpha: float) -> RiskFunctional:
@@ -335,8 +364,8 @@ def q_entropic(q: float, beta: float) -> RiskFunctional:
     """
     if not 0 < q < 1:
         raise ValueError("q must lie in (0, 1)")
-    if beta <= 0:
-        raise ValueError("target beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError("target beta must be positive and finite")
 
     def evaluate(X: Position) -> float:
         loss_part = np.maximum(-(X.values + beta), 0.0)

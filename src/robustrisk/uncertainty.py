@@ -276,7 +276,7 @@ class _NormBall(_Ball):
 
     def _support_penalty(self, Q, Qt):
         # phi_Q is E_Q[-.] plus a constant, so the penalty is finite only at Qt = Q
-        return -self._k(Q) if np.allclose(Q.density, Qt.density, atol=1e-9) else math.inf
+        return -self._k(Q) if float(np.max(np.abs(Q.density - Qt.density))) <= 1e-9 else math.inf
 
     def _plus_cone(self, X, Z):
         deficit = np.maximum(X.values - Z.values, 0.0)
@@ -400,8 +400,8 @@ class _WassersteinBall(_Ball):
 
 
 def _norm_ball(p: float, eps: float, name: str) -> UncertaintyFamily:
-    if eps < 0:
-        raise ValueError("radius eps must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ValueError("radius eps must be nonnegative and finite")
 
     def membership(X: Position, Z: Position) -> bool:
         return _lp_norm(X.space, Z.values - X.values, p) <= eps + MEMBER_TOL
@@ -459,17 +459,17 @@ def sup_norm_ball(eps: float) -> UncertaintyFamily:
 
 def p_norm_ball(p: float, eps: float) -> UncertaintyFamily:
     """U_X = {Z : ||Z - X||_{L^p(P)} <= eps}."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError("norm order p must be >= 1")
     return _norm_ball(p, eps, f"p_norm_ball(p={p},eps={eps})")
 
 
 def wasserstein_ball(p: float, eps: float) -> UncertaintyFamily:
     """U_X = {Z : d_Wp(X, Z) <= eps}; membership depends on laws only."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError("Wasserstein order p must be >= 1")
-    if eps < 0:
-        raise ValueError("radius eps must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ValueError("radius eps must be nonnegative and finite")
 
     def membership(X: Position, Z: Position) -> bool:
         return wasserstein_distance(X, Z, p) <= eps + MEMBER_TOL
@@ -673,8 +673,8 @@ class _LevelBand(_LevelFamily):
 
 def level_band(rho1: RiskFunctional, eps: float) -> UncertaintyFamily:
     """U_X = {Z : |rho1(Z) - rho1(X)| <= eps} for quasi-convex cash-subadditive rho1."""
-    if eps < 0:
-        raise ValueError("band width eps must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ValueError("band width eps must be nonnegative and finite")
     _require_level_flags(rho1)
 
     def membership(X: Position, Z: Position) -> bool:
@@ -690,8 +690,8 @@ def level_band(rho1: RiskFunctional, eps: float) -> UncertaintyFamily:
 
 def level_upper_set(rho1: RiskFunctional, eps: float) -> UncertaintyFamily:
     """U_X = {Z : rho1(Z) <= rho1(X) + eps}; solid and monotone by construction."""
-    if eps < 0:
-        raise ValueError("level offset eps must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ValueError("level offset eps must be nonnegative and finite")
     _require_level_flags(rho1)
 
     def membership(X: Position, Z: Position) -> bool:

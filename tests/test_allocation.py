@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import robustrisk as rr
@@ -15,6 +16,7 @@ from robustrisk import (
     gradient_car,
     robust_car,
 )
+from robustrisk import allocation
 from robustrisk.allocation import identity_gap
 
 from conftest import random_pos
@@ -51,7 +53,7 @@ def test_neg_expectation_rule_is_linear(pair, grid, rng):
     rule = gradient_car(rr.neg_expectation(), grid)
     for _ in range(10):
         X, Y = random_pos(pair, rng), random_pos(pair, rng)
-        assert rule(X, Y) == pytest.approx(-expectation(X), abs=1e-8)
+        assert rule(X, Y) == pytest.approx(-expectation(X), abs=1e-12)
 
 
 def test_no_undercut_base_inequality(pair, grid, rng):
@@ -151,3 +153,43 @@ def test_robust_car_calls_replaced_scenario_for(pair, grid, rng):
     X, Y = random_pos(pair, rng), random_pos(pair, rng)
     assert robust_car(twin, fam, X, Y) == robust_car(rule, fam, X, Y)
     assert seen == [Y]
+
+
+# the shipped kinds gradient_car accepts, each with a closed-form dual scenario
+CLOSED = [rr.entropic(0.7), rr.expected_shortfall(0.3), rr.worst_case(), rr.neg_expectation()]
+
+
+def _without_closed_form(rho):
+    """The same measure through a subclass that gives no dual scenario."""
+
+    class NoClosedForm(type(rho)):
+        def _dual_scenario(self, X):
+            return None
+
+    return NoClosedForm(rho.name, rho.evaluate, rho.flags, rho.params)
+
+
+@pytest.mark.parametrize("rho", CLOSED, ids=lambda r: r.name)
+def test_fallback_matches_closed_form(rho, pair, grid, rng):
+    """Without a closed form, grid argmax plus polish finds the same scenario."""
+    fast, slow = gradient_car(rho, grid), gradient_car(_without_closed_form(rho), grid)
+    for _ in range(5):
+        Y = random_pos(pair, rng)
+        Qf, Qs = fast.params["scenario_for"](Y), slow.params["scenario_for"](Y)
+        assert np.max(np.abs(Qf.density - Qs.density)) <= 1e-6
+        assert abs(slow(Y, Y) - fast(Y, Y)) <= 1e-8
+
+
+@pytest.mark.parametrize("rho", CLOSED, ids=lambda r: r.name)
+def test_closed_form_needs_no_grid_search(rho, pair, grid, rng, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("grid search on a measure with a closed-form dual scenario")
+
+    monkeypatch.setattr(allocation, "dual_argmax", no_search)
+    monkeypatch.setattr(allocation, "_polish_simplex", no_search)
+    rule = gradient_car(rho, grid)
+    X, Y = random_pos(pair, rng), random_pos(pair, rng)
+    assert identity_gap(rule, Y) <= 1e-12
+    assert robust_car(rule, rr.sup_norm_ball(0.3), X, Y) == pytest.approx(rule(X, Y) + 0.3, abs=1e-12)
+    with pytest.raises(AssertionError):
+        gradient_car(_without_closed_form(rho), grid)(X, Y)

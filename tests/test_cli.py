@@ -215,6 +215,12 @@ def test_trials_zero_exits_2(scenario_file, config_file, capsys):
     assert "--trials" in capsys.readouterr().err
 
 
+def test_non_finite_level_flag_exits_2(scenario_file, config_file, capsys):
+    """--level takes the same finite numbers as the config's level key."""
+    assert main(["acceptance", "--scenario", scenario_file, "--config", config_file, "--level", "nan"]) == 2
+    assert "--level" in capsys.readouterr().err
+
+
 def test_unreplayable_counterexample_exits_2(scenario_file, config_file, capsys, monkeypatch):
     """The replay check is a real check, not an assert that python -O drops."""
     from robustrisk import uncertainty
@@ -240,8 +246,16 @@ def test_unreplayable_counterexample_exits_2(scenario_file, config_file, capsys,
     (dict(CONFIG, allocate={"parts": "XY"}), "allocate.parts"),
     (dict(CONFIG, rho={"kind": "entropic", "params": {"gamma": None}}), "rho.params"),
     (dict(CONFIG, family={"kind": "sup_norm_ball", "params": {"eps": [0.3]}}), "family.params"),
+    (dict(CONFIG, rho={"kind": "entropic", "params": {"gamma": float("nan")}}), "rho.params"),
+    (dict(CONFIG, rho={"kind": "entropic", "params": {"gamma": "1e999"}}), "rho.params"),
+    (dict(CONFIG, family={"kind": "sup_norm_ball", "params": {"eps": True}}), "family.params"),
+    (dict(CONFIG, family={"kind": "p_norm_ball", "params": {"p": float("nan"), "eps": 0.3}}), "family.params"),
+    (dict(CONFIG, seed=True), "seed"),
+    (dict(CONFIG, seed=7.9), "seed"),
 ], ids=["misspelt-key", "seed", "loss", "solver", "grid", "bogus-solver", "grid-step-type", "grid-step-range",
-        "grid-key", "level", "allocate", "allocate-parts", "rho-param-type", "family-param-type"])
+        "grid-key", "level", "allocate", "allocate-parts", "rho-param-type", "family-param-type", "rho-param-nan",
+        "rho-param-inf", "family-param-bool", "family-order-nan", "seed-bool",
+        "seed-fraction"])
 def test_bad_config_exits_2(tmp_path, scenario_file, capsys, config, message):
     """A malformed config is an input error, never a traceback or a default
     (a misspelt family would report the unrobustified value)."""

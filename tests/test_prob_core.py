@@ -29,6 +29,9 @@ def test_space_validation():
         ProbSpace([1.0, 0.0])  # null atoms rejected
     with pytest.raises(ValueError):
         ProbSpace([])
+    for bad in ([math.nan, 0.5], [math.inf, 0.5]):
+        with pytest.raises(ValueError):
+            ProbSpace(bad)
 
 
 def test_position_arithmetic(uniform4):
@@ -47,6 +50,9 @@ def test_scenario_measure_normalization(skewed3):
         ScenarioMeasure(skewed3, [2.0, 1.0, 1.0])  # does not integrate to one
     with pytest.raises(ValueError):
         ScenarioMeasure(skewed3, [-0.1, 1.3, 1.3])
+    for bad in ([math.nan, 1.0, 1.0], [math.inf, 1.0, 1.0]):
+        with pytest.raises(ValueError):
+            ScenarioMeasure(skewed3, bad)
 
 
 def test_expectation_matches_weighted_sum(skewed3):

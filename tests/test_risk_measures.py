@@ -109,6 +109,17 @@ def test_q_entropic_domain_and_shape(uniform4):
         rr.q_entropic(0.5, -1.0)
 
 
+@pytest.mark.parametrize("build, value", [
+    (rr.entropic, math.nan), (rr.entropic, math.inf), (rr.expectation_floor, math.nan),
+    (rr.expectation_floor, math.inf), (rr.expected_shortfall, math.nan), (rr.power_loss, math.nan),
+    (rr.power_loss, math.inf), (lambda v: rr.q_entropic(v, 2.0), math.nan), (lambda v: rr.q_entropic(0.5, v), math.nan),
+    (lambda v: rr.q_entropic(0.5, v), math.inf),
+])
+def test_non_finite_parameters_rejected(build, value):
+    with pytest.raises(ValueError):
+        build(value)
+
+
 def test_loss_conjugates():
     exp_loss = rr.exponential_loss()
     for y in (0.5, 1.0, 2.0, 5.0):
@@ -173,6 +184,8 @@ def test_replaced_measure_keeps_its_closed_forms(rho, rng):
     for density in ([1.0, 1.0], [1.4, 0.6]):
         Q = ScenarioMeasure(space, density)
         assert minimal_penalty(twin, Q, bound=4.0, step=0.5) == minimal_penalty(rho, Q, bound=4.0, step=0.5)
+    Qs, Qt = rho._dual_scenario(X), twin._dual_scenario(X)
+    assert (Qs is None and Qt is None) or np.array_equal(Qs.density, Qt.density)
 
 
 def test_measure_identity():
@@ -200,3 +213,43 @@ def test_batch_rows_match_scalar(rho, sign, skewed3, rng):
     rows = rho._batch(pts, skewed3)
     scalar = [rho(Position(skewed3, row)) for row in pts]
     np.testing.assert_allclose(rows, scalar, rtol=1e-12, atol=1e-15)
+
+
+# the convex cash-additive kinds, which give their dual scenario in closed form
+DUAL_CLOSED = [rr.entropic(0.7), rr.expected_shortfall(0.3), rr.expected_shortfall(1.0), rr.worst_case(),
+               rr.neg_expectation()]
+
+
+@pytest.mark.parametrize("rho", DUAL_CLOSED, ids=lambda r: r.name)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_dual_scenario_attains_rho(rho, n, rng):
+    """Q* = rho._dual_scenario(Y) attains rho(Y) = E_Q*[-Y] - c_rho(Q*)."""
+    for _ in range(20):
+        space = ProbSpace(rng.dirichlet(np.ones(n)))
+        Y = random_pos(space, rng)
+        Q = rho._dual_scenario(Y)
+        assert abs(rr.expectation_under(Q, -Y) - minimal_penalty(rho, Q) - rho(Y)) <= 1e-12
+
+
+def test_dual_scenario_absent_without_closed_form():
+    bare = rr.RiskFunctional("bare", rr.entropic(1.0).evaluate, rr.entropic(1.0).flags)
+    X = Position(ProbSpace([0.5, 0.5]), [1.0, -1.0])
+    for rho in (bare, rr.expectation_floor(1.0), rr.certainty_equivalent(rr.exponential_loss()),
+                rr.q_entropic(0.5, 2.0)):
+        assert rho._dual_scenario(X) is None
+
+
+@pytest.mark.parametrize("rho, probs, values, density", [
+    # the two worst atoms tie: P conditioned on them
+    (rr.worst_case(), [0.5, 0.3, 0.2], [1.0, -1.0, -1.0], [0.0, 2.0, 2.0]),
+    # the tied worst pair (mass .5) holds more than alpha = .25: both at density 2
+    (rr.expected_shortfall(0.25), [0.2, 0.3, 0.5], [-1.0, -1.0, 2.0], [2.0, 2.0, 0.0]),
+    # the tied pair (mass .2) fits in alpha = .35; the next atom takes the rest
+    (rr.expected_shortfall(0.35), [0.1, 0.1, 0.3, 0.5], [0.0, 0.0, 1.0, 2.0], [1 / 0.35, 1 / 0.35, 0.5 / 0.35, 0.0]),
+], ids=["worst-case", "es-boundary-tie", "es-inner-tie"])
+def test_dual_scenario_ties(rho, probs, values, density):
+    """Ties share mass in proportion to P, whatever the order of the atoms."""
+    for perm in (np.arange(len(probs)), np.arange(len(probs))[::-1]):
+        space = ProbSpace(np.array(probs)[perm])
+        Q = rho._dual_scenario(Position(space, np.array(values)[perm]))
+        np.testing.assert_allclose(Q.density, np.array(density)[perm], rtol=0, atol=1e-12)

@@ -1,5 +1,7 @@
 """Uncertainty families: membership, structural properties, witnesses."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,23 @@ def test_level_band_membership(uniform4):
 def test_level_families_require_flags(uniform4):
     with pytest.raises(ValueError):
         rr.level_upper_set(rr.expectation_floor(0.0), 0.1)
+
+
+@pytest.mark.parametrize("build", [
+    rr.sup_norm_ball, lambda v: rr.p_norm_ball(2.0, v), lambda v: rr.wasserstein_ball(1.0, v),
+    lambda v: rr.level_band(rr.entropic(1.0), v), lambda v: rr.level_upper_set(rr.entropic(1.0), v),
+])
+def test_non_finite_radius_rejected(build):
+    for v in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            build(v)
+
+
+@pytest.mark.parametrize("build", [rr.p_norm_ball, rr.wasserstein_ball])
+def test_order_may_be_infinite_not_nan(build):
+    with pytest.raises(ValueError):
+        build(math.nan, 0.1)
+    assert build(math.inf, 0.1).params["p"] == math.inf
 
 
 def test_quasi_convex_counterexample_sup_ball(uniform4):
