@@ -209,7 +209,7 @@ def check_subadditive_allocation(
     total = parts[0]
     for Yi in parts[1:]:
         total = total + Yi
-    if not np.allclose(total.values, Y.values, atol=1e-9):
+    if not np.allclose(total.values, Y.values, rtol=0.0, atol=1e-9):
         return unknown("hypothesis failure: components do not sum to the aggregate")
 
     # (i) union coverage on sampled members of U_Y

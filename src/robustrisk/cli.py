@@ -45,6 +45,14 @@ class RunConfig:
     extra: dict
 
 
+def _numbers(vals):
+    """The JSON array vals, refused when it holds true or false, which numpy
+    would read as 1 or 0."""
+    if isinstance(vals, bool) or isinstance(vals, list) and any(isinstance(v, bool) for v in vals):
+        raise ValueError("expected numbers, not true/false")
+    return vals
+
+
 def parse_scenario(path: str) -> ScenarioFile:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -56,7 +64,7 @@ def parse_scenario(path: str) -> ScenarioFile:
     if "space" not in raw or "probs" not in raw.get("space", {}):
         raise InputError("scenario missing field: space.probs")
     try:
-        space = ProbSpace(raw["space"]["probs"])
+        space = ProbSpace(_numbers(raw["space"]["probs"]))
     except ValueError as e:
         raise InputError(f"space.probs: {e}")
     positions = {}
@@ -64,7 +72,7 @@ def parse_scenario(path: str) -> ScenarioFile:
         if name in positions:
             raise InputError(f"positions.{name}: duplicate name")
         try:
-            positions[name] = Position(space, vals)
+            positions[name] = Position(space, _numbers(vals))
         except ValueError as e:
             raise InputError(f"positions.{name}: {e}")
     measures = {}
@@ -72,7 +80,7 @@ def parse_scenario(path: str) -> ScenarioFile:
         if not isinstance(spec_, dict):
             raise InputError(f'measures.{name}: expected an object such as {{"density": [...]}}')
         try:
-            measures[name] = ScenarioMeasure(space, spec_["density"])
+            measures[name] = ScenarioMeasure(space, _numbers(spec_["density"]))
         except (KeyError, ValueError) as e:
             raise InputError(f"measures.{name}: {e}")
     return ScenarioFile(space=space, positions=positions, measures=measures)

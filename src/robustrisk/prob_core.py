@@ -144,7 +144,7 @@ class ScenarioMeasure:
 def _check_same_space(a, b):
     if a.space is b.space:
         return
-    if a.space.n != b.space.n or not np.allclose(a.space.probs, b.space.probs, atol=ATOL):
+    if a.space.n != b.space.n or not np.allclose(a.space.probs, b.space.probs, rtol=0.0, atol=ATOL):
         raise ValueError("operands live on different probability spaces")
 
 

@@ -2,11 +2,14 @@
 
 Each family carries an exact membership predicate and a solver-facing
 ``discretize`` generator. A family's kind is its class: norm balls (p in
-[1, inf], where p = inf is the sup ball), Wasserstein balls, and level bands
-and upper sets each keep their closed forms (worst cases, support functions,
-cone, transport and split witnesses, certified property rules) as methods.
-The module functions add only what does not depend on the kind: membership
-checks of what a closed form returns, and generic numeric fallbacks.
+[1, inf], where p = inf is the sup ball), Wasserstein balls, level bands and
+upper sets, and solidified families each own their predicate, their candidate
+generator and their closed forms (worst cases, support functions, cone,
+transport and split witnesses, certified property rules) as methods. A family
+built by hand, ``UncertaintyFamily(name, params, membership, discretize)``,
+has no closed forms. The module functions add only what does not depend on
+the kind: membership checks of what a closed form returns, and generic
+numeric fallbacks.
 ``check_property`` combines certified rules (closed-form arguments or
 constructed counterexamples, verified before being returned) with seeded
 sampled falsification.
@@ -15,7 +18,7 @@ sampled falsification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Optional
 
@@ -120,17 +123,29 @@ def unknown(note: str = "") -> PropertyVerdict:
 class UncertaintyFamily:
     """A family of uncertainty sets X -> U_X with solver-facing structure.
 
-    A family's kind is its class. The underscore methods are its closed forms;
-    here each returns None ("no closed form"), which sends the callers to
-    generic numerics, and the kinds below override them. They test membership
-    through ``self.membership``, so a copy made with ``dataclasses.replace``
-    keeps its closed forms around the replaced predicate.
+    A family's kind is its class: it owns its predicate ``_member(X, Z)``, its
+    generator ``_candidates(X, resolution, budget, rng)`` and its closed forms,
+    the other underscore methods. Here each closed form returns None ("no
+    closed form"), which sends the callers to generic numerics, and the kinds
+    below override them. Left unset, the fields ``membership`` and
+    ``discretize`` are the kind's ``_member`` and ``_discretize``. A family
+    built by hand passes both, ``membership(X, Z)`` and ``discretize(X,
+    resolution, budget, seed)``, and takes the generic paths. The closed
+    forms test membership through ``self.membership``, so a copy made with
+    ``dataclasses.replace`` keeps its closed forms around the replaced
+    predicate.
     """
 
     name: str
     params: dict
-    membership: Callable[[Position, Position], bool]
-    discretize: Callable[[Position, float, int, int], list]
+    membership: Optional[Callable[[Position, Position], bool]] = field(default=None, repr=False)
+    discretize: Optional[Callable[[Position, float, int, int], list]] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.membership is None:
+            object.__setattr__(self, "membership", self._member)
+        if self.discretize is None:
+            object.__setattr__(self, "discretize", self._discretize)
 
     @property
     def eps(self) -> float:
@@ -139,6 +154,11 @@ class UncertaintyFamily:
     @property
     def rho1(self) -> Optional[RiskFunctional]:
         return self.params.get("rho1")
+
+    def _discretize(self, X: Position, resolution: float, budget: int, seed: int = 0) -> list:
+        """The members among the kind's candidates for U_X, drawn from one seeded stream."""
+        rng = np.random.default_rng(seed)
+        return [Z for Z in self._candidates(X, resolution, budget, rng) if self.membership(X, Z)]
 
     def _worst_case(self, rho: RiskFunctional, X: Position) -> Optional[tuple]:
         """(value, witness, guarantee) for sup over U_X of rho."""
@@ -221,6 +241,9 @@ class _Ball(UncertaintyFamily):
     def _dist(self, X: Position, Z: Position) -> float:
         raise NotImplementedError
 
+    def _member(self, X, Z):
+        return self._dist(X, Z) <= self.eps + MEMBER_TOL
+
     def _k(self, Q: ScenarioMeasure) -> float:
         """phi_Q(X) minus the (rearranged) Q-expectation of -X: eps times the
         dual norm of dQ/dP, which is 1 for p = inf."""
@@ -242,6 +265,40 @@ class _NormBall(_Ball):
 
     def _dist(self, X, Z):
         return _lp_norm(X.space, Z.values - X.values, self.p)
+
+    def _candidates(self, X, resolution, budget, rng):
+        n, p, eps = X.space.n, self.p, self.eps
+        pts = [X, X - eps, X + eps]
+        if math.isinf(p):
+            if 0 < n <= 16 and 2**n <= budget:
+                for mask in range(2**n):
+                    signs = np.array([1.0 if mask >> i & 1 else -1.0 for i in range(n)])
+                    pts.append(Position(X.space, X.values + eps * signs))
+            per_dim = max(2, int(round(2 * eps / resolution)) + 1) if eps > 0 else 1
+            if per_dim**n <= budget and eps > 0:
+                axes = np.linspace(-eps, eps, per_dim)
+                mesh = np.stack(np.meshgrid(*([axes] * n), indexing="ij"), axis=-1).reshape(-1, n)
+                pts.extend(Position(X.space, X.values + off) for off in mesh)
+            else:
+                for _ in range(max(0, budget - len(pts))):
+                    off = rng.uniform(-eps, eps, size=n)
+                    pts.append(Position(X.space, X.values + off))
+            return pts
+        # extreme spikes of the weighted-ell^p ball (exact vertices for p=1)
+        for i in range(n):
+            height = eps / X.space.probs[i] ** (1.0 / p)
+            for s in (-1.0, 1.0):
+                off = np.zeros(n)
+                off[i] = s * height
+                pts.append(Position(X.space, X.values + off))
+        while len(pts) < budget:
+            d = rng.normal(size=n)
+            nrm = _lp_norm(X.space, d, p)
+            if nrm == 0:
+                continue
+            r = eps * rng.uniform() ** (1.0 / max(n, 1))
+            pts.append(Position(X.space, X.values + d * (r / nrm)))
+        return pts
 
     def _worst_case(self, rho, X):
         eps = self.eps
@@ -331,6 +388,33 @@ class _WassersteinBall(_Ball):
     def _dist(self, X, Z):
         return wasserstein_distance(X, Z, self.p)
 
+    def _candidates(self, X, resolution, budget, rng):
+        n, p, eps = X.space.n, self.p, self.eps
+        order = np.argsort(X.values, kind="stable")
+        widths = X.space.probs[order]
+        sorted_v = X.values[order]
+
+        def from_sorted(new_sorted: np.ndarray) -> Position:
+            vals = np.empty(n)
+            vals[order] = np.sort(new_sorted)
+            return Position(X.space, vals)
+
+        pts = [X, X - eps, X + eps, from_sorted(sorted_v)]
+        # quantile-space shifts of norm <= eps (comonotone worst cases included)
+        n_shifts = max(4, budget // 4)
+        for k in range(n_shifts):
+            d = rng.normal(size=n)
+            nrm = _quantile_norm(widths, np.abs(d), p)
+            if nrm == 0:
+                continue
+            radius = eps if k < n_shifts // 2 else eps * rng.uniform()
+            pts.append(from_sorted(sorted_v + d * (radius / nrm)))
+        # rearrangements keep the law, hence always members
+        for _ in range(max(2, budget // 8)):
+            perm = rng.permutation(n)
+            pts.append(Position(X.space, X.values[perm]))
+        return pts
+
     def _worst_case(self, rho, X):
         eps, f = self.eps, rho.flags
         if eps == 0.0 and f.law_invariant:
@@ -399,69 +483,20 @@ class _WassersteinBall(_Ball):
         return None
 
 
-def _norm_ball(p: float, eps: float, name: str) -> UncertaintyFamily:
-    if not 0 <= eps < math.inf:
-        raise ValueError("radius eps must be nonnegative and finite")
-
-    def membership(X: Position, Z: Position) -> bool:
-        return _lp_norm(X.space, Z.values - X.values, p) <= eps + MEMBER_TOL
-
-    if math.isinf(p):
-
-        def discretize(X: Position, resolution: float, budget: int, seed: int = 0) -> list:
-            rng = np.random.default_rng(seed)
-            pts = [X, X - eps, X + eps]
-            n = X.space.n
-            if 0 < n <= 16 and 2**n <= budget:
-                for mask in range(2**n):
-                    signs = np.array([1.0 if mask >> i & 1 else -1.0 for i in range(n)])
-                    pts.append(Position(X.space, X.values + eps * signs))
-            per_dim = max(2, int(round(2 * eps / resolution)) + 1) if eps > 0 else 1
-            if per_dim**n <= budget and eps > 0:
-                axes = np.linspace(-eps, eps, per_dim)
-                mesh = np.stack(np.meshgrid(*([axes] * n), indexing="ij"), axis=-1).reshape(-1, n)
-                pts.extend(Position(X.space, X.values + off) for off in mesh)
-            else:
-                for _ in range(max(0, budget - len(pts))):
-                    off = rng.uniform(-eps, eps, size=n)
-                    pts.append(Position(X.space, X.values + off))
-            return [Z for Z in pts if membership(X, Z)]
-
-    else:
-
-        def discretize(X: Position, resolution: float, budget: int, seed: int = 0) -> list:
-            rng = np.random.default_rng(seed)
-            n = X.space.n
-            pts = [X, X - eps, X + eps]
-            # extreme spikes of the weighted-ell^p ball (exact vertices for p=1)
-            for i in range(n):
-                height = eps / X.space.probs[i] ** (1.0 / p)
-                for s in (-1.0, 1.0):
-                    off = np.zeros(n)
-                    off[i] = s * height
-                    pts.append(Position(X.space, X.values + off))
-            while len(pts) < budget:
-                d = rng.normal(size=n)
-                nrm = _lp_norm(X.space, d, p)
-                if nrm == 0:
-                    continue
-                r = eps * rng.uniform() ** (1.0 / max(n, 1))
-                pts.append(Position(X.space, X.values + d * (r / nrm)))
-            return [Z for Z in pts if membership(X, Z)]
-
-    return _NormBall(name=name, params={"p": p, "eps": eps}, membership=membership, discretize=discretize)
-
-
 def sup_norm_ball(eps: float) -> UncertaintyFamily:
     """U_X = {Z : X - eps <= Z <= X + eps pointwise}, the family p_norm_ball(inf, eps)."""
-    return _norm_ball(math.inf, eps, f"sup_norm_ball(eps={eps})")
+    if not 0 <= eps < math.inf:
+        raise ValueError("radius eps must be nonnegative and finite")
+    return _NormBall(name=f"sup_norm_ball(eps={eps})", params={"p": math.inf, "eps": eps})
 
 
 def p_norm_ball(p: float, eps: float) -> UncertaintyFamily:
     """U_X = {Z : ||Z - X||_{L^p(P)} <= eps}."""
     if not p >= 1:
         raise ValueError("norm order p must be >= 1")
-    return _norm_ball(p, eps, f"p_norm_ball(p={p},eps={eps})")
+    if not 0 <= eps < math.inf:
+        raise ValueError("radius eps must be nonnegative and finite")
+    return _NormBall(name=f"p_norm_ball(p={p},eps={eps})", params={"p": p, "eps": eps})
 
 
 def wasserstein_ball(p: float, eps: float) -> UncertaintyFamily:
@@ -470,49 +505,7 @@ def wasserstein_ball(p: float, eps: float) -> UncertaintyFamily:
         raise ValueError("Wasserstein order p must be >= 1")
     if not 0 <= eps < math.inf:
         raise ValueError("radius eps must be nonnegative and finite")
-
-    def membership(X: Position, Z: Position) -> bool:
-        return wasserstein_distance(X, Z, p) <= eps + MEMBER_TOL
-
-    def discretize(X: Position, resolution: float, budget: int, seed: int = 0) -> list:
-        rng = np.random.default_rng(seed)
-        n = X.space.n
-        order = np.argsort(X.values, kind="stable")
-        widths = X.space.probs[order]
-        sorted_v = X.values[order]
-
-        def from_sorted(new_sorted: np.ndarray, perm=None) -> Position:
-            vals = np.empty(n)
-            vals[order] = np.sort(new_sorted)
-            if perm is not None:
-                vals = vals[perm]
-            return Position(X.space, vals)
-
-        pts = [X, X - eps, X + eps, from_sorted(sorted_v)]
-        # quantile-space shifts of norm <= eps (comonotone worst cases included)
-        n_shifts = max(4, budget // 4)
-        for k in range(n_shifts):
-            d = rng.normal(size=n)
-            if math.isinf(p):
-                nrm = float(np.max(np.abs(d)))
-            else:
-                nrm = float(np.dot(widths, np.abs(d) ** p) ** (1.0 / p))
-            if nrm == 0:
-                continue
-            radius = eps if k < n_shifts // 2 else eps * rng.uniform()
-            pts.append(from_sorted(sorted_v + d * (radius / nrm)))
-        # rearrangements keep the law, hence always members
-        for _ in range(max(2, budget // 8)):
-            perm = rng.permutation(n)
-            pts.append(Position(X.space, X.values[perm]))
-        return [Z for Z in pts if membership(X, Z)]
-
-    return _WassersteinBall(
-        name=f"wasserstein_ball(p={p},eps={eps})",
-        params={"p": p, "eps": eps},
-        membership=membership,
-        discretize=discretize,
-    )
+    return _WassersteinBall(name=f"wasserstein_ball(p={p},eps={eps})", params={"p": p, "eps": eps})
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +536,12 @@ def _boundary_step(rho1: RiskFunctional, Z: Position, target: float, k_hi: float
     return _bisect(lambda k: rho1(Z - k) < target, 0.0, hi, 200, 1e-13)[1]
 
 
-def _level_discretize(rho1: RiskFunctional, membership, eps: float):
-    def discretize(X: Position, resolution: float, budget: int, seed: int = 0) -> list:
-        rng = np.random.default_rng(seed)
-        level = rho1(X) + eps
+class _LevelFamily(UncertaintyFamily):
+    """Level families of a quasi-convex, cash-subadditive base measure rho1."""
+
+    def _candidates(self, X, resolution, budget, rng):
+        rho1 = self.rho1
+        level = rho1(X) + self.eps
         pts = [X]
         # scan along X - k down to the level boundary
         k_star = _boundary_step(rho1, X, level)
@@ -562,26 +557,18 @@ def _level_discretize(rho1: RiskFunctional, membership, eps: float):
         while len(pts) < budget:
             D = Position(X.space, rng.normal(size=X.space.n))
             s_hi = 1.0
-            found = False
             for _ in range(40):
                 if rho1(X - s_hi * D) >= level or rho1(X + s_hi * D) >= level:
-                    found = True
                     break
                 s_hi *= 2.0
-            if not found:
+            else:
                 pts.append(X + D)
                 continue
             sign = -1.0 if rho1(X - s_hi * D) >= level else 1.0
             lo, _ = _bisect(lambda s: rho1(X + sign * s * D) < level, 0.0, s_hi, 60)
             pts.append(X + sign * lo * D)
             pts.append(X + sign * 0.5 * lo * D)
-        return [Z for Z in pts if membership(X, Z)]
-
-    return discretize
-
-
-class _LevelFamily(UncertaintyFamily):
-    """Level families of a quasi-convex, cash-subadditive base measure rho1."""
+        return pts
 
     def _worst_case(self, rho, X):
         rho1 = self.rho1
@@ -619,8 +606,11 @@ class _LevelFamily(UncertaintyFamily):
 class _LevelUpperSet(_LevelFamily):
     """U_X = {Z : rho1(Z) <= rho1(X) + eps}."""
 
-    def _plus_cone(self, X, Z):
+    def _member(self, X, Z):
         return self.rho1(Z) <= self.rho1(X) + self.eps + MEMBER_TOL
+
+    def _plus_cone(self, X, Z):
+        return self._member(X, Z)  # the set is solid: U_X + L^p_+ = U_X
 
     def _below(self, X, Yp):
         return self.membership(X, Yp)  # X' = Yp itself works by monotonicity
@@ -644,6 +634,9 @@ class _LevelUpperSet(_LevelFamily):
 
 class _LevelBand(_LevelFamily):
     """U_X = {Z : |rho1(Z) - rho1(X)| <= eps}."""
+
+    def _member(self, X, Z):
+        return abs(self.rho1(Z) - self.rho1(X)) <= self.eps + MEMBER_TOL
 
     def _plus_cone(self, X, Z):
         rho1, eps = self.rho1, self.eps
@@ -676,16 +669,7 @@ def level_band(rho1: RiskFunctional, eps: float) -> UncertaintyFamily:
     if not 0 <= eps < math.inf:
         raise ValueError("band width eps must be nonnegative and finite")
     _require_level_flags(rho1)
-
-    def membership(X: Position, Z: Position) -> bool:
-        return abs(rho1(Z) - rho1(X)) <= eps + MEMBER_TOL
-
-    return _LevelBand(
-        name=f"level_band({rho1.name},eps={eps})",
-        params={"eps": eps, "rho1": rho1},
-        membership=membership,
-        discretize=_level_discretize(rho1, membership, eps),
-    )
+    return _LevelBand(name=f"level_band({rho1.name},eps={eps})", params={"eps": eps, "rho1": rho1})
 
 
 def level_upper_set(rho1: RiskFunctional, eps: float) -> UncertaintyFamily:
@@ -693,16 +677,7 @@ def level_upper_set(rho1: RiskFunctional, eps: float) -> UncertaintyFamily:
     if not 0 <= eps < math.inf:
         raise ValueError("level offset eps must be nonnegative and finite")
     _require_level_flags(rho1)
-
-    def membership(X: Position, Z: Position) -> bool:
-        return rho1(Z) <= rho1(X) + eps + MEMBER_TOL
-
-    return _LevelUpperSet(
-        name=f"level_upper_set({rho1.name},eps={eps})",
-        params={"eps": eps, "rho1": rho1},
-        membership=membership,
-        discretize=_level_discretize(rho1, membership, eps),
-    )
+    return _LevelUpperSet(name=f"level_upper_set({rho1.name},eps={eps})", params={"eps": eps, "rho1": rho1})
 
 
 # ---------------------------------------------------------------------------
@@ -981,12 +956,11 @@ def replay_witness(family: UncertaintyFamily, prop: str, witness: dict) -> bool:
 # solidification
 
 
-def solidify(family: UncertaintyFamily) -> UncertaintyFamily:
-    """Upward closure: membership'(X, Z) iff Z - K is a member for some K >= 0."""
-    if isinstance(family, _LevelUpperSet):
-        return family
+class _Solidified(UncertaintyFamily):
+    """Upward closure of the family params["base"]."""
 
-    def membership(X: Position, Z: Position) -> bool:
+    def _member(self, X, Z):
+        family = self.params["base"]
         out = member_plus_cone(family, X, Z)
         if out is not None:
             return out
@@ -998,15 +972,15 @@ def solidify(family: UncertaintyFamily) -> UncertaintyFamily:
                 return True
         return False
 
-    def discretize(X: Position, resolution: float, budget: int, seed: int = 0) -> list:
-        pts = family.discretize(X, resolution, budget, seed)
+    def _discretize(self, X, resolution, budget, seed=0):
+        pts = self.params["base"].discretize(X, resolution, budget, seed)
         rng = np.random.default_rng(seed + 1)
         lifted = [Z + Position(X.space, np.abs(rng.normal(size=X.space.n))) for Z in pts[: budget // 4]]
-        return [Z for Z in pts + lifted if membership(X, Z)]
+        return [Z for Z in pts + lifted if self.membership(X, Z)]
 
-    return UncertaintyFamily(
-        name=f"solidified({family.name})",
-        params={"base": family, "eps": family.eps},
-        membership=membership,
-        discretize=discretize,
-    )
+
+def solidify(family: UncertaintyFamily) -> UncertaintyFamily:
+    """Upward closure: membership'(X, Z) iff Z - K is a member for some K >= 0."""
+    if isinstance(family, _LevelUpperSet):
+        return family
+    return _Solidified(name=f"solidified({family.name})", params={"base": family, "eps": family.eps})

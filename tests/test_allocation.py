@@ -121,6 +121,12 @@ def test_subadditive_allocation_hypothesis_failures(pair, grid):
     fam = rr.level_upper_set(rr.entropic(1.0), 0.5)
     v = check_subadditive_allocation(rule, fam, Y, [Y, Y], seed=5)
     assert v.tag == "unknown"
+    # parts that miss the aggregate by 1e-4, far beyond the absolute 1e-9,
+    # fail the sum test even where a relative tolerance would pass them
+    Y = Position(pair, [10.0, 20.0])
+    v = check_subadditive_allocation(rule, rr.sup_norm_ball(0.4), Y, [0.5 * Y, 0.5 * Y + 1e-4], seed=5)
+    assert v.tag == "unknown"
+    assert "do not sum" in v.note
     with pytest.raises(ValueError):
         check_subadditive_allocation(rule, fam, Y, [], seed=5)
 

@@ -264,6 +264,19 @@ def test_bad_config_exits_2(tmp_path, scenario_file, capsys, config, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, message", [
+    ({"space": {"probs": [True]}}, "space.probs"),
+    (dict(SCENARIO, positions={"X": [True, -0.5]}), "positions.X"),
+    (dict(SCENARIO, positions={"X": False}), "positions.X"),
+    (dict(SCENARIO, measures={"Q": {"density": [False, 2.0]}}), "measures.Q"),
+], ids=["probs", "position", "position-scalar", "density"])
+def test_bool_scenario_values_exit_2(tmp_path, config_file, capsys, scenario, message):
+    """JSON true/false in a scenario is an input error, not the number 1 or 0."""
+    path = _write(tmp_path, "bools.json", scenario)
+    assert main(["robustify", "--scenario", path, "--config", config_file]) == 2
+    assert f"{message}: expected numbers, not true/false" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["dual-check", "--verifier", "robust_dual"], ["allocate"]])
 def test_uncovered_measure_exits_2(tmp_path, scenario_file, capsys, argv):
     """A verifier or allocation rule that does not cover the measure is an

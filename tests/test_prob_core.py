@@ -43,6 +43,17 @@ def test_position_arithmetic(uniform4):
     assert np.allclose((-X).values, -X.values)
 
 
+def test_operands_on_different_spaces_rejected():
+    """Spaces whose masses differ by 4e-6 are different spaces: the mass
+    comparison has an absolute tolerance only, no relative one."""
+    X = Position(ProbSpace([0.5, 0.5]), [1.0, 2.0])
+    Y = Position(ProbSpace([0.500004, 0.499996]), [1.0, 2.0])
+    assert (X + Position(ProbSpace([0.5, 0.5]), [1.0, 1.0])).values.tolist() == [2.0, 3.0]
+    for mix in (lambda: X + Y, lambda: X - Y, lambda: expectation_under(ScenarioMeasure.reference(Y.space), X)):
+        with pytest.raises(ValueError, match="different probability spaces"):
+            mix()
+
+
 def test_scenario_measure_normalization(skewed3):
     Q = ScenarioMeasure(skewed3, [1.0, 1.0, 1.0])
     assert expectation_under(Q, Position(skewed3, [1.0, 1.0, 1.0])) == pytest.approx(1.0)
