@@ -48,6 +48,26 @@ def _bisect(below, lo: float, hi: float, steps: int, rtol: float = 0.0):
     return lo, hi
 
 
+def _bisect_array(below, lo: float, hi: float, steps: int, fan: int):
+    """The search of ``_bisect`` with fan - 1 points tested per round, for a
+    predicate that holds on an initial part of [lo, hi]. ``below`` maps an
+    array of points to an array of bools. Each round keeps the cell where the
+    predicate first fails, so lo only moves to points where it holds. Stops
+    once hi - lo is 2**-steps of its start, or when lo and hi stop moving.
+    Returns the final (lo, hi)."""
+    width = (hi - lo) * 0.5**steps
+    frac = np.arange(1, fan) / fan
+    while hi - lo > width:
+        s = lo + (hi - lo) * frac
+        fails = ~np.asarray(below(s), dtype=bool)
+        j = int(fails.argmax()) if fails.any() else fan - 1
+        cell = (float(s[j - 1]) if j > 0 else lo, float(s[j]) if j < fan - 1 else hi)
+        if cell == (lo, hi):
+            break
+        lo, hi = cell
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class ProbSpace:
     """Finite outcome space with a strictly positive reference measure P."""

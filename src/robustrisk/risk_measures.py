@@ -353,7 +353,10 @@ def _exp_q(x: np.ndarray, q: float) -> np.ndarray:
 
 
 class _QEntropic(_Kind):
-    pass
+    def _batch(self, pts, space):
+        q = self.params["q"]
+        y = _exp_q(np.maximum(-(pts + self.params["beta"]), 0.0), q) @ space.probs
+        return (y ** (1.0 - q) - 1.0) / (1.0 - q)
 
 
 def q_entropic(q: float, beta: float) -> RiskFunctional:

@@ -145,6 +145,11 @@ def robust_value(
     if rv is not None:
         if extras:
             v, w = _best(rho, [rv.witness, *extras])
+            if rv.exact and v > rv.value + _TOL:
+                raise RuntimeError(
+                    f"{rv.solver} value {rv.value!r} labelled exact for {rho.name} over {family.name} "
+                    f"is beaten by a member by {v - rv.value!r}"
+                )
             if v > rv.value + 1e-12:
                 return RobustValue(v, w, rv.solver, rv.guarantee)
         return rv

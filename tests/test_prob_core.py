@@ -18,6 +18,7 @@ from robustrisk import (
     same_distribution,
     wasserstein_distance,
 )
+from robustrisk.prob_core import _bisect, _bisect_array
 
 from conftest import random_pos
 
@@ -157,3 +158,16 @@ def test_same_distribution_tolerance(uniform4):
     Y = Position(uniform4, [1.0 + 1e-14, 4.0, 3.0, 2.0])
     assert same_distribution(X, Y, tol=1e-9)
     assert not same_distribution(X, X + 0.5)
+
+
+@pytest.mark.parametrize("fan", [2, 3, 16, 64])
+def test_array_bisection_brackets_the_scalar_boundary(fan, rng):
+    """On a monotone step predicate s < t the k-ary search ends where
+    bisection does, within 2 ulps, and moves lo only to passing points."""
+    for hi in (1.0, 0.3, 8.0):
+        for t in [0.0, 0.5 * hi, hi, *rng.uniform(0.0, hi, 20)]:
+            lo_s, _ = _bisect(lambda s: s < t, 0.0, hi, 60)
+            lo_a, hi_a = _bisect_array(lambda s: s < t, 0.0, hi, 60, fan)
+            assert lo_a <= t <= hi_a
+            assert lo_a < t or lo_a == 0.0
+            assert abs(lo_a - lo_s) <= 2 * np.spacing(t)

@@ -116,6 +116,25 @@ def test_extra_candidates_anchor(uniform4):
     assert cheat.value <= base.value + 1e-12 or fam.membership(X, X - 100.0) is False
 
 
+def test_exact_label_cannot_be_beaten(skewed3):
+    """A member that beats a value labelled exact by more than the tolerance
+    disproves the label: robust_value raises instead of keeping it."""
+
+    class Overclaiming(rr.uncertainty._NormBall):
+        def _worst_case(self, rho, X):
+            return rho(X), X, "exact"
+
+    fam = Overclaiming(name="overclaiming_ball", params={"p": 2.0, "eps": 0.3})
+    rho = rr.entropic(1.0)
+    X = Position(skewed3, [0.4, -0.2, 0.1])
+    beaten = r"analytic .* entropic\(gamma=1.0\) over overclaiming_ball is beaten by a member by 0\."
+    with pytest.raises(RuntimeError, match=beaten):
+        robust_value(rho, fam, X, extra_candidates=[X - 0.3])
+    # within the tolerance the better member is kept under the same label
+    rv = robust_value(rho, fam, X, extra_candidates=[X - 1e-10])
+    assert rv.exact and rv.value == rho(X - 1e-10)
+
+
 def test_preservation_monotone_sup_ball(uniform4):
     v = verify_preservation(rr.entropic(1.0), rr.sup_norm_ball(0.3), "monotone",
                             trials=25, seed=2, space=uniform4)

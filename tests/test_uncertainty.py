@@ -21,6 +21,8 @@ from robustrisk import (
     solidify,
     transport_member,
 )
+from robustrisk.prob_core import _bisect
+from robustrisk.uncertainty import _boundary_step
 
 from conftest import random_pos
 
@@ -447,3 +449,70 @@ def test_hand_built_family(skewed3):
     base, members = fam.discretize(X, 0.25, 16, 2), sol.discretize(X, 0.25, 16, 2)
     assert _key(members[: len(base)]) == _key(base)
     assert all(sol.membership(X, Z) for Z in members)
+
+
+def _entropic_clone() -> rr.RiskFunctional:
+    """entropic(1) built by hand: the same flags, no closed forms, so its
+    rows are evaluated one by one."""
+
+    def evaluate(X):
+        z = -X.values
+        return float(z.max() + math.log(np.dot(X.space.probs, np.exp(z - z.max()))))
+
+    return rr.RiskFunctional("entropic_clone", evaluate, rr.entropic(1.0).flags)
+
+
+def _bracket_and_bisect(rho1, Z, target):
+    """The level boundary step by bracket growth and bisection only."""
+    if rho1(Z) >= target:
+        return 0.0
+    hi = 1.0
+    while rho1(Z - hi) < target:
+        hi *= 2.0
+    return _bisect(lambda k: rho1(Z - k) < target, 0.0, hi, 200, 1e-13)[1]
+
+
+@pytest.mark.parametrize("rho1", [rr.entropic(1.0), rr.expected_shortfall(0.3), rr.worst_case(),
+                                  rr.neg_expectation(), rr.q_entropic(0.5, 2.0)], ids=lambda r: r.name)
+def test_boundary_step_matches_bisection(rho1, skewed3, rng):
+    """A cash-additive base steps to the level in closed form, where
+    bisection lands; q_entropic is not cash additive and still bisects."""
+    for _ in range(20):
+        Z = random_pos(skewed3, rng)
+        target = rho1(Z) + float(rng.uniform(-1.0, 3.0))
+        k = _boundary_step(rho1, Z, target)
+        assert k == pytest.approx(_bracket_and_bisect(rho1, Z, target), abs=1e-12)
+        assert k == 0.0 if rho1(Z) >= target else rho1(Z - k) == pytest.approx(target, abs=1e-12)
+
+
+LEVEL_BASES = {"entropic": rr.entropic(1.0), "es": rr.expected_shortfall(0.3),
+               "q_entropic": rr.q_entropic(0.5, 2.0), "entropic_clone": _entropic_clone()}
+
+
+@pytest.mark.parametrize("kind", ["level_upper_set", "level_band"])
+@pytest.mark.parametrize("base", LEVEL_BASES)
+def test_level_candidates_are_members(base, kind):
+    """Every candidate is a member, and as many candidates are members as
+    when each ray was bisected (the counts below), whether the base is
+    vectorized or not."""
+    make = getattr(rr, kind)
+    for space, x in ((rr.ProbSpace([0.5, 0.3, 0.2]), [0.4, -0.2, 0.1]),
+                     (rr.ProbSpace([0.25] * 4), [1.0, -1.0, 0.5, 0.0])):
+        X = Position(space, x)
+        for eps in (0.25, 1.0):
+            fam = make(LEVEL_BASES[base], eps)
+            # the band drops the two highest upward shifts of X unless rho1
+            # stays flat there
+            expected = 22 if kind == "level_band" and eps == 0.25 and base != "q_entropic" else 24
+            for seed in range(3):
+                members = fam.discretize(X, 0.25, 24, seed)
+                assert all(fam.membership(X, Z) for Z in members)
+                assert len(members) == expected
+
+
+def test_solidified_family_is_certified_solid(skewed3):
+    """An upward closure is solid by definition, whatever test its predicate
+    runs; the scan fallback of a hand-built base used to yield a
+    counterexample here."""
+    v = check_property(solidify(_hand_built_l1_ball(0.3)), "solid", skewed3, trials=20, seed=4)
+    assert v.tag == "certified_holds"
