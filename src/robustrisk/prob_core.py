@@ -49,19 +49,28 @@ def _bisect(below, lo: float, hi: float, steps: int, rtol: float = 0.0):
 
 
 def _bisect_array(below, lo: float, hi: float, steps: int, fan: int):
-    """The search of ``_bisect`` with fan - 1 points tested per round, for a
-    predicate that holds on an initial part of [lo, hi]. ``below`` maps an
-    array of points to an array of bools. Each round keeps the cell where the
-    predicate first fails, so lo only moves to points where it holds. Stops
-    once hi - lo is 2**-steps of its start, or when lo and hi stop moving.
-    Returns the final (lo, hi)."""
+    """The search of ``_bisect`` with fan - 1 points tested per round. Each
+    round tests the grid that splits [lo, hi] into fan cells in one call of
+    ``below``, which maps an array of points to an array of bools, then
+    bisects the grid on the results. For a power of two fan, these are the
+    log2(fan) halvings ``_bisect`` takes. So lo only moves to points where
+    the predicate holds, and where it holds on an initial part of [lo, hi]
+    each round keeps the cell where it first fails. Stops once hi - lo is
+    2**-steps of its start, or when lo and hi stop moving. Returns the final
+    (lo, hi)."""
     width = (hi - lo) * 0.5**steps
     frac = np.arange(1, fan) / fan
     while hi - lo > width:
         s = lo + (hi - lo) * frac
-        fails = ~np.asarray(below(s), dtype=bool)
-        j = int(fails.argmax()) if fails.any() else fan - 1
-        cell = (float(s[j - 1]) if j > 0 else lo, float(s[j]) if j < fan - 1 else hi)
+        holds = np.asarray(below(s), dtype=bool)
+        a, b = 0, fan  # the cell [lo, hi] on the grid lo, s[0], ..., s[fan - 2], hi
+        while b - a > 1:
+            mid = (a + b) // 2
+            if holds[mid - 1]:
+                a = mid
+            else:
+                b = mid
+        cell = (float(s[a - 1]) if a > 0 else lo, float(s[b - 1]) if b < fan else hi)
         if cell == (lo, hi):
             break
         lo, hi = cell
@@ -247,6 +256,33 @@ def wasserstein_distance(X: Position, Y: Position, p: float = 1.0) -> float:
         raise ValueError("Wasserstein order p must be >= 1")
     widths, ax, ay = _merged_quantile_gaps(quantile_function(X), quantile_function(Y))
     return _quantile_norm(widths, np.abs(ax - ay), p)
+
+
+def _wasserstein_rows(qx: QuantileSteps, rows: np.ndarray, probs: np.ndarray, p: float) -> np.ndarray:
+    """``wasserstein_distance`` from the law with quantile function ``qx`` to
+    each row of the (m, n) array ``rows``, a position on atoms of masses
+    ``probs``. Per row, the breakpoints of qx are merged with the row's own,
+    and the L^p norm of the quantile gap is taken on them (the essential sup
+    for p = inf)."""
+    (m, n), k = rows.shape, qx.cum.size
+    order = np.argsort(rows, axis=1, kind="stable")
+    vals = np.take_along_axis(rows, order, axis=1)
+    cum = np.cumsum(probs[order], axis=1)
+    cum[:, -1] = 1.0
+    both = np.concatenate((np.broadcast_to(qx.cum, (m, k)), cum), axis=1)
+    pos = np.argsort(both, axis=1, kind="stable")
+    merged = np.take_along_axis(both, pos, axis=1)
+    # on each merged interval, the index of either step: the count of its
+    # breakpoints that come before (qx's first among equal breakpoints)
+    from_row = pos >= k
+    seen = np.cumsum(from_row, axis=1)
+    iy = np.minimum(seen - from_row, n - 1)
+    ix = np.minimum(np.arange(k + n) - seen + from_row, k - 1)
+    widths = np.diff(merged, axis=1, prepend=0.0)
+    gap = np.abs(qx.values[ix] - np.take_along_axis(vals, iy, axis=1))
+    if math.isinf(p):
+        return np.where(widths > 0, gap, 0.0).max(axis=1)
+    return (widths * gap**p).sum(axis=1) ** (1.0 / p)
 
 
 def rearranged_expectation(Q: ScenarioMeasure, Y: Position) -> float:

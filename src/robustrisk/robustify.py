@@ -63,23 +63,42 @@ def _lex_smaller(a: Position, b: Position) -> bool:
 
 
 def _best(rho: RiskFunctional, candidates: Sequence[Position]):
-    """Max of rho over candidates with deterministic lexicographic tie-break."""
-    best_v, best_z = -math.inf, None
+    """Max of rho over candidates with deterministic lexicographic tie-break,
+    and the values of rho computed on the way: all of them unless one is +inf,
+    where the scan stops."""
+    best_v, best_z, values = -math.inf, None, []
     for Z in candidates:
         v = rho(Z)
+        values.append(v)
         if v == math.inf:
-            return math.inf, Z
+            return math.inf, Z, values
         if v > best_v + 1e-12 or (abs(v - best_v) <= 1e-12 and (best_z is None or _lex_smaller(Z, best_z))):
             best_v, best_z = v, Z
-    return best_v, best_z
+    return best_v, best_z, values
 
 
-def _project(family: UncertaintyFamily, X: Position, Z: Position) -> Optional[Position]:
-    """Pull Z back into U_X along the segment toward X (sets are X-star-shaped here)."""
+def _project(family: UncertaintyFamily, X: Position, Z: Position, x_member: bool) -> Optional[Position]:
+    """A member of U_X on the segment from X to Z, or None; ``x_member`` says
+    whether X is in U_X.
+
+    Z itself when it is a member. Otherwise, if X is a member, the point where
+    the segment leaves U_X by the kind's closed form or array search
+    (``family._pullback``), or else by a scalar bisection on membership. The
+    array searches take the halvings of that bisection, so neither needs more
+    than membership at X, and both move only to points where it held. On a
+    set that is not X-star-shaped, such as a level band, that exit need not
+    be the first. The kind's point is confirmed by ``family.membership``, and
+    the scalar bisection runs when that fails.
+    """
     if family.membership(X, Z):
         return Z
-    if not family.membership(X, X):
+    if not x_member:
         return None
+    t = family._pullback(X, Z)
+    if t is not None:
+        W = Position(X.space, X.values + t * (Z.values - X.values))
+        if family.membership(X, W):
+            return W
     lo, _ = _bisect(lambda t: family.membership(X, X + t * (Z - X)), 0.0, 1.0, 60)
     return X + lo * (Z - X)
 
@@ -89,23 +108,27 @@ def _ascend(
     family: UncertaintyFamily,
     X: Position,
     start: Position,
+    start_value: float,
     rng: np.random.Generator,
     max_iter: int = 500,
-) -> Position:
-    Z, best = start, rho(start)
+) -> tuple:
+    """Random-direction ascent of rho from ``start`` (where rho is
+    ``start_value``) over U_X; returns the last point and its value."""
+    Z, best = start, start_value
+    x_member = family.membership(X, X)
     step = 1.0
     it = 0
     while step > 1e-7 and it < max_iter:
         it += 1
         D = rng.normal(size=X.space.n)
-        cand = _project(family, X, Position(X.space, Z.values + step * D))
+        cand = _project(family, X, Position(X.space, Z.values + step * D), x_member)
         if cand is not None:
             v = rho(cand)
             if v > best + 1e-12:
                 Z, best = cand, v
                 continue
         step *= 0.5
-    return Z
+    return Z, best
 
 
 def robust_value(
@@ -139,12 +162,12 @@ def robust_value(
     if rv is None and solver in ("auto", "vertex_enum"):
         verts = family._vertices(X) if rho.flags.convex else None
         if verts is not None:
-            rv = RobustValue(*_best(rho, verts), "vertex_enum", "exact")
+            rv = RobustValue(*_best(rho, verts)[:2], "vertex_enum", "exact")
         elif solver == "vertex_enum":
             raise ValueError(f"vertex enumeration not applicable to {rho.name} over {family.name}")
     if rv is not None:
         if extras:
-            v, w = _best(rho, [rv.witness, *extras])
+            v, w, _ = _best(rho, [rv.witness, *extras])
             if rv.exact and v > rv.value + _TOL:
                 raise RuntimeError(
                     f"{rv.solver} value {rv.value!r} labelled exact for {rho.name} over {family.name} "
@@ -155,17 +178,17 @@ def robust_value(
         return rv
 
     candidates = [X, *family.discretize(X, resolution, budget, seed), *extras]
-    v, w = _best(rho, candidates)
+    v, w, values = _best(rho, candidates)
     if solver == "projected_ascent" or (solver == "auto" and restarts > 0 and v < math.inf):
         rng = np.random.default_rng(seed + 101)
         n_restarts = 32 if solver == "projected_ascent" else restarts
-        order = np.argsort([-rho(c) for c in candidates])
-        starts = [candidates[i] for i in order[: max(1, n_restarts // 4)]]
+        starts = list(np.argsort([-u for u in values])[: max(1, n_restarts // 4)])
         while len(starts) < n_restarts:
-            starts.append(candidates[int(rng.integers(len(candidates)))])
-        for s in starts:
-            cand = _ascend(rho, family, X, s, rng)
-            cv = rho(cand)
+            starts.append(int(rng.integers(len(candidates))))
+        for i in starts:
+            if v == math.inf:
+                break  # nothing beats it, and values stop at it
+            cand, cv = _ascend(rho, family, X, candidates[i], values[i], rng)
             if cv > v + 1e-12:
                 v, w = cv, cand
         return RobustValue(v, w, f"projected_ascent({n_restarts})", "lower_bound")

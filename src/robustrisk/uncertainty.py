@@ -38,6 +38,7 @@ from .prob_core import (
     _bisect_array,
     _merged_quantile_gaps,
     _quantile_norm,
+    _wasserstein_rows,
 )
 from .risk_measures import RiskFunctional
 
@@ -209,6 +210,24 @@ class UncertaintyFamily:
         """Distance-style violation margin of Z relative to U_X."""
         return None
 
+    def _pullback(self, X: Position, Z: Position) -> Optional[float]:
+        """For a member X and a non-member Z, a t in [0, 1] where the segment
+        X + t (Z - X) leaves U_X, in closed form or by an array search; None
+        sends the caller to a scalar bisection on membership."""
+        return None
+
+    def _decided(self, X: Position, Z: Position) -> Optional[bool]:
+        """Membership of Z in U_X, or None where the predicate's False is no decision."""
+        return self.membership(X, Z)
+
+
+def _segment_search(X: Position, Z: Position, inside) -> float:
+    """The t in [0, 1] where ``_bisect`` on ``inside`` along the segment
+    X + t (Z - X) ends, found 63 points per call of ``inside``, which maps an
+    array of points (one per row) to an array of bools."""
+    D = Z.values - X.values
+    return _bisect_array(lambda s: inside(X.values + s[:, None] * D), 0.0, 1.0, 60, 64)[0]
+
 
 def random_position(space: ProbSpace, rng: np.random.Generator, scale: float = 2.0) -> Position:
     return Position(space, rng.normal(0.0, scale, size=space.n))
@@ -355,6 +374,10 @@ class _NormBall(_Ball):
     def _transport(self, src, dst, Z):
         return Z + (dst - src)
 
+    def _pullback(self, X, Z):
+        # ||t (Z - X)|| = t ||Z - X||: homogeneity puts the boundary at eps / ||Z - X||
+        return min(1.0, self.eps / self._dist(X, Z))
+
     def _rule(self, prop, space):
         eps = self.eps
         if prop == "convex":
@@ -466,6 +489,10 @@ class _WassersteinBall(_Ball):
         vals[order_z] = Z.values[order_z] + (np.sort(dst.values) - np.sort(src.values))
         return Position(Z.space, vals)
 
+    def _pullback(self, X, Z):
+        qx = quantile_function(X)
+        return _segment_search(X, Z, lambda rows: _wasserstein_rows(qx, rows, X.space.probs, self.p) <= self.eps)
+
     def _rule(self, prop, space):
         eps = self.eps
         if prop == "convex":
@@ -521,6 +548,11 @@ def _require_level_flags(rho1: RiskFunctional):
         )
 
 
+def _vectorized(rho1: RiskFunctional) -> bool:
+    """Whether rho1's kind evaluates a batch of rows in one array expression."""
+    return type(rho1)._batch is not RiskFunctional._batch
+
+
 def _boundary_step(rho1: RiskFunctional, Z: Position, target: float) -> float:
     """Smallest k >= 0 with rho1(Z - k) ~= target.
 
@@ -563,7 +595,7 @@ class _LevelFamily(UncertaintyFamily):
         # X inside, so rho1 < level holds on an initial segment of each ray.
         # A measure with a vectorized _batch tests 63 points of it per call;
         # one evaluated row by row gains nothing from that and bisects.
-        vectorized = type(rho1)._batch is not RiskFunctional._batch
+        vectorized = _vectorized(rho1)
         while len(pts) < budget:
             D = Position(X.space, rng.normal(size=X.space.n))
             s_hi = 1.0
@@ -608,6 +640,13 @@ class _LevelFamily(UncertaintyFamily):
     def _transport(self, src, dst, Z):
         return cone_witness(self, dst, Z)
 
+    def _pullback(self, X, Z):
+        rho1 = self.rho1
+        if not _vectorized(rho1):
+            return None  # a row loop tests 63 points where bisection tests one
+        r0 = rho1(X)
+        return _segment_search(X, Z, lambda rows: self._within(rho1._batch(rows, X.space), r0))
+
     def _rule(self, prop, space):
         rho1 = self.rho1
         if prop == "c_quasi_convex":
@@ -624,6 +663,9 @@ class _LevelUpperSet(_LevelFamily):
 
     def _member(self, X, Z):
         return self.rho1(Z) <= self.rho1(X) + self.eps + MEMBER_TOL
+
+    def _within(self, r, r0):
+        return r <= r0 + self.eps
 
     def _plus_cone(self, X, Z):
         return self._member(X, Z)  # the set is solid: U_X + L^p_+ = U_X
@@ -653,6 +695,9 @@ class _LevelBand(_LevelFamily):
 
     def _member(self, X, Z):
         return abs(self.rho1(Z) - self.rho1(X)) <= self.eps + MEMBER_TOL
+
+    def _within(self, r, r0):
+        return np.abs(r - r0) <= self.eps
 
     def _plus_cone(self, X, Z):
         rho1, eps = self.rho1, self.eps
@@ -772,31 +817,36 @@ def _fails(decided: Optional[bool]) -> Optional[bool]:
     return None if decided is None else not decided
 
 
+def _differ(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
+    return None if a is None or b is None else a != b
+
+
 def _violation(family: UncertaintyFamily, prop: str, w: dict) -> Optional[bool]:
     """Whether the witness w violates the property, with the property's full
     hypothesis tested (last, as it rarely settles a sampled candidate); None
-    when the family has no decision procedure."""
-    m = family.membership
+    when the family has no decision procedure. A violation that needs a
+    non-membership rests on ``_decided``, where a False may be undecided."""
+    m, d = family.membership, family._decided
     if prop == "monotone":
-        return _leq(w["X"], w["Y"]) and not m(w["X"], w["Z"]) and m(w["Y"], w["Z"])
+        return _leq(w["X"], w["Y"]) and _fails(d(w["X"], w["Z"])) and m(w["Y"], w["Z"])
     if prop == "order_preserving":
         return _leq(w["X"], w["Y"]) and _fails(member_below(family, w["X"], w["Yp"])) and m(w["Y"], w["Yp"])
     if prop == "solid":
-        return _leq(w["Z"], w["Zbar"]) and not m(w["X"], w["Zbar"]) and m(w["X"], w["Z"])
+        return _leq(w["Z"], w["Zbar"]) and _fails(d(w["X"], w["Zbar"])) and m(w["X"], w["Z"])
     if prop in ("convex", "quasi_convex", "c_quasi_convex"):
         X, Y, lam, Z = w["X"], w["Y"], w["lam"], w["Z"]
         if prop == "convex":
             outside = _fails(member_minkowski(family, X, Y, lam, Z))
         elif prop == "quasi_convex":
-            outside = not m(X, Z) and not m(Y, Z)
+            outside = _fails(d(X, Z)) and _fails(d(Y, Z))
         else:
             inside = [member_plus_cone(family, V, Z) for V in (X, Y)]
             outside = None if None in inside else not any(inside)
         return outside and m(lam * X + (1.0 - lam) * Y, Z)
     if prop == "law_invariant":
-        return m(w["X"], w["Z"]) != m(w["Xp"], w["Z"]) and same_distribution(w["X"], w["Xp"])
+        return _differ(d(w["X"], w["Z"]), d(w["Xp"], w["Z"])) and same_distribution(w["X"], w["Xp"])
     if prop == "cash_invariant":
-        return m(w["X"] + w["c"], w["Z"] + w["c"]) != m(w["X"], w["Z"])
+        return _differ(d(w["X"] + w["c"], w["Z"] + w["c"]), d(w["X"], w["Z"]))
     if prop == "continuous_from_above":
         # finite decreasing chain X_n = X + 2^-n * Delta; a member of U_X must
         # eventually enter U_{X_n}
@@ -987,6 +1037,12 @@ class _Solidified(UncertaintyFamily):
             if family.membership(X, Z - float(k)):
                 return True
         return False
+
+    def _decided(self, X, Z):
+        if self.membership(X, Z):
+            return True
+        # the scan tries constant shifts only: its False is no decision
+        return None if member_plus_cone(self.params["base"], X, Z) is None else False
 
     def _discretize(self, X, resolution, budget, seed=0):
         pts = self.params["base"].discretize(X, resolution, budget, seed)

@@ -18,7 +18,7 @@ from robustrisk import (
     same_distribution,
     wasserstein_distance,
 )
-from robustrisk.prob_core import _bisect, _bisect_array
+from robustrisk.prob_core import _bisect, _bisect_array, _wasserstein_rows
 
 from conftest import random_pos
 
@@ -171,3 +171,35 @@ def test_array_bisection_brackets_the_scalar_boundary(fan, rng):
             assert lo_a <= t <= hi_a
             assert lo_a < t or lo_a == 0.0
             assert abs(lo_a - lo_s) <= 2 * np.spacing(t)
+
+
+@pytest.mark.parametrize("fan", [2, 4, 64])
+def test_array_bisection_takes_the_scalar_halvings(fan):
+    """Where the predicate holds on more than an initial part, the search
+    still ends where bisection does: past the gap that starts at 0.2."""
+    def below(s):
+        return (s < 0.2) | ((s > 0.45) & (s < 0.7))
+
+    lo_s, hi_s = _bisect(below, 0.0, 1.0, 60)
+    lo_a, hi_a = _bisect_array(below, 0.0, 1.0, 60, fan)
+    assert lo_s == pytest.approx(0.7, abs=1e-15)
+    assert (lo_a, hi_a) == (lo_s, hi_s)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_wasserstein_rows_match_the_scalar_distance(p, rng):
+    """The batched W_p distance agrees row by row with wasserstein_distance,
+    on uniform and Dirichlet spaces, with tied values among the rows and X.
+    Ties are left out at p = inf: there the scalar sup also counts intervals
+    of width ~1e-16 between breakpoints that differ in their last bits."""
+    for probs in ([0.25] * 4, [0.5, 0.3, 0.2], rng.dirichlet(np.full(6, 4.0))):
+        space = ProbSpace(probs / np.sum(probs))
+        for tied in (False, True) if p < math.inf else (False,):
+            for _ in range(5):
+                X = random_pos(space, rng)
+                rows = X.values + rng.normal(size=(16, space.n))
+                if tied:
+                    X, rows = Position(space, np.round(X.values)), np.round(rows)
+                batch = _wasserstein_rows(quantile_function(X), rows, space.probs, p)
+                scalar = [wasserstein_distance(X, Position(space, row), p) for row in rows]
+                assert np.allclose(batch, scalar, rtol=0.0, atol=1e-12)

@@ -22,6 +22,7 @@ from robustrisk import (
     transport_member,
 )
 from robustrisk.prob_core import _bisect
+from robustrisk.robustify import _project
 from robustrisk.uncertainty import _boundary_step
 
 from conftest import random_pos
@@ -516,3 +517,80 @@ def test_solidified_family_is_certified_solid(skewed3):
     counterexample here."""
     v = check_property(solidify(_hand_built_l1_ball(0.3)), "solid", skewed3, trials=20, seed=4)
     assert v.tag == "certified_holds"
+
+
+@pytest.mark.parametrize("prop", ["monotone", "quasi_convex"])
+def test_solidify_scan_gives_no_artifact_counterexample(prop, skewed3):
+    """The scan of a hand-built base tries constant shifts only, so its False
+    is no decision: the sampled check used to return counterexamples that
+    replayed, with Z above X pointwise in the monotone one."""
+    fam = solidify(_hand_built_l1_ball(0.3))
+    v = check_property(fam, prop, skewed3, trials=20, seed=4)
+    assert v.tag == "sampled_no_counterexample" and 0 < v.trials < 20 and "undecided" in v.note
+
+
+# ---------------------------------------------------------------------------
+# projected ascent: pulling a point back into U_X along the segment from X
+
+PROJECTION_KINDS = {
+    **{k: KINDS[k] for k in ("sup", "p1", "p2", "w1", "level_upper_set", "level_band")},
+    "w2": lambda: rr.wasserstein_ball(2.0, 0.3),
+}
+
+
+def _segments(rng):
+    """(X, Z) pairs on a uniform and a Dirichlet space, every third pair with
+    tied values in X and Z."""
+    for space in (rr.ProbSpace([0.25] * 4), rr.ProbSpace([0.35, 0.3, 0.2, 0.15])):
+        for k in range(12):
+            X = random_pos(space, rng)
+            Z = X + Position(space, rng.normal(size=space.n))
+            if k % 3 == 0:
+                X, Z = Position(space, np.round(X.values)), Position(space, np.round(Z.values))
+            yield X, Z
+
+
+@pytest.mark.parametrize("kind", PROJECTION_KINDS)
+def test_projection_lands_on_the_bisection_boundary(kind, rng):
+    """Each kind pulls Z back by a closed form or an array search: the point
+    is a member, its t agrees with the scalar bisection on membership, and a
+    traced copy of the family projects to the same point."""
+    fam = PROJECTION_KINDS[kind]()
+    copy = _tracer().family(fam)
+    outside = 0
+    for X, Z in _segments(rng):
+        W = _project(fam, X, Z, True)
+        assert fam.membership(X, W)
+        assert np.array_equal(_project(copy, X, Z, True).values, W.values)
+        if fam.membership(X, Z):
+            assert W is Z
+            continue
+        outside += 1
+        lo, _ = _bisect(lambda t: fam.membership(X, X + t * (Z - X)), 0.0, 1.0, 60)
+        assert fam._pullback(X, Z) == pytest.approx(lo, abs=1e-9)
+    assert outside >= 8
+
+
+def test_projection_confirms_the_kind_point(skewed3, rng):
+    """A predicate replaced by a stricter one rejects the kind's point, and
+    the scalar bisection on the replaced predicate decides instead."""
+    fam = rr.p_norm_ball(2.0, 0.3)
+    strict = dataclasses.replace(fam, membership=lambda X, Z: fam._dist(X, Z) <= 0.15)
+    for _ in range(10):
+        X = random_pos(skewed3, rng)
+        Z = X + Position(skewed3, rng.normal(size=3))
+        W = _project(strict, X, Z, True)
+        assert strict.membership(X, W) and fam._dist(X, W) == pytest.approx(min(0.15, fam._dist(X, Z)), abs=1e-9)
+
+
+def test_hand_built_family_projects_by_scalar_bisection(skewed3, rng):
+    """A family built by hand has no kind search: the bisection on its
+    predicate gives the point, bit for bit."""
+    fam = _hand_built_l1_ball(0.3)
+    for _ in range(10):
+        X = random_pos(skewed3, rng)
+        Z = X + Position(skewed3, 2.0 * rng.normal(size=3))
+        assert fam._pullback(X, Z) is None
+        lo, _ = _bisect(lambda t: fam.membership(X, X + t * (Z - X)), 0.0, 1.0, 60)
+        assert np.array_equal(_project(fam, X, Z, True).values, (X + lo * (Z - X)).values)
+        assert _project(fam, X, Z, False) is None
