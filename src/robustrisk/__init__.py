@@ -43,8 +43,6 @@ from .uncertainty import (
     cone_witness,
     level_band,
     level_upper_set,
-    member_below,
-    member_plus_cone,
     minkowski_split,
     p_norm_ball,
     replay_witness,

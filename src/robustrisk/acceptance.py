@@ -26,14 +26,12 @@ def is_acceptable(rho: RiskFunctional, X: Position, m: float) -> bool:
     return rho(X) <= m
 
 
-def _level_by_bisection(holds, X: Position, bracket, unbounded: str) -> float:
-    """inf{m : holds(m)} for a test that holds at all large enough m: the
-    bracket (default: around the values of X) grows until it straddles the
-    level, then bisection to relative width 1e-12."""
-    if bracket is None:
-        r = float(np.max(np.abs(X.values))) + 10.0
-        bracket = (-r, r)
-    lo, hi = bracket
+def _level_by_bisection(holds, X: Position, unbounded: str) -> float:
+    """inf{m : holds(m)} for a test that holds at all large enough m: a
+    bracket around the values of X grows until it straddles the level, then
+    bisection to relative width 1e-12."""
+    hi = float(np.max(np.abs(X.values))) + 10.0
+    lo = -hi
     grow = 0
     while not holds(hi):
         lo, hi = hi, hi + 2.0 * (hi - lo)
@@ -48,9 +46,9 @@ def _level_by_bisection(holds, X: Position, bracket, unbounded: str) -> float:
     return _bisect(lambda m: not holds(m), lo, hi, 200, 1e-12)[1]
 
 
-def acceptance_level(rho: RiskFunctional, X: Position, bracket=None) -> float:
+def acceptance_level(rho: RiskFunctional, X: Position) -> float:
     """inf{m : X acceptable at m}; bisection, reproduces rho(X) within 1e-9."""
-    return _level_by_bisection(lambda m: is_acceptable(rho, X, m), X, bracket, "risk appears unbounded")
+    return _level_by_bisection(lambda m: is_acceptable(rho, X, m), X, "risk appears unbounded")
 
 
 def robust_acceptance_check(
@@ -81,25 +79,9 @@ def robust_level_by_sets(
     rho: RiskFunctional,
     family: UncertaintyFamily,
     X: Position,
-    bracket=None,
     solver: str = "auto",
-    cash_additive_form: bool = False,
     seed: int = 0,
 ) -> float:
-    """inf{m : U_X subset of the level-m acceptance set}, by bisection on m.
-
-    With ``cash_additive_form`` (requires cash-additive rho) the equivalent
-    shifted test inf{m : U_X + m subset of the level-0 set} is used.
-    """
-    if cash_additive_form and not rho.flags.cash_additive:
-        raise ValueError("the shifted-set form requires a cash-additive measure")
+    """inf{m : U_X subset of the level-m acceptance set}, by bisection on m."""
     rv = robust_value(rho, family, X, solver=solver, seed=seed)
-
-    def subset_at(m: float) -> bool:
-        if cash_additive_form:
-            # U_X + m inside the level-0 set iff sup rho(Z + m) <= 0,
-            # i.e. sup rho(Z) <= m by cash-additivity
-            return rv.value - m <= _TOL
-        return rv.value <= m + _TOL
-
-    return _level_by_bisection(subset_at, X, bracket, "robust level unbounded")
+    return _level_by_bisection(lambda m: rv.value <= m + _TOL, X, "robust level unbounded")

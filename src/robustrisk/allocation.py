@@ -15,6 +15,7 @@ from .robustify import robust_value
 from .uncertainty import (
     PropertyVerdict,
     UncertaintyFamily,
+    _require_count,
     counterexample,
     no_counterexample,
     random_position,
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 _GRID_TOL = 1e-6
+_COVERAGE_SAMPLES = 24  # candidate budget for the union-coverage hypothesis
 
 
 @dataclass(frozen=True)
@@ -101,18 +103,11 @@ def gradient_car(rho: RiskFunctional, grid: SimplexGrid, q: float = 2.0) -> Allo
     )
 
 
-def identity_gap(rule: AllocationRule, Y: Position) -> float:
-    """|Lambda(Y,Y) - rho(Y)|: the error of the CAR identity, rounding for a
-    measure with a closed-form dual scenario, else grid attainment."""
-    return abs(rule(Y, Y) - rule.base_rho(Y))
-
-
 def robust_car(
     rule: AllocationRule,
     family: UncertaintyFamily,
     X: Position,
     Y: Position,
-    solver: str = "auto",
     resolution: float = 0.1,
     budget: int = 64,
     seed: int = 0,
@@ -142,6 +137,7 @@ def check_no_undercut(
 ) -> PropertyVerdict:
     """Base no-undercut Lambda(X,Y) <= rho(X), then the robust version
     robust Lambda(X,Y) <= robust rho(X), sampled."""
+    _require_count(samples, "samples")
     if space is None:
         raise ValueError("a probability space is required")
     rng = np.random.default_rng(seed)
@@ -171,6 +167,7 @@ def check_sandwich(
     tol: float = _GRID_TOL,
 ) -> PropertyVerdict:
     """rho(Y) <= robust Lambda(Y,Y) <= robust rho(Y), sampled over Y."""
+    _require_count(samples, "samples")
     if space is None:
         raise ValueError("a probability space is required")
     rng = np.random.default_rng(seed)
@@ -193,7 +190,6 @@ def check_subadditive_allocation(
     family: UncertaintyFamily,
     Y: Position,
     parts: Sequence[Position],
-    member_samples: int = 24,
     seed: int = 0,
     tol: float = _GRID_TOL,
 ) -> PropertyVerdict:
@@ -213,7 +209,7 @@ def check_subadditive_allocation(
         return unknown("hypothesis failure: components do not sum to the aggregate")
 
     # (i) union coverage on sampled members of U_Y
-    for Z in family.discretize(Y, 0.25, member_samples, seed):
+    for Z in family.discretize(Y, 0.25, _COVERAGE_SAMPLES, seed):
         if not any(family.membership(Yi, Z) for Yi in parts):
             return unknown("hypothesis failure: a sampled member of U_Y is outside every component set")
 

@@ -28,6 +28,7 @@ from .uncertainty import (
     PropertyVerdict,
     UncertaintyFamily,
     _conjugate_order,
+    _require_count,
     counterexample,
     no_counterexample,
 )
@@ -52,6 +53,8 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # simplex grids
+
+_RANDOM_GRID_POINTS = 300  # Dirichlet draws on a space of more than 3 atoms
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,7 @@ def _compositions(total: int, parts: int):
             yield (head, *rest)
 
 
-def simplex_grid(
-    space: ProbSpace, step: float = 0.01, max_random: int = 300, seed: int = 0
-) -> SimplexGrid:
+def simplex_grid(space: ProbSpace, step: float = 0.01, seed: int = 0) -> SimplexGrid:
     """Uniform lattice of probability vectors at the given step (n <= 3), plus
     vertices and the reference measure; Dirichlet sample for larger n."""
     if not 0 < step <= 1:
@@ -106,7 +107,7 @@ def simplex_grid(
             add(np.array(comp, dtype=float) / M)
     else:
         rng = np.random.default_rng(seed)
-        for _ in range(max_random):
+        for _ in range(_RANDOM_GRID_POINTS):
             add(rng.dirichlet(np.ones(n)))
     return SimplexGrid(space=space, step=step, points=tuple(seen.values()))
 
@@ -225,8 +226,6 @@ def penalty_type(
     step: float = 0.4,
     anchors: Sequence[Position] = (),
     loss: Optional[LossFunction] = None,
-    penalty_bound: float = 20.0,
-    penalty_step: float = 0.1,
 ) -> PenaltySurface:
     """Build the penalty-type functional R_rho as a reusable surface."""
     if kind == "cash_additive":
@@ -234,7 +233,7 @@ def penalty_type(
             raise ValueError(f"{rho.name} is not flagged cash-additive")
 
         def evaluator(t: float, Q: ScenarioMeasure) -> float:
-            return t - minimal_penalty(rho, Q, penalty_bound, penalty_step)
+            return t - minimal_penalty(rho, Q)
 
         return PenaltySurface(evaluator, "cash_additive", {"rho": rho})
     if kind == "loss":
@@ -493,6 +492,7 @@ def non_expansivity_check(
     tol: float = 1e-6,
 ) -> PropertyVerdict:
     """|R(t,Q) - R(t',Q)| <= |t - t'| + tol and R increasing in t, sampled."""
+    _require_count(samples, "samples")
     rng = np.random.default_rng(seed)
     pts = list(grid)
     for k in range(samples):

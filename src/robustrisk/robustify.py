@@ -22,6 +22,7 @@ from .risk_measures import RiskFunctional
 from .uncertainty import (
     PropertyVerdict,
     UncertaintyFamily,
+    _require_count,
     check_property,
     cone_witness,
     counterexample,
@@ -276,6 +277,7 @@ def verify_preservation(
     continuous_from_above, law_invariant. Hypothesis failures are reported as
     Unknown with a note, never silently skipped.
     """
+    _require_count(trials)
     if space is None:
         raise ValueError("a probability space is required")
     rng = np.random.default_rng(seed)
@@ -383,6 +385,7 @@ def largest_family_properties(
 ) -> dict:
     """Verdicts for solidity, monotonicity and quasi-convexity of the largest
     family Z -> {rho(Z) <= robust value}."""
+    _require_count(trials)
     if space is None:
         raise ValueError("a probability space is required")
     rng = np.random.default_rng(seed)

@@ -55,9 +55,6 @@ __all__ = [
     "replay_witness",
     "solidify",
     "random_position",
-    "member_plus_cone",
-    "member_below",
-    "member_minkowski",
     "cone_witness",
     "minkowski_split",
     "transport_member",
@@ -115,6 +112,12 @@ def counterexample(witness: dict, note: str = "") -> PropertyVerdict:
 
 def unknown(note: str = "") -> PropertyVerdict:
     return PropertyVerdict("unknown", note=note)
+
+
+def _require_count(count: int, name: str = "trials") -> None:
+    """A sampled check with no trial would report an empty search as a pass."""
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +182,8 @@ class UncertaintyFamily:
         return None
 
     def _plus_cone(self, X: Position, Z: Position) -> Optional[bool]:
-        """Whether Z lies in U_X + L^p_+."""
-        return None
-
-    def _below(self, X: Position, Yp: Position) -> Optional[bool]:
-        """Whether some member of U_X lies pointwise below Yp."""
+        """Whether Z lies in U_X + L^p_+, i.e. some member of U_X lies
+        pointwise below Z; None when the kind has no exact decision."""
         return None
 
     def _minkowski(self, X: Position, Y: Position, lam: float, Z: Position) -> Optional[bool]:
@@ -268,9 +268,6 @@ class _Ball(UncertaintyFamily):
         """phi_Q(X) minus the (rearranged) Q-expectation of -X: eps times the
         dual norm of dQ/dP, which is 1 for p = inf."""
         return self.eps if math.isinf(self.p) else self.eps * density_norm(Q, _conjugate_order(self.p))
-
-    def _below(self, X, Yp):
-        return self._plus_cone(X, Yp)
 
     def _split(self, X, Y, lam, Z):
         D = Z - (lam * X + (1.0 - lam) * Y)
@@ -637,6 +634,12 @@ class _LevelFamily(UncertaintyFamily):
         # members satisfy E_Q[-Z] <= rho1(Z) + c(Q) <= rho1(X) + eps + c(Q)
         return rho1(X) + self.eps + c1
 
+    def _plus_cone(self, X, Z):
+        # k -> rho1(Z - k) rises continuously and without bound from rho1(Z),
+        # so some Z - k reaches the band or upper set iff rho1(Z) is at most
+        # its top rho1(X) + eps; an upper set is solid, so this is membership
+        return self.rho1(Z) <= self.rho1(X) + self.eps + MEMBER_TOL
+
     def _transport(self, src, dst, Z):
         return cone_witness(self, dst, Z)
 
@@ -667,15 +670,6 @@ class _LevelUpperSet(_LevelFamily):
     def _within(self, r, r0):
         return r <= r0 + self.eps
 
-    def _plus_cone(self, X, Z):
-        return self._member(X, Z)  # the set is solid: U_X + L^p_+ = U_X
-
-    def _below(self, X, Yp):
-        return self.membership(X, Yp)  # X' = Yp itself works by monotonicity
-
-    def _dominated(self, X, Z):
-        return Z - _boundary_step(self.rho1, Z, self.rho1(X))
-
     def _rule(self, prop, space):
         verdict = super()._rule(prop, space)
         if verdict is None and prop in ("solid", "monotone"):
@@ -698,17 +692,6 @@ class _LevelBand(_LevelFamily):
 
     def _within(self, r, r0):
         return np.abs(r - r0) <= self.eps
-
-    def _plus_cone(self, X, Z):
-        rho1, eps = self.rho1, self.eps
-        if rho1(Z) > rho1(X) + eps + MEMBER_TOL:
-            return False
-        # reachable values rho1(Z - k) sweep upward from rho1(Z); the band is hit
-        k = _boundary_step(rho1, Z, rho1(X) - eps)
-        return abs(rho1(Z - k) - rho1(X)) <= eps + 1e-9 or rho1(Z - k) <= rho1(X) + eps
-
-    def _below(self, X, Yp):
-        return self.rho1(Yp) <= self.rho1(X) + self.eps + MEMBER_TOL
 
     def _dominated(self, X, Z):
         return Z - _boundary_step(self.rho1, Z, self.rho1(X) - self.eps)
@@ -742,27 +725,7 @@ def level_upper_set(rho1: RiskFunctional, eps: float) -> UncertaintyFamily:
 
 
 # ---------------------------------------------------------------------------
-# exact per-instance deciders used by the checker
-
-
-def member_plus_cone(family: UncertaintyFamily, X: Position, Z: Position) -> Optional[bool]:
-    """Decide Z in U_X + L^p_+, i.e. whether some Z - K (K >= 0) is a member.
-
-    Returns None when no exact decision procedure exists for the family.
-    """
-    return family._plus_cone(X, Z)
-
-
-def member_below(family: UncertaintyFamily, X: Position, Yp: Position) -> Optional[bool]:
-    """Decide whether some member of U_X lies pointwise below Yp (order preservation)."""
-    return family._below(X, Yp)
-
-
-def member_minkowski(
-    family: UncertaintyFamily, X: Position, Y: Position, lam: float, Z: Position
-) -> Optional[bool]:
-    """Decide Z in lam*U_X + (1-lam)*U_Y; exact for translated norm balls."""
-    return family._minkowski(X, Y, lam, Z)
+# membership-verified witnesses from the kinds' closed forms
 
 
 def cone_witness(family: UncertaintyFamily, X: Position, Z: Position) -> Optional[Position]:
@@ -772,7 +735,7 @@ def cone_witness(family: UncertaintyFamily, X: Position, Z: Position) -> Optiona
     """
     if family.membership(X, Z):
         return Z
-    if member_plus_cone(family, X, Z) is not True:
+    if family._plus_cone(X, Z) is not True:
         return None
     W = family._dominated(X, Z)
     return W if W is not None and family.membership(X, W) else None
@@ -830,17 +793,17 @@ def _violation(family: UncertaintyFamily, prop: str, w: dict) -> Optional[bool]:
     if prop == "monotone":
         return _leq(w["X"], w["Y"]) and _fails(d(w["X"], w["Z"])) and m(w["Y"], w["Z"])
     if prop == "order_preserving":
-        return _leq(w["X"], w["Y"]) and _fails(member_below(family, w["X"], w["Yp"])) and m(w["Y"], w["Yp"])
+        return _leq(w["X"], w["Y"]) and _fails(family._plus_cone(w["X"], w["Yp"])) and m(w["Y"], w["Yp"])
     if prop == "solid":
         return _leq(w["Z"], w["Zbar"]) and _fails(d(w["X"], w["Zbar"])) and m(w["X"], w["Z"])
     if prop in ("convex", "quasi_convex", "c_quasi_convex"):
         X, Y, lam, Z = w["X"], w["Y"], w["lam"], w["Z"]
         if prop == "convex":
-            outside = _fails(member_minkowski(family, X, Y, lam, Z))
+            outside = _fails(family._minkowski(X, Y, lam, Z))
         elif prop == "quasi_convex":
             outside = _fails(d(X, Z)) and _fails(d(Y, Z))
         else:
-            inside = [member_plus_cone(family, V, Z) for V in (X, Y)]
+            inside = [family._plus_cone(V, Z) for V in (X, Y)]
             outside = None if None in inside else not any(inside)
         return outside and m(lam * X + (1.0 - lam) * Y, Z)
     if prop == "law_invariant":
@@ -1005,8 +968,7 @@ def check_property(
     """
     if prop not in FAMILY_PROPERTIES:
         raise ValueError(f"unknown family property {prop!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_count(trials)
     verdict = family._rule(prop, space)
     if verdict is not None:
         return verdict
@@ -1027,7 +989,7 @@ class _Solidified(UncertaintyFamily):
 
     def _member(self, X, Z):
         family = self.params["base"]
-        out = member_plus_cone(family, X, Z)
+        out = family._plus_cone(X, Z)
         if out is not None:
             return out
         # generic fallback: scalar downward scan
@@ -1042,7 +1004,7 @@ class _Solidified(UncertaintyFamily):
         if self.membership(X, Z):
             return True
         # the scan tries constant shifts only: its False is no decision
-        return None if member_plus_cone(self.params["base"], X, Z) is None else False
+        return None if self.params["base"]._plus_cone(X, Z) is None else False
 
     def _discretize(self, X, resolution, budget, seed=0):
         pts = self.params["base"].discretize(X, resolution, budget, seed)

@@ -21,3 +21,9 @@ def rng():
 
 def random_pos(space: ProbSpace, rng, scale: float = 2.0) -> Position:
     return Position(space, rng.normal(size=space.n) * scale)
+
+
+def identity_gap(rule, Y: Position) -> float:
+    """|Lambda(Y,Y) - rho(Y)|: the error of the CAR identity, rounding for a
+    measure with a closed-form dual scenario, else grid attainment."""
+    return abs(rule(Y, Y) - rule.base_rho(Y))

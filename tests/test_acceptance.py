@@ -24,6 +24,8 @@ from robustrisk import (
     verify_preservation,
 )
 
+from conftest import identity_gap
+
 SPACES = {
     2: ProbSpace([0.5, 0.5]),
     3: ProbSpace([1 / 3, 1 / 3, 1 / 3]),
@@ -259,8 +261,6 @@ def test_criterion_8_car_suite():
     rng = np.random.default_rng(8)
 
     rule = rr.gradient_car(rr.entropic(1.0), grid)
-    from robustrisk.allocation import identity_gap
-
     worst = 0.0
     for _ in range(500):
         Y = _rand(space, rng)

@@ -74,23 +74,6 @@ def test_robust_level_by_sets_matches_robust_value(uniform4, rng):
             assert lvl == pytest.approx(rv.value, abs=1e-8), fam.name
 
 
-def test_robust_level_cash_additive_form(uniform4, rng):
-    rho = rr.entropic(1.0)
-    fam = rr.sup_norm_ball(0.3)
-    for _ in range(10):
-        X = random_pos(uniform4, rng)
-        a = robust_level_by_sets(rho, fam, X)
-        b = robust_level_by_sets(rho, fam, X, cash_additive_form=True)
-        assert a == pytest.approx(b, abs=1e-8)
-
-
-def test_cash_additive_form_flag_gate(uniform4):
-    X = Position(uniform4, [0.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        robust_level_by_sets(rr.q_entropic(0.5, 2.0), rr.sup_norm_ball(0.3), X,
-                             cash_additive_form=True)
-
-
 def test_robust_level_monotone_in_eps(uniform4):
     rho = rr.entropic(1.0)
     X = Position(uniform4, [0.5, -0.5, 1.0, 0.0])

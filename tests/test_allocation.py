@@ -17,9 +17,8 @@ from robustrisk import (
     robust_car,
 )
 from robustrisk import allocation
-from robustrisk.allocation import identity_gap
 
-from conftest import random_pos
+from conftest import identity_gap, random_pos
 
 
 @pytest.fixture
@@ -93,6 +92,16 @@ def test_checks_require_space(pair, grid):
         check_no_undercut(rule, rr.sup_norm_ball(0.3), samples=5)
     with pytest.raises(ValueError):
         check_sandwich(rule, rr.sup_norm_ball(0.3), samples=5)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_checks_reject_empty_sample_counts(pair, grid, samples):
+    """No sample is no evidence: a count <= 0 must not come back as a sampled pass."""
+    rule = gradient_car(rr.entropic(1.0), grid)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        check_no_undercut(rule, rr.sup_norm_ball(0.3), samples=samples, space=pair)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        check_sandwich(rule, rr.sup_norm_ball(0.3), samples=samples, space=pair)
 
 
 def _constructed_instance(pair, grid, eps=0.5, k=2):

@@ -200,6 +200,12 @@ def test_non_expansivity(pair):
         assert v.holds, rho.name
 
 
+def test_non_expansivity_rejects_empty_sample_counts(pair):
+    surface = penalty_type(rr.entropic(1.0), "cash_additive")
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        non_expansivity_check(surface, simplex_grid(pair, step=0.1), samples=0)
+
+
 def test_dual_argmax_tie_break(pair):
     """Constant positions leave every scenario optimal; ties resolve to the
     smallest density norm, i.e. the reference measure."""

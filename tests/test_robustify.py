@@ -170,6 +170,16 @@ def test_preservation_requires_space(uniform4):
         verify_preservation(rr.entropic(1.0), rr.sup_norm_ball(0.3), "monotone")
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sampled_checks_reject_empty_trial_counts(trials):
+    """No trial is no evidence: a count <= 0 must not come back as a sampled pass."""
+    space = rr.ProbSpace([0.5, 0.5])
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        verify_preservation(rr.entropic(1.0), rr.sup_norm_ball(0.2), "monotone", trials=trials, space=space)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        rr.largest_family_properties(rr.entropic(1.0), rr.sup_norm_ball(0.2), trials=trials, space=space)
+
+
 def test_largest_family(uniform4):
     rho = rr.entropic(1.0)
     fam = rr.sup_norm_ball(0.3)

@@ -212,6 +212,54 @@ def test_cone_witness(uniform4, rng):
                 assert np.all(W.values <= Z.values + 1e-9)
 
 
+def _counting(monkeypatch, cls, name):
+    """Count the calls of the method ``name`` of ``cls``."""
+    calls, method = [], getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda self, *a: calls.append(1) or method(self, *a))
+    return calls
+
+
+def test_band_cone_paths(skewed3, monkeypatch):
+    """The upward closure of a level band: the order-preservation check and
+    preservation over a band decide through it, and its witnesses."""
+    for base in (rr.entropic(1.0), rr.expected_shortfall(0.5), rr.q_entropic(0.5, 2.0)):
+        v = check_property(rr.level_band(base, 0.3), "order_preserving", skewed3, trials=20, seed=3)
+        assert (v.tag, v.trials, v.note) == ("sampled_no_counterexample", 20, ""), base.name
+    band = rr.level_band(rr.entropic(1.0), 0.3)
+    plus_cone = _counting(monkeypatch, type(band), "_plus_cone")
+    dominated = _counting(monkeypatch, type(band), "_dominated")
+    for prop in ("monotone", "quasi_convex"):
+        v = rr.verify_preservation(rr.entropic(1.0), band, prop, trials=4, seed=5, space=skewed3)
+        assert (v.tag, v.trials) == ("sampled_no_counterexample", 4), prop
+    # witness transport went through cone_witness to the band's dominated member
+    assert plus_cone and len(dominated) == 6
+
+
+def test_band_cone_witness(skewed3):
+    """Above the band's top, cone_witness lowers Z onto its bottom edge."""
+    band = rr.level_band(rr.entropic(1.0), 0.3)
+    X = Position(skewed3, [0.4, -0.2, 1.0])
+    Z = X + Position(skewed3, [0.9, 1.3, 0.7])
+    assert not band.membership(X, Z) and band._plus_cone(X, Z)
+    W = cone_witness(band, X, Z)
+    assert band.membership(X, W) and np.all(W.values <= Z.values)
+    assert W.values == pytest.approx([0.5551747457530339, 0.355174745753034, 0.9551747457530338], abs=1e-12)
+    assert band.rho1(W) - band.rho1(X) == pytest.approx(-0.3, abs=1e-12)
+
+
+def test_solidified_band_membership(skewed3):
+    """Z is in the upward closure of a band iff rho1(Z) is at most its top."""
+    band = rr.level_band(rr.entropic(1.0), 0.3)
+    solid = solidify(band)
+    X = Position(skewed3, [0.4, -0.2, 1.0])
+    cases = {(5.0, 5.0, 5.0): True, (0.4, -0.2, 1.0): True, (2.0, 0.1, -1.0): True,
+             (-3.0, -3.0, -3.0): False, (0.0, -0.6, 1.0): False}
+    for values, inside in cases.items():
+        Z = Position(skewed3, values)
+        assert solid.membership(X, Z) is inside and solid._decided(X, Z) is inside, values
+    assert not band.membership(X, Position(skewed3, [5.0, 5.0, 5.0]))
+
+
 def test_minkowski_split(uniform4, rng):
     fam = rr.p_norm_ball(2.0, 0.5)
     for _ in range(15):
@@ -265,7 +313,7 @@ def test_sup_ball_is_p_norm_ball_inf(uniform4, rng):
         W, Wp = cone_witness(sup, X, X + 1.0), cone_witness(pinf, X, X + 1.0)
         assert np.array_equal(W.values, Wp.values)
         assert sup.membership(X, Z) == pinf.membership(X, Z)
-        assert rr.member_plus_cone(sup, X, Z) == rr.member_plus_cone(pinf, X, Z)
+        assert sup._plus_cone(X, Z) == pinf._plus_cone(X, Z)
 
 
 def test_wasserstein_cone_aligns_quantiles():
@@ -278,8 +326,7 @@ def test_wasserstein_cone_aligns_quantiles():
     fam = rr.wasserstein_ball(1.0, 1.5)
     assert rr.wasserstein_distance(X, Z, 1.0) == pytest.approx(1.1514, abs=1e-4)
     assert fam.membership(X, Z)
-    assert rr.member_plus_cone(fam, X, Z)
-    assert rr.member_below(fam, X, Z)
+    assert fam._plus_cone(X, Z)
     assert solidify(fam).membership(X, Z)
 
 
