@@ -56,13 +56,12 @@ def robust_acceptance_check(
     family: UncertaintyFamily,
     X: Position,
     m: float,
-    solver: str = "auto",
     seed: int = 0,
 ) -> dict:
     """Check the two sides of: robust-acceptable at m iff U_X subset of the
     acceptance set at m. Both sides reduce to the same scalar supremum; with a
     LowerBound solver only the forward implication is asserted."""
-    rv = robust_value(rho, family, X, solver=solver, seed=seed)
+    rv = robust_value(rho, family, X, seed=seed)
     x_in_robust = rv.value <= m + _TOL
     u_subset_a = rv.value <= m + _TOL  # sup over U_X of rho, same solve
     agree = (x_in_robust == u_subset_a) if rv.exact else (not x_in_robust or u_subset_a)
@@ -75,13 +74,7 @@ def robust_acceptance_check(
     }
 
 
-def robust_level_by_sets(
-    rho: RiskFunctional,
-    family: UncertaintyFamily,
-    X: Position,
-    solver: str = "auto",
-    seed: int = 0,
-) -> float:
+def robust_level_by_sets(rho: RiskFunctional, family: UncertaintyFamily, X: Position, seed: int = 0) -> float:
     """inf{m : U_X subset of the level-m acceptance set}, by bisection on m."""
-    rv = robust_value(rho, family, X, solver=solver, seed=seed)
+    rv = robust_value(rho, family, X, seed=seed)
     return _level_by_bisection(lambda m: rv.value <= m + _TOL, X, "robust level unbounded")

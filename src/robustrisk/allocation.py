@@ -47,31 +47,29 @@ class AllocationRule:
     def __call__(self, X: Position, Y: Position) -> float:
         return self.lam(X, Y)
 
-    def _robust(self, family, X, Y, resolution, budget, seed) -> Optional[float]:
+    def _robust(self, family, X, Y, seed) -> Optional[float]:
         """sup_{Z in U_X} Lambda(Z, Y) where the rule knows it, else None."""
         return None
 
 
 class _GradientRule(AllocationRule):
-    def _robust(self, family, X, Y, resolution, budget, seed):
+    def _robust(self, family, X, Y, seed):
         # Lambda(., Y) is linear, so its supremum over U_X is the support
         # function at the aggregate's dual scenario
         Qs = self.params["scenario_for"](Y)
-        return support_function(family, Qs, X, resolution=resolution, budget=budget, seed=seed) - minimal_penalty(
-            self.base_rho, Qs
-        )
+        return support_function(family, Qs, X, seed=seed) - minimal_penalty(self.base_rho, Qs)
 
 
-def gradient_car(rho: RiskFunctional, grid: SimplexGrid, q: float = 2.0) -> AllocationRule:
+def gradient_car(rho: RiskFunctional, grid: SimplexGrid) -> AllocationRule:
     """Dual-argmax allocation: charge X the scenario price of the aggregate Y.
 
     Lambda(X, Y) = E_{Q*}[-X] - c_rho(Q*) with Q* the dual argmax for rho(Y).
     For the shipped convex cash-additive measures Q* is the measure's closed
     form, and the CAR identity Lambda(Y, Y) = rho(Y) holds to rounding. A
     measure without one takes the argmax over ``grid`` (ties by smallest
-    density q-norm), refined by a local search on the simplex; ``grid`` and
-    ``q`` serve only that fallback. No-undercut holds for convex
-    cash-additive rho by the Fenchel inequality.
+    density 2-norm), refined by a local search on the simplex; ``grid``
+    serves only that fallback. No-undercut holds for convex cash-additive
+    rho by the Fenchel inequality.
     """
     if not (rho.flags.convex and rho.flags.cash_additive):
         raise ValueError(f"gradient allocation requires a convex cash-additive measure, got {rho.name}")
@@ -80,7 +78,7 @@ def gradient_car(rho: RiskFunctional, grid: SimplexGrid, q: float = 2.0) -> Allo
         Qs = rho._dual_scenario(Y)
         if Qs is not None:
             return Qs
-        Q0 = dual_argmax(rho, Y, grid, q)
+        Q0 = dual_argmax(rho, Y, grid, 2.0)
         # refine the lattice argmax so the identity Lambda(Y,Y)=rho(Y) holds
         # to solver precision rather than lattice precision
         _, Qs = _polish_simplex(
@@ -99,30 +97,22 @@ def gradient_car(rho: RiskFunctional, grid: SimplexGrid, q: float = 2.0) -> Allo
         name=f"gradient_car({rho.name})",
         lam=lam,
         base_rho=rho,
-        params={"grid": grid, "q": q, "scenario_for": scenario_for},
+        params={"scenario_for": scenario_for},
     )
 
 
-def robust_car(
-    rule: AllocationRule,
-    family: UncertaintyFamily,
-    X: Position,
-    Y: Position,
-    resolution: float = 0.1,
-    budget: int = 64,
-    seed: int = 0,
-) -> float:
+def robust_car(rule: AllocationRule, family: UncertaintyFamily, X: Position, Y: Position, seed: int = 0) -> float:
     """Robustified allocation sup_{Z in U_X} Lambda(Z, Y).
 
     A rule that knows this supremum gives it; the gradient rule's is exact on
     norm balls via the Hoelder closed forms. Other rules take the best of X
-    and the members ``discretize`` yields.
+    and the members ``discretize`` yields at resolution 0.1 and budget 64.
     """
-    closed = rule._robust(family, X, Y, resolution, budget, seed)
+    closed = rule._robust(family, X, Y, seed)
     if closed is not None:
         return closed
     best = rule(X, Y)
-    for Z in family.discretize(X, resolution, budget, seed):
+    for Z in family.discretize(X, 0.1, 64, seed):
         best = max(best, rule(Z, Y))
     return best
 
@@ -132,24 +122,22 @@ def check_no_undercut(
     family: UncertaintyFamily,
     samples: int = 500,
     seed: int = 0,
-    space: Optional[ProbSpace] = None,
-    tol: float = _GRID_TOL,
+    *,
+    space: ProbSpace,
 ) -> PropertyVerdict:
     """Base no-undercut Lambda(X,Y) <= rho(X), then the robust version
     robust Lambda(X,Y) <= robust rho(X), sampled."""
     _require_count(samples, "samples")
-    if space is None:
-        raise ValueError("a probability space is required")
     rng = np.random.default_rng(seed)
     rho = rule.base_rho
     for t in range(samples):
         X, Y = random_position(space, rng), random_position(space, rng)
         base = rule(X, Y)
-        if base > rho(X) + tol:
+        if base > rho(X) + _GRID_TOL:
             return counterexample({"X": X, "Y": Y, "lam": base, "rho": rho(X)}, "base rule undercuts")
         lam_t = robust_car(rule, family, X, Y, seed=seed + t)
         rv = robust_value(rho, family, X, seed=seed + t)
-        slack = tol if rv.exact else max(tol, 1e-3)
+        slack = _GRID_TOL if rv.exact else 1e-3
         if lam_t > rv.value + slack:
             return counterexample(
                 {"X": X, "Y": Y, "lam_robust": lam_t, "rho_robust": rv.value},
@@ -163,13 +151,11 @@ def check_sandwich(
     family: UncertaintyFamily,
     samples: int = 500,
     seed: int = 0,
-    space: Optional[ProbSpace] = None,
-    tol: float = _GRID_TOL,
+    *,
+    space: ProbSpace,
 ) -> PropertyVerdict:
     """rho(Y) <= robust Lambda(Y,Y) <= robust rho(Y), sampled over Y."""
     _require_count(samples, "samples")
-    if space is None:
-        raise ValueError("a probability space is required")
     rng = np.random.default_rng(seed)
     rho = rule.base_rho
     for t in range(samples):
@@ -179,8 +165,8 @@ def check_sandwich(
         mid = robust_car(rule, family, Y, Y, seed=seed + t)
         lo = rho(Y)
         rv = robust_value(rho, family, Y, seed=seed + t)
-        slack = tol if rv.exact else max(tol, 1e-3)
-        if mid < lo - tol or mid > rv.value + slack:
+        slack = _GRID_TOL if rv.exact else 1e-3
+        if mid < lo - _GRID_TOL or mid > rv.value + slack:
             return counterexample({"Y": Y, "lo": lo, "mid": mid, "hi": rv.value})
     return no_counterexample(samples)
 
@@ -191,7 +177,6 @@ def check_subadditive_allocation(
     Y: Position,
     parts: Sequence[Position],
     seed: int = 0,
-    tol: float = _GRID_TOL,
 ) -> PropertyVerdict:
     """Sub-allocation: robust Lambda(Y,Y) <= sum_i robust Lambda(Y_i,Y), under
     the hypotheses (i) the union of the parts' sets covers U_Y, (ii) 0 lies in
@@ -217,13 +202,13 @@ def check_subadditive_allocation(
     for i, Yi in enumerate(parts):
         if not family.membership(Yi, zero):
             return unknown(f"hypothesis failure: 0 not in the uncertainty set of component {i}")
-    if rule(zero, Y) < -tol:
+    if rule(zero, Y) < -_GRID_TOL:
         return unknown("hypothesis failure: the rule charges the zero position")
 
     lhs = robust_car(rule, family, Y, Y, seed=seed)
     terms = [robust_car(rule, family, Yi, Y, seed=seed + 1 + i) for i, Yi in enumerate(parts)]
-    if lhs > sum(terms) + tol * len(parts):
+    if lhs > sum(terms) + _GRID_TOL * len(parts):
         return counterexample({"Y": Y, "parts": parts, "lhs": lhs, "terms": terms}, "sum form")
-    if lhs > max(terms) + tol:
+    if lhs > max(terms) + _GRID_TOL:
         return counterexample({"Y": Y, "parts": parts, "lhs": lhs, "terms": terms}, "max form")
     return no_counterexample(1 + len(parts))

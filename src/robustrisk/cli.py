@@ -207,8 +207,8 @@ def parse_config(path: Optional[str]) -> RunConfig:
     _check_values(raw, grid)
     grid.update(raw.get("grid", {}))
     seed = raw.get("seed", 42)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InputError(f"config seed must be an integer, got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise InputError(f"config seed must be a non-negative integer, got {seed!r}")
     return RunConfig(
         rho=raw.get("rho", {"kind": "neg_expectation"}),
         family=raw.get("family"),
@@ -306,6 +306,8 @@ def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dic
     rho = build_rho(config.rho)
     family = build_family(config.family) if config.family else None
     seed = args.seed if args.seed is not None else config.seed
+    if seed < 0:
+        raise InputError(f"--seed must be a non-negative integer, got {seed}")
     report = {"subcommand": subcommand, "seed": seed}
 
     if subcommand == "eval":

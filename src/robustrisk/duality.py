@@ -9,7 +9,7 @@ despite lattice coarseness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ from .uncertainty import (
     UncertaintyFamily,
     _conjugate_order,
     _require_count,
+    _require_step,
     counterexample,
     no_counterexample,
 )
@@ -116,21 +117,15 @@ def simplex_grid(space: ProbSpace, step: float = 0.01, seed: int = 0) -> Simplex
 # support functions
 
 
-def support_function(
-    family: UncertaintyFamily,
-    Q: ScenarioMeasure,
-    X: Position,
-    resolution: float = 0.1,
-    budget: int = 64,
-    seed: int = 0,
-) -> float:
+def support_function(family: UncertaintyFamily, Q: ScenarioMeasure, X: Position, seed: int = 0) -> float:
     """phi_Q(X) = sup over U_X of E_Q[-Z]: the family's closed form where it
-    has one, else a numeric lower bound over discretized members."""
+    has one, else a numeric lower bound over the members discretized at
+    resolution 0.1 and budget 64."""
     closed = family._support(Q, X)
     if closed is not None:
         return closed
     best = -math.inf
-    for Z in [X, *family.discretize(X, resolution, budget, seed)]:
+    for Z in [X, *family.discretize(X, 0.1, 64, seed)]:
         best = max(best, expectation_under(Q, -Z))
     return best
 
@@ -161,6 +156,8 @@ def minimal_penalty(
     """c_rho(Q) = sup_X {E_Q[-X] - rho(X)}; closed form where known, else a
     box-lattice supremum with linear-growth detection. Raises ValueError when
     the lattice would exceed ``_LATTICE_CAP`` points."""
+    _require_step(bound, "bound")
+    _require_step(step, "step")
     closed = rho._penalty(Q)
     if closed is not None:
         return closed
@@ -184,7 +181,6 @@ class PenaltySurface:
 
     evaluator: Callable[[float, ScenarioMeasure], float]
     kind: str  # "brute_force" | "cash_additive" | "loss"
-    params: dict = field(default_factory=dict)
 
     def __call__(self, t: float, Q: ScenarioMeasure) -> float:
         return self.evaluator(t, Q)
@@ -228,6 +224,8 @@ def penalty_type(
     loss: Optional[LossFunction] = None,
 ) -> PenaltySurface:
     """Build the penalty-type functional R_rho as a reusable surface."""
+    _require_step(bound, "bound")
+    _require_step(step, "step")
     if kind == "cash_additive":
         if not rho.flags.cash_additive:
             raise ValueError(f"{rho.name} is not flagged cash-additive")
@@ -235,16 +233,15 @@ def penalty_type(
         def evaluator(t: float, Q: ScenarioMeasure) -> float:
             return t - minimal_penalty(rho, Q)
 
-        return PenaltySurface(evaluator, "cash_additive", {"rho": rho})
+        return PenaltySurface(evaluator, "cash_additive")
     if kind == "loss":
         if loss is None:
             raise ValueError("loss surface requires a loss function")
-        return PenaltySurface(lambda t, Q: loss_penalty(loss, t, Q), "loss", {"loss": loss})
+        return PenaltySurface(lambda t, Q: loss_penalty(loss, t, Q), "loss")
     if kind == "brute_force":
         if space is None:
             raise ValueError("brute-force surface requires the probability space")
-        ev = _brute_force_R(rho, space, bound, step, tuple(anchors))
-        return PenaltySurface(ev, "brute_force", {"rho": rho, "B": bound, "h": step, "anchors": tuple(anchors)})
+        return PenaltySurface(_brute_force_R(rho, space, bound, step, tuple(anchors)), "brute_force")
     raise ValueError(f"unknown penalty surface kind {kind!r}")
 
 
@@ -322,16 +319,17 @@ def _robust_report(lhs, dual: float, grid: SimplexGrid) -> dict:
     }
 
 
-def _polish_simplex(space: ProbSpace, f, Q0: ScenarioMeasure, radius: float, rounds: int = 120):
+def _polish_simplex(space: ProbSpace, f, Q0: ScenarioMeasure, radius: float):
     """Local pattern search on the simplex around Q0: pairwise mass transfers
-    with a halving radius. Tightens the lattice supremum without leaving the
-    feasible set, so the result is still a valid dual lower bound. Returns the
-    refined value together with the refined measure."""
+    with a halving radius, for at most 120 rounds. Tightens the lattice
+    supremum without leaving the feasible set, so the result is still a valid
+    dual lower bound. Returns the refined value together with the refined
+    measure."""
     w = np.array(Q0.density * space.probs, dtype=float)
     Qbest = Q0
     best = f(Q0)
     r = radius
-    for _ in range(rounds):
+    for _ in range(120):
         improved = False
         for i in range(space.n):
             for j in range(space.n):
@@ -375,22 +373,21 @@ def verify_robust_dual(
     X: Position,
     grid: SimplexGrid,
     loss: Optional[LossFunction] = None,
-    penalty: Optional[PenaltySurface] = None,
     seed: int = 0,
     polish: bool = True,
 ) -> dict:
     """Robust value vs sup_Q R_rho(phi_Q(X), Q) (certainty-equivalent form when
-    a loss is supplied)."""
+    a loss is supplied). R_rho is the loss surface given a loss, else the
+    cash-additive surface when rho is cash-additive, else a brute-force
+    surface anchored at X and X - eps."""
     if not (rho.flags.quasi_convex and (rho.flags.cash_subadditive or rho.flags.cash_additive or loss is not None)):
         raise ValueError(f"{rho.name} lacks the flags required by the robust dual")
-    if penalty is None:
-        if loss is not None:
-            penalty = penalty_type(rho, "loss", loss=loss)
-        elif rho.flags.cash_additive:
-            penalty = penalty_type(rho, "cash_additive")
-        else:
-            anchors = (X, X - family.eps)
-            penalty = penalty_type(rho, "brute_force", space=X.space, anchors=anchors)
+    if loss is not None:
+        penalty = penalty_type(rho, "loss", loss=loss)
+    elif rho.flags.cash_additive:
+        penalty = penalty_type(rho, "cash_additive")
+    else:
+        penalty = penalty_type(rho, "brute_force", space=X.space, anchors=(X, X - family.eps))
     lhs = robust_value(rho, family, X, seed=seed)
 
     def g(Q):
@@ -489,9 +486,10 @@ def non_expansivity_check(
     grid: SimplexGrid,
     samples: int = 500,
     seed: int = 0,
-    tol: float = 1e-6,
 ) -> PropertyVerdict:
-    """|R(t,Q) - R(t',Q)| <= |t - t'| + tol and R increasing in t, sampled."""
+    """|R(t,Q) - R(t',Q)| <= |t - t'| + tol and R increasing in t, sampled
+    (tol = 1e-6)."""
+    tol = 1e-6
     _require_count(samples, "samples")
     rng = np.random.default_rng(seed)
     pts = list(grid)

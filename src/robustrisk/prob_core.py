@@ -31,6 +31,11 @@ __all__ = [
 
 # Construction-time tolerance for probability/density normalization.
 ATOL = 1e-12
+# Merged quantile intervals no wider than this are slivers between two
+# cumulative masses that differ only by summation order (0.7 against
+# 0.7000000000000001). Sups and law comparisons skip them; integrals keep
+# them, since their weight is their width.
+_SLIVER = ATOL
 
 
 def _bisect(below, lo: float, hi: float, steps: int, rtol: float = 0.0):
@@ -242,7 +247,7 @@ def _merged_quantile_gaps(qx: QuantileSteps, qy: QuantileSteps):
 def _quantile_norm(widths: np.ndarray, v: np.ndarray, p: float) -> float:
     """L^p norm on (0, 1] of the step function equal to v on intervals of the given widths."""
     if math.isinf(p):
-        return float(v[widths > 0].max(initial=0.0))
+        return float(v[widths > _SLIVER].max(initial=0.0))
     return float(np.dot(widths, v**p) ** (1.0 / p))
 
 
@@ -281,7 +286,7 @@ def _wasserstein_rows(qx: QuantileSteps, rows: np.ndarray, probs: np.ndarray, p:
     widths = np.diff(merged, axis=1, prepend=0.0)
     gap = np.abs(qx.values[ix] - np.take_along_axis(vals, iy, axis=1))
     if math.isinf(p):
-        return np.where(widths > 0, gap, 0.0).max(axis=1)
+        return np.where(widths > _SLIVER, gap, 0.0).max(axis=1)
     return (widths * gap**p).sum(axis=1) ** (1.0 / p)
 
 
@@ -311,4 +316,4 @@ def density_norm(Q: ScenarioMeasure, q: float) -> float:
 def same_distribution(X: Position, Y: Position, tol: float = ATOL) -> bool:
     """True iff X and Y induce the same law under P (atoms merged, tolerance tol)."""
     widths, ax, ay = _merged_quantile_gaps(quantile_function(X), quantile_function(Y))
-    return bool(np.all(np.abs(ax - ay)[widths > 0] <= tol))
+    return bool(np.all(np.abs(ax - ay)[widths > _SLIVER] <= tol))

@@ -23,6 +23,7 @@ from .uncertainty import (
     PropertyVerdict,
     UncertaintyFamily,
     _require_count,
+    _require_step,
     check_property,
     cone_witness,
     counterexample,
@@ -111,15 +112,15 @@ def _ascend(
     start: Position,
     start_value: float,
     rng: np.random.Generator,
-    max_iter: int = 500,
 ) -> tuple:
     """Random-direction ascent of rho from ``start`` (where rho is
-    ``start_value``) over U_X; returns the last point and its value."""
+    ``start_value``) over U_X, for at most 500 steps; returns the last point
+    and its value."""
     Z, best = start, start_value
     x_member = family.membership(X, X)
     step = 1.0
     it = 0
-    while step > 1e-7 and it < max_iter:
+    while step > 1e-7 and it < 500:
         it += 1
         D = rng.normal(size=X.space.n)
         cand = _project(family, X, Position(X.space, Z.values + step * D), x_member)
@@ -150,6 +151,7 @@ def robust_value(
     """
     if solver not in _SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {', '.join(_SOLVERS)}")
+    _require_step(resolution, "resolution")
     extras = [Z for Z in extra_candidates if family.membership(X, Z)]
 
     rv = None
@@ -268,7 +270,8 @@ def verify_preservation(
     prop: str,
     trials: int = 200,
     seed: int = 0,
-    space: Optional[ProbSpace] = None,
+    *,
+    space: ProbSpace,
 ) -> PropertyVerdict:
     """Sampled check that a property of rho/the family carries over to the
     robustified measure, with hypotheses validated first.
@@ -278,8 +281,6 @@ def verify_preservation(
     Unknown with a note, never silently skipped.
     """
     _require_count(trials)
-    if space is None:
-        raise ValueError("a probability space is required")
     rng = np.random.default_rng(seed)
 
     if prop == "monotone":
@@ -381,13 +382,12 @@ def largest_family_properties(
     family: UncertaintyFamily,
     trials: int = 200,
     seed: int = 0,
-    space: Optional[ProbSpace] = None,
+    *,
+    space: ProbSpace,
 ) -> dict:
     """Verdicts for solidity, monotonicity and quasi-convexity of the largest
     family Z -> {rho(Z) <= robust value}."""
     _require_count(trials)
-    if space is None:
-        raise ValueError("a probability space is required")
     rng = np.random.default_rng(seed)
     out = {}
 

@@ -120,6 +120,13 @@ def _require_count(count: int, name: str = "trials") -> None:
         raise ValueError(f"{name} must be >= 1")
 
 
+def _require_step(value: float, name: str) -> None:
+    """A step or bound that is zero, negative, infinite or NaN would fail late
+    and obscurely, deep inside a lattice or a division."""
+    if not 0.0 < value < math.inf:  # NaN fails it
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # family container
 
@@ -160,7 +167,7 @@ class UncertaintyFamily:
     def rho1(self) -> Optional[RiskFunctional]:
         return self.params.get("rho1")
 
-    def _discretize(self, X: Position, resolution: float, budget: int, seed: int = 0) -> list:
+    def _discretize(self, X: Position, resolution: float, budget: int, seed: int) -> list:
         """The members among the kind's candidates for U_X, drawn from one seeded stream."""
         rng = np.random.default_rng(seed)
         return [Z for Z in self._candidates(X, resolution, budget, rng) if self.membership(X, Z)]
@@ -229,8 +236,8 @@ def _segment_search(X: Position, Z: Position, inside) -> float:
     return _bisect_array(lambda s: inside(X.values + s[:, None] * D), 0.0, 1.0, 60, 64)[0]
 
 
-def random_position(space: ProbSpace, rng: np.random.Generator, scale: float = 2.0) -> Position:
-    return Position(space, rng.normal(0.0, scale, size=space.n))
+def random_position(space: ProbSpace, rng: np.random.Generator) -> Position:
+    return Position(space, rng.normal(0.0, 2.0, size=space.n))
 
 
 def _lp_norm(space: ProbSpace, v: np.ndarray, p: float) -> float:
@@ -1006,7 +1013,7 @@ class _Solidified(UncertaintyFamily):
         # the scan tries constant shifts only: its False is no decision
         return None if self.params["base"]._plus_cone(X, Z) is None else False
 
-    def _discretize(self, X, resolution, budget, seed=0):
+    def _discretize(self, X, resolution, budget, seed):
         pts = self.params["base"].discretize(X, resolution, budget, seed)
         rng = np.random.default_rng(seed + 1)
         lifted = [Z + Position(X.space, np.abs(rng.normal(size=X.space.n))) for Z in pts[: budget // 4]]

@@ -88,9 +88,9 @@ def test_check_sandwich(pair, grid):
 
 def test_checks_require_space(pair, grid):
     rule = gradient_car(rr.entropic(1.0), grid)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         check_no_undercut(rule, rr.sup_norm_ball(0.3), samples=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         check_sandwich(rule, rr.sup_norm_ball(0.3), samples=5)
 
 
@@ -147,7 +147,7 @@ def test_robust_car_generic_rule(pair, rng):
     rule = rr.AllocationRule("standalone", lambda X, Y: rho(X), rho)
     fam = rr.sup_norm_ball(0.3)
     X, Y = random_pos(pair, rng), random_pos(pair, rng)
-    out = robust_car(rule, fam, X, Y, budget=48)
+    out = robust_car(rule, fam, X, Y)
     assert out >= rho(X) - 1e-12
     assert out <= rho(X - 0.3) + 1e-9  # worst case of the standalone charge
 

@@ -252,16 +252,25 @@ def test_unreplayable_counterexample_exits_2(scenario_file, config_file, capsys,
     (dict(CONFIG, family={"kind": "p_norm_ball", "params": {"p": float("nan"), "eps": 0.3}}), "family.params"),
     (dict(CONFIG, seed=True), "seed"),
     (dict(CONFIG, seed=7.9), "seed"),
+    (dict(CONFIG, seed=-5), "config seed must be a non-negative integer"),
 ], ids=["misspelt-key", "seed", "loss", "solver", "grid", "bogus-solver", "grid-step-type", "grid-step-range",
         "grid-key", "level", "allocate", "allocate-parts", "rho-param-type", "family-param-type", "rho-param-nan",
         "rho-param-inf", "family-param-bool", "family-order-nan", "seed-bool",
-        "seed-fraction"])
+        "seed-fraction", "seed-negative"])
 def test_bad_config_exits_2(tmp_path, scenario_file, capsys, config, message):
     """A malformed config is an input error, never a traceback or a default
     (a misspelt family would report the unrobustified value)."""
     path = _write(tmp_path, "cfg.json", config)
     assert main(["robustify", "--scenario", scenario_file, "--config", path]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["robustify", "properties", "acceptance"])
+def test_negative_seed_flag_exits_2(scenario_file, config_file, capsys, subcommand):
+    """A negative --seed is an input error that names the seed, not a
+    traceback from the random generator or an error blamed on the solver."""
+    assert main([subcommand, "--scenario", scenario_file, "--config", config_file, "--seed", "-1"]) == 2
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scenario, message", [

@@ -168,6 +168,18 @@ def test_robust_dual_certainty_equivalent_form(pair):
     assert abs(out["gap"]) <= 1e-5
 
 
+@pytest.mark.parametrize("x", [(0.8, -0.6), (1.5, 0.2), (-1.0, -2.0)])
+def test_robust_dual_default_brute_force_surface(pair, x):
+    """A cash-subadditive base with no loss gets the brute-force surface
+    anchored at X and X - eps; its dual is a lower bound within the brute-force
+    tolerance of the exact robust value."""
+    rho, fam = rr.q_entropic(0.5, 2.0), rr.sup_norm_ball(0.2)
+    out = verify_robust_dual(rho, fam, Position(pair, list(x)), simplex_grid(pair, step=0.02))
+    assert out["guarantee"] == "exact"
+    assert out["dual"] <= out["robust"] + 1e-9
+    assert abs(out["gap"]) <= 1e-3
+
+
 def test_robust_dual_flag_gate(pair):
     grid = simplex_grid(pair, step=0.1)
     with pytest.raises(ValueError):
@@ -190,6 +202,17 @@ def test_second_approach_dual(pair):
     X = Position(pair, [0.8, -0.6])
     out = verify_second_approach_dual(rho, rr.p_norm_ball(2.0, 0.2), X, grid)
     assert abs(out["gap"]) <= 1e-5
+
+
+@pytest.mark.parametrize("kw", [dict(step=0), dict(step=-0.1), dict(step=math.nan), dict(bound=0), dict(bound=math.inf)])
+def test_lattice_steps_must_be_positive_and_finite(pair, kw):
+    """A bad box bound or lattice step fails up front with a message naming it,
+    also for a brute-force surface that is not evaluated yet."""
+    name = next(iter(kw))
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        minimal_penalty(rr.expectation_floor(1.0), ScenarioMeasure.reference(pair), **kw)
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        penalty_type(rr.q_entropic(0.5, 2.0), "brute_force", space=pair, **kw)
 
 
 def test_non_expansivity(pair):

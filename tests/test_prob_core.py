@@ -160,6 +160,24 @@ def test_same_distribution_tolerance(uniform4):
     assert not same_distribution(X, X + 0.5)
 
 
+def test_tie_slivers_do_not_separate_laws():
+    """Cumulative masses summed in two orders (0.7 against
+    0.7000000000000001) leave a merged interval of width ~1e-16. The sup at
+    p = inf and the law comparison skip it; an atom of mass 1e-9 still counts."""
+    sp = ProbSpace([0.1, 0.2, 0.3, 0.4])
+    X, Y = Position(sp, [1.0, 1.0, 0.0, 0.0]), Position(sp, [0.0, 0.0, 1.0, 0.0])
+    assert same_distribution(X, Y)
+    assert wasserstein_distance(X, Y, math.inf) == 0.0
+    assert wasserstein_distance(X, Y, 1.0) < 1e-15
+    X, Y = Position(sp, [0.0, 0.0, 0.0, 1.0]), Position(sp, [0.0, 1.0, 1.0, 2.0])
+    assert wasserstein_distance(X, Y, math.inf) == 1.0
+    assert _wasserstein_rows(quantile_function(X), Y.values[None, :], sp.probs, math.inf)[0] == 1.0
+    tiny = ProbSpace([1e-9, 1.0 - 1e-9])
+    X, Y = Position(tiny, [5.0, 0.0]), Position(tiny, [0.0, 0.0])
+    assert not same_distribution(X, Y)
+    assert wasserstein_distance(X, Y, math.inf) == 5.0
+
+
 @pytest.mark.parametrize("fan", [2, 3, 16, 64])
 def test_array_bisection_brackets_the_scalar_boundary(fan, rng):
     """On a monotone step predicate s < t the k-ary search ends where
@@ -189,12 +207,10 @@ def test_array_bisection_takes_the_scalar_halvings(fan):
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
 def test_wasserstein_rows_match_the_scalar_distance(p, rng):
     """The batched W_p distance agrees row by row with wasserstein_distance,
-    on uniform and Dirichlet spaces, with tied values among the rows and X.
-    Ties are left out at p = inf: there the scalar sup also counts intervals
-    of width ~1e-16 between breakpoints that differ in their last bits."""
+    on uniform and Dirichlet spaces, with tied values among the rows and X."""
     for probs in ([0.25] * 4, [0.5, 0.3, 0.2], rng.dirichlet(np.full(6, 4.0))):
         space = ProbSpace(probs / np.sum(probs))
-        for tied in (False, True) if p < math.inf else (False,):
+        for tied in (False, True):
             for _ in range(5):
                 X = random_pos(space, rng)
                 rows = X.values + rng.normal(size=(16, space.n))

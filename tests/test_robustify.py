@@ -1,5 +1,7 @@
 """Worst-case risk over uncertainty sets: solvers, guarantees, preservation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,13 @@ def test_solver_selection_errors(uniform4):
         robust_value(rr.entropic(1.0), rr.sup_norm_ball(0.2), X, solver="bogus")
 
 
+@pytest.mark.parametrize("resolution", [0.0, -0.1, math.nan, math.inf])
+def test_resolution_must_be_positive_and_finite(uniform4, resolution):
+    X = Position(uniform4, [0.1, 0.2, -0.1, 0.0])
+    with pytest.raises(ValueError, match="resolution must be positive and finite"):
+        robust_value(rr.entropic(1.0), rr.sup_norm_ball(0.3), X, solver="grid", resolution=resolution)
+
+
 def test_extra_candidates_anchor(uniform4):
     rho = rr.entropic(1.0)
     fam = rr.wasserstein_ball(1.0, 0.3)
@@ -166,7 +175,7 @@ def test_preservation_hypothesis_failure_reports_unknown(uniform4):
 
 
 def test_preservation_requires_space(uniform4):
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         verify_preservation(rr.entropic(1.0), rr.sup_norm_ball(0.3), "monotone")
 
 
