@@ -41,6 +41,7 @@ print("rho(witness) - reported:", rho(rv.witness) - rv.value)
 
 # Acceptance view: the robust value is exactly the smallest capital level at
 # which every member of the uncertainty set is acceptable.
-lvl = rr.robust_level_by_sets(rho, fam, X)
-print("\nrobust acceptance level:", lvl, " (matches worst-case value:",
-      abs(lvl - rv.value) < 1e-8, ")")
+at = rr.robust_acceptance_check(rho, fam, X, rv.value)["x_in_robust"]
+below = rr.robust_acceptance_check(rho, fam, X, rv.value - 1e-6)["x_in_robust"]
+print("\nrobust-acceptable at the worst-case value:", at, "; 1e-6 below it:", below)
+assert at and not below

@@ -73,12 +73,7 @@ from .duality import (
     verify_second_approach_dual,
     wasserstein_bound_check,
 )
-from .acceptance import (
-    acceptance_level,
-    is_acceptable,
-    robust_acceptance_check,
-    robust_level_by_sets,
-)
+from .acceptance import acceptance_level, is_acceptable, robust_acceptance_check
 from .allocation import (
     AllocationRule,
     check_no_undercut,

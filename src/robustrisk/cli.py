@@ -335,7 +335,7 @@ def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dic
 
     if subcommand == "dual-check":
         name, X = _pick_position(scenario, args)
-        grid = duality.simplex_grid(scenario.space, config.grid["simplex_step"], seed=seed)
+        grid = _simplex_grid(scenario, config, seed)
         verifier = args.verifier or config.extra.get("verifier", "primal_dual")
         try:
             if verifier == "primal_dual":
@@ -380,7 +380,8 @@ def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dic
         report["acceptance_level"] = acc.acceptance_level(rho, X)
         if family is not None:
             report["robust"] = acc.robust_acceptance_check(rho, family, X, m, seed=seed)
-            report["robust_level_by_sets"] = acc.robust_level_by_sets(rho, family, X, seed=seed)
+            # the robust value again, under the key earlier reports used
+            report["robust_level_by_sets"] = report["robust"]["robust_value"]
         return report
 
     if subcommand == "allocate":
@@ -390,7 +391,7 @@ def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dic
         if agg_name not in scenario.positions:
             raise InputError(f"allocate.aggregate: unknown position {agg_name!r}")
         Y = scenario.positions[agg_name]
-        grid = duality.simplex_grid(scenario.space, config.grid["simplex_step"], seed=seed)
+        grid = _simplex_grid(scenario, config, seed)
         try:
             rule = alloc.gradient_car(rho, grid)
         except ValueError as e:
@@ -434,6 +435,13 @@ def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dic
         return report
 
     raise InputError(f"unknown subcommand {subcommand!r}")
+
+
+def _simplex_grid(scenario: ScenarioFile, config: RunConfig, seed: int) -> duality.SimplexGrid:
+    try:
+        return duality.simplex_grid(scenario.space, config.grid["simplex_step"], seed=seed)
+    except ValueError as e:  # a lattice too large to build
+        raise InputError(f"grid.simplex_step: {e}")
 
 
 def _pick_position(scenario: ScenarioFile, args):

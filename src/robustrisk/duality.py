@@ -56,6 +56,9 @@ __all__ = [
 # simplex grids
 
 _RANDOM_GRID_POINTS = 300  # Dirichlet draws on a space of more than 3 atoms
+# Largest lattice simplex_grid builds on up to 3 atoms. Step 0.002 on three
+# atoms gives 125,751 measures in a few seconds; each measure is a Python object.
+_SIMPLEX_GRID_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,8 @@ def _compositions(total: int, parts: int):
 
 def simplex_grid(space: ProbSpace, step: float = 0.01, seed: int = 0) -> SimplexGrid:
     """Uniform lattice of probability vectors at the given step (n <= 3), plus
-    vertices and the reference measure; Dirichlet sample for larger n."""
+    vertices and the reference measure; Dirichlet sample for larger n. A
+    lattice of more than 200,000 measures is a ValueError."""
     if not 0 < step <= 1:
         raise ValueError("step must lie in (0, 1]")
     n = space.n
@@ -104,6 +108,9 @@ def simplex_grid(space: ProbSpace, step: float = 0.01, seed: int = 0) -> Simplex
         add(v)
     if n <= 3:
         M = max(1, int(round(1.0 / step)))
+        size = math.comb(M + n - 1, n - 1)
+        if size > _SIMPLEX_GRID_CAP:
+            raise ValueError(f"step {step} gives {size} lattice measures on {n} atoms, more than {_SIMPLEX_GRID_CAP}")
         for comp in _compositions(M, n):
             add(np.array(comp, dtype=float) / M)
     else:
@@ -296,7 +303,7 @@ def loss_penalty(loss: LossFunction, t: float, Q: ScenarioMeasure) -> float:
 # dual verifiers
 
 
-def _grid_sup(grid: SimplexGrid, f, polish: bool) -> float:
+def _grid_sup(grid: SimplexGrid, f, polish: bool = True) -> float:
     """Max of f over the grid, refined by ``_polish_simplex`` around the
     first maximizer when ``polish`` is set."""
     best, arg = -math.inf, None
@@ -374,7 +381,6 @@ def verify_robust_dual(
     grid: SimplexGrid,
     loss: Optional[LossFunction] = None,
     seed: int = 0,
-    polish: bool = True,
 ) -> dict:
     """Robust value vs sup_Q R_rho(phi_Q(X), Q) (certainty-equivalent form when
     a loss is supplied). R_rho is the loss surface given a loss, else the
@@ -393,12 +399,12 @@ def verify_robust_dual(
     def g(Q):
         return penalty(support_function(family, Q, X, seed=seed), Q)
 
-    dual = _grid_sup(grid, g, polish)
+    dual = _grid_sup(grid, g)
     return _robust_report(lhs, dual, grid)
 
 
 def verify_convex_cash_additive_dual(
-    rho: RiskFunctional, family: UncertaintyFamily, X: Position, grid: SimplexGrid, polish: bool = True
+    rho: RiskFunctional, family: UncertaintyFamily, X: Position, grid: SimplexGrid
 ) -> dict:
     """Robust value vs sup_{Qt} { E_Qt[-X] - inf_Q { c_{phi_Q}(Qt) + c_rho(Q) } }."""
     if not (rho.flags.convex and rho.flags.cash_additive):
@@ -423,7 +429,7 @@ def verify_convex_cash_additive_dual(
         v = expectation_under(Qt, -X) - inner
         if v > dual:
             dual, arg = v, Qt
-    if polish and arg is not None:
+    if arg is not None:
         # along the diagonal Qt = Q the inner infimum collapses to the closed
         # form -k_Q + c_rho(Q), giving a one-measure objective to refine
         def g(Q):
@@ -440,7 +446,6 @@ def verify_second_approach_dual(
     X: Position,
     grid: SimplexGrid,
     seed: int = 0,
-    polish: bool = True,
 ) -> dict:
     """Robust value vs sup_{Q,Qt} { R_{phi_Q}(E_Qt[-X], Qt) - c_rho(Q) }."""
     if not (rho.flags.convex and rho.flags.cash_additive and rho.flags.continuous_from_above):
@@ -456,7 +461,7 @@ def verify_second_approach_dual(
         def g_inner(Qt):
             return base(expectation_under(Qt, -X), Qt)
 
-        inner = _grid_sup(grid, g_inner, polish)
+        inner = _grid_sup(grid, g_inner)
 
         def g_outer(Q):
             cr = minimal_penalty(rho, Q)
@@ -465,7 +470,7 @@ def verify_second_approach_dual(
                 return -math.inf
             return inner + family.eps + c1 - cr
 
-        dual = _grid_sup(grid, g_outer, polish)
+        dual = _grid_sup(grid, g_outer)
     elif family._support_penalty(P, P) is not None:
         # phi_Q = E_Q[-.] + k_Q up to rearrangement, so R_{phi_Q}(t, Qt) is
         # t + k_Q at Qt = Q and -inf otherwise
@@ -475,7 +480,7 @@ def verify_second_approach_dual(
                 return -math.inf
             return support_function(family, Q, X) - cr
 
-        dual = _grid_sup(grid, g, polish)
+        dual = _grid_sup(grid, g)
     else:
         raise ValueError(f"no second-approach closed form for {family.name}")
     return _robust_report(lhs, dual, grid)

@@ -204,14 +204,6 @@ class QuantileSteps:
     values: np.ndarray
     cum: np.ndarray
 
-    def at(self, u: float) -> float:
-        """Quantile at u in (0, 1]."""
-        if not 0.0 < u <= 1.0:
-            raise ValueError("u must lie in (0, 1]")
-        k = int(np.searchsorted(self.cum, u, side="left"))
-        k = min(k, self.values.size - 1)
-        return float(self.values[k])
-
 
 def quantile_function(X: Position) -> QuantileSteps:
     """Quantile (inverse CDF) of the law of X under P, atoms merged."""

@@ -8,7 +8,6 @@ from robustrisk import (
     acceptance_level,
     is_acceptable,
     robust_acceptance_check,
-    robust_level_by_sets,
     robust_value,
 )
 
@@ -44,16 +43,6 @@ def test_cash_shift_identity(uniform4, rng):
         assert acceptance_level(rho, X + m) == pytest.approx(rho(X) - m, abs=1e-9)
 
 
-def test_robust_acceptance_two_sides_agree(uniform4, rng):
-    rho = rr.entropic(1.0)
-    for fam in (rr.sup_norm_ball(0.3), rr.wasserstein_ball(1.0, 0.3)):
-        for _ in range(10):
-            X = random_pos(uniform4, rng)
-            m = float(rng.uniform(-2, 2))
-            out = robust_acceptance_check(rho, fam, X, m)
-            assert out["agree"], (fam.name, out)
-
-
 def test_robust_acceptance_threshold(uniform4):
     rho = rr.entropic(1.0)
     fam = rr.sup_norm_ball(0.3)
@@ -64,19 +53,9 @@ def test_robust_acceptance_threshold(uniform4):
     assert above["x_in_robust"] and not below["x_in_robust"]
 
 
-def test_robust_level_by_sets_matches_robust_value(uniform4, rng):
-    rho = rr.entropic(1.0)
-    for fam in (rr.sup_norm_ball(0.3), rr.p_norm_ball(1.0, 0.3)):
-        for _ in range(10):
-            X = random_pos(uniform4, rng)
-            rv = robust_value(rho, fam, X)
-            lvl = robust_level_by_sets(rho, fam, X)
-            assert lvl == pytest.approx(rv.value, abs=1e-8), fam.name
-
-
 def test_robust_level_monotone_in_eps(uniform4):
     rho = rr.entropic(1.0)
     X = Position(uniform4, [0.5, -0.5, 1.0, 0.0])
-    levels = [robust_level_by_sets(rho, rr.sup_norm_ball(e), X) for e in (0.0, 0.2, 0.4)]
+    levels = [robust_value(rho, rr.sup_norm_ball(e), X).value for e in (0.0, 0.2, 0.4)]
     assert levels[0] <= levels[1] <= levels[2]
     assert levels[0] == pytest.approx(rho(X), abs=1e-8)

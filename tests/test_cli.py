@@ -149,7 +149,8 @@ def test_acceptance_subcommand(scenario_file, config_file, tmp_path):
     rep = json.loads(open(out).read())
     assert rep["level"] == 0.5
     assert isinstance(rep["acceptable"], bool)
-    assert abs(rep["robust"]["robust_value"] - rep["robust_level_by_sets"]) < 1e-6
+    assert rep["robust_level_by_sets"] == rep["robust"]["robust_value"]
+    assert set(rep["robust"]) == {"x_in_robust", "robust_value", "guarantee"}
 
 
 def test_allocate_subcommand(tmp_path, scenario_file):
@@ -263,6 +264,15 @@ def test_bad_config_exits_2(tmp_path, scenario_file, capsys, config, message):
     path = _write(tmp_path, "cfg.json", config)
     assert main(["robustify", "--scenario", scenario_file, "--config", path]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["dual-check", "allocate"])
+def test_oversized_simplex_grid_exits_2(tmp_path, scenario_file, capsys, subcommand):
+    """A simplex step whose lattice is too large to build is an input error
+    that names the step, not a traceback or a run that builds it."""
+    path = _write(tmp_path, "cfg.json", dict(CONFIG, grid={"simplex_step": 1e-6}))
+    assert main([subcommand, "--scenario", scenario_file, "--config", path]) == 2
+    assert "error: grid.simplex_step: step 1e-06 gives 1000001 lattice measures" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("subcommand", ["robustify", "properties", "acceptance"])

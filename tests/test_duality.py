@@ -1,6 +1,7 @@
 """Dual representations: penalties, surfaces, gap checks."""
 
 import math
+import time
 from itertools import permutations
 
 import numpy as np
@@ -59,6 +60,18 @@ def test_simplex_grid_nesting(pair):
     coarse = {tuple(np.round(Q.density, 9)) for Q in simplex_grid(pair, step=0.1)}
     fine = {tuple(np.round(Q.density, 9)) for Q in simplex_grid(pair, step=0.05)}
     assert coarse <= fine
+
+
+def test_simplex_grid_refuses_an_oversized_lattice(pair):
+    """A step whose lattice is too large is refused before any of it is
+    built: step 1e-6 on two atoms and 0.001 on three would give 1,000,001
+    and 501,501 measures."""
+    for space, step in ((pair, 1e-6), (ProbSpace([0.5, 0.3, 0.2]), 0.001)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 200000"):
+            simplex_grid(space, step=step)
+        assert time.perf_counter() - start < 1.0
+    assert len(simplex_grid(ProbSpace([0.5, 0.3, 0.2]), step=0.05)) == 231
 
 
 def test_rearranged_expectation_uniform(uniform4, rng):

@@ -82,9 +82,9 @@ def test_quantile_function_steps(skewed3):
     X = Position(skewed3, [3.0, 1.0, 2.0])
     q = quantile_function(X)
     # sorted values 1 (mass .3), 2 (mass .2), 3 (mass .5)
-    assert q.at(0.1) == 1.0
-    assert q.at(0.35) == 2.0
-    assert q.at(0.9) == 3.0
+    assert q.values.tolist() == [1.0, 2.0, 3.0]
+    assert q.cum == pytest.approx([0.3, 0.5, 1.0], abs=1e-15)
+    assert q.cum[-1] == 1.0
 
 
 def test_wasserstein_shift_identity(uniform4, rng):

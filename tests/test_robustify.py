@@ -206,8 +206,7 @@ def test_largest_family(uniform4):
 
 def test_largest_family_counts_only_tested_trials(uniform4, monkeypatch):
     """A trial whose witness is not in the largest family tests nothing, so
-    with no such member the verdicts are unknown, not sampled passes."""
+    with no such member the solidity verdict is unknown, not a sampled pass."""
     monkeypatch.setattr(robustify, "largest_family_member", lambda rho, value, Z: False)
     verdicts = rr.largest_family_properties(rr.entropic(1.0), rr.sup_norm_ball(0.3), trials=3, seed=3, space=uniform4)
     assert verdicts["solid"].tag == "unknown"
-    assert verdicts["quasi_convex"].tag == "unknown"

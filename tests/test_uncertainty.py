@@ -21,6 +21,7 @@ from robustrisk import (
     solidify,
     transport_member,
 )
+from robustrisk import uncertainty
 from robustrisk.prob_core import _bisect
 from robustrisk.robustify import _project
 from robustrisk.uncertainty import _boundary_step
@@ -499,6 +500,20 @@ def test_hand_built_family(skewed3):
     assert all(sol.membership(X, Z) for Z in members)
 
 
+def test_hand_built_support_function_meets_the_closed_form(skewed3, rng):
+    """With no closed form, support_function takes the maximum of E_Q[-Z]
+    over the discretized members. The hand-built candidates hold the spike
+    vertices X -+ eps/p_i e_i, so the maximum is the L^1 ball's closed form
+    E_Q[-X] + eps max_i q_i."""
+    fam, ball = _hand_built_l1_ball(0.3), rr.p_norm_ball(1.0, 0.3)
+    for _ in range(10):
+        X = random_pos(skewed3, rng)
+        d = np.abs(rng.normal(size=3)) + 0.1
+        Q = rr.ScenarioMeasure(skewed3, d / float(np.dot(skewed3.probs, d)))
+        assert fam._support(Q, X) is None
+        assert rr.support_function(fam, Q, X) == pytest.approx(rr.support_function(ball, Q, X), abs=1e-12)
+
+
 def _entropic_clone() -> rr.RiskFunctional:
     """entropic(1) built by hand: the same flags, no closed forms, so its
     rows are evaluated one by one."""
@@ -531,6 +546,28 @@ def test_boundary_step_matches_bisection(rho1, skewed3, rng):
         k = _boundary_step(rho1, Z, target)
         assert k == pytest.approx(_bracket_and_bisect(rho1, Z, target), abs=1e-12)
         assert k == 0.0 if rho1(Z) >= target else rho1(Z - k) == pytest.approx(target, abs=1e-12)
+
+
+def test_projected_ascent_over_a_row_loop_base(skewed3, monkeypatch):
+    """A level set over a base evaluated row by row has no array search, so
+    each pull-back bisects on membership; the ascent still ends on a member,
+    at or above the grid value and below the supremum rho(X) + eps."""
+    pullbacks = []
+    pullback = uncertainty._LevelFamily._pullback
+
+    def spy(self, X, Z):
+        pullbacks.append(pullback(self, X, Z))
+        return pullbacks[-1]
+
+    monkeypatch.setattr(uncertainty._LevelFamily, "_pullback", spy)
+    fam = rr.level_upper_set(_entropic_clone(), 0.3)
+    X = Position(skewed3, [0.4, -0.2, 0.1])
+    rv = robust_value(_ENT, fam, X, solver="projected_ascent", budget=16, seed=3)
+    grid = robust_value(_ENT, fam, X, solver="grid", budget=16, seed=3)
+    assert pullbacks and all(t is None for t in pullbacks)
+    assert fam.membership(X, rv.witness)
+    assert rv.guarantee == "lower_bound"
+    assert grid.value <= rv.value <= _ENT(X) + 0.3 + 1e-9
 
 
 LEVEL_BASES = {"entropic": rr.entropic(1.0), "es": rr.expected_shortfall(0.3),
