@@ -5,9 +5,9 @@ value is at most m."""
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from .prob_core import Position, _bisect
+from .prob_core import Position
 from .risk_measures import RiskFunctional
 from .robustify import robust_value
 from .uncertainty import UncertaintyFamily
@@ -27,23 +27,12 @@ def is_acceptable(rho: RiskFunctional, X: Position, m: float) -> bool:
 
 
 def acceptance_level(rho: RiskFunctional, X: Position) -> float:
-    """inf{m : X acceptable at m}, reproducing rho(X) within 1e-9: a bracket
-    around the values of X grows until it straddles the level, then bisection
-    to relative width 1e-12."""
-    hi = float(np.max(np.abs(X.values))) + 10.0
-    lo = -hi
-    grow = 0
-    while not is_acceptable(rho, X, hi):
-        lo, hi = hi, hi + 2.0 * (hi - lo)
-        grow += 1
-        if grow > 80:
-            raise ValueError("bracket expansion failed: risk appears unbounded")
-    while is_acceptable(rho, X, lo):
-        lo, hi = lo - 2.0 * (hi - lo), lo
-        grow += 1
-        if grow > 160:
-            raise ValueError("bracket expansion failed downward")
-    return _bisect(lambda m: not is_acceptable(rho, X, m), lo, hi, 200, 1e-12)[1]
+    """inf{m : X acceptable at m}, which is rho(X) itself: the sets {rho <= m}
+    recover rho exactly, +inf included. A NaN value accepts at no level."""
+    value = rho(X)
+    if math.isnan(value):
+        raise ValueError(f"{rho.name} is NaN at X: no level accepts it")
+    return value
 
 
 def robust_acceptance_check(

@@ -302,6 +302,19 @@ def _verdict_report(v: uncertainty.PropertyVerdict) -> dict:
     return rep
 
 
+def _value_at(rho, name: str, X: Position, evaluate=None) -> float:
+    """rho(X), or ``evaluate(rho, X)``; a measure undefined at X (its
+    ValueError) is an input error that names the position."""
+    try:
+        return rho(X) if evaluate is None else evaluate(rho, X)
+    except ValueError as e:
+        raise InputError(f"position {name}: {rho.name} is undefined there: {e}") from None
+
+
+# dual-check verifiers that robustify over the config's family
+_FAMILY_VERIFIERS = ("robust_dual", "robust_dual_ce", "convex_cash_additive", "second_approach")
+
+
 def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dict:
     rho = build_rho(config.rho)
     family = build_family(config.family) if config.family else None
@@ -311,12 +324,12 @@ def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dic
     report = {"subcommand": subcommand, "seed": seed}
 
     if subcommand == "eval":
-        report["values"] = {name: rho(X) for name, X in scenario.positions.items()}
+        report["values"] = {name: _value_at(rho, name, X) for name, X in scenario.positions.items()}
         return report
 
     if subcommand == "robustify":
         if family is None:
-            report["values"] = {name: rho(X) for name, X in scenario.positions.items()}
+            report["values"] = {name: _value_at(rho, name, X) for name, X in scenario.positions.items()}
             return report
         vals = {}
         for name, X in scenario.positions.items():
@@ -337,6 +350,8 @@ def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dic
         name, X = _pick_position(scenario, args)
         grid = _simplex_grid(scenario, config, seed)
         verifier = args.verifier or config.extra.get("verifier", "primal_dual")
+        if verifier in _FAMILY_VERIFIERS and family is None:
+            raise InputError(f"{verifier} requires a family in the config")
         try:
             if verifier == "primal_dual":
                 if rho.flags.cash_additive:
@@ -376,8 +391,8 @@ def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dic
             raise InputError(f"--level must be a finite number, got {m!r}")
         report["position"] = name
         report["level"] = m
+        report["acceptance_level"] = _value_at(rho, name, X, acc.acceptance_level)
         report["acceptable"] = acc.is_acceptable(rho, X, m)
-        report["acceptance_level"] = acc.acceptance_level(rho, X)
         if family is not None:
             report["robust"] = acc.robust_acceptance_check(rho, family, X, m, seed=seed)
             # the robust value again, under the key earlier reports used
@@ -471,7 +486,8 @@ def main(argv=None) -> int:
     parser.add_argument("--position", default=None, help="position name for single-position subcommands")
     parser.add_argument("--level", type=float, default=None, help="acceptance target level m")
     parser.add_argument("--verifier", default=None, help="dual-check verifier selection")
-    parser.add_argument("--property", default=None, help="single property for the properties subcommand")
+    parser.add_argument("--property", default=None, choices=uncertainty.FAMILY_PROPERTIES,
+                        help="single property for the properties subcommand")
     args = parser.parse_args(argv)
 
     try:

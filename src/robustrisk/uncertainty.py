@@ -193,10 +193,6 @@ class UncertaintyFamily:
         pointwise below Z; None when the kind has no exact decision."""
         return None
 
-    def _minkowski(self, X: Position, Y: Position, lam: float, Z: Position) -> Optional[bool]:
-        """Whether Z lies in lam*U_X + (1-lam)*U_Y."""
-        return None
-
     def _dominated(self, X: Position, Z: Position) -> Optional[Position]:
         """A candidate member W <= Z of U_X, given that Z lies in U_X + L^p_+."""
         return None
@@ -362,9 +358,6 @@ class _NormBall(_Ball):
     def _plus_cone(self, X, Z):
         deficit = np.maximum(X.values - Z.values, 0.0)
         return _lp_norm(X.space, deficit, self.p) <= self.eps + MEMBER_TOL
-
-    def _minkowski(self, X, Y, lam, Z):
-        return self.membership(lam * X + (1.0 - lam) * Y, Z)
 
     def _dominated(self, X, Z):
         if math.isinf(self.p):
@@ -803,11 +796,11 @@ def _violation(family: UncertaintyFamily, prop: str, w: dict) -> Optional[bool]:
         return _leq(w["X"], w["Y"]) and _fails(family._plus_cone(w["X"], w["Yp"])) and m(w["Y"], w["Yp"])
     if prop == "solid":
         return _leq(w["Z"], w["Zbar"]) and _fails(d(w["X"], w["Zbar"])) and m(w["X"], w["Z"])
-    if prop in ("convex", "quasi_convex", "c_quasi_convex"):
+    if prop == "convex":
+        return None  # no kind decides membership in lam*U_X + (1-lam)*U_Y
+    if prop in ("quasi_convex", "c_quasi_convex"):
         X, Y, lam, Z = w["X"], w["Y"], w["lam"], w["Z"]
-        if prop == "convex":
-            outside = _fails(family._minkowski(X, Y, lam, Z))
-        elif prop == "quasi_convex":
+        if prop == "quasi_convex":
             outside = _fails(d(X, Z)) and _fails(d(Y, Z))
         else:
             inside = [family._plus_cone(V, Z) for V in (X, Y)]
@@ -916,7 +909,9 @@ def _draw(prop: str, X: Position, rng: np.random.Generator):
         return Y, lambda Z: {"X": X, "Y": Y, key: Z}
     if prop == "solid":
         return X, lambda Z: {"X": X, "Z": Z, "Zbar": Z + Position(space, np.abs(rng.normal(size=space.n)))}
-    if prop in ("convex", "quasi_convex", "c_quasi_convex"):
+    if prop == "convex":
+        return None  # no kind decides membership in lam*U_X + (1-lam)*U_Y
+    if prop in ("quasi_convex", "c_quasi_convex"):
         Y = random_position(space, rng)
         lam = float(rng.uniform())
         return lam * X + (1.0 - lam) * Y, lambda Z: {"X": X, "Y": Y, "lam": lam, "Z": Z}

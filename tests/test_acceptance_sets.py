@@ -1,5 +1,8 @@
 """Acceptance families, level inversion, and robust acceptance."""
 
+import math
+
+import numpy as np
 import pytest
 
 import robustrisk as rr
@@ -26,11 +29,30 @@ def test_acceptance_sets_nested_in_level(uniform4, rng):
 
 
 def test_acceptance_level_inverts_rho(uniform4, rng):
+    """The sets {rho <= m} recover rho exactly, for every shipped measure."""
     for rho in (rr.entropic(1.0), rr.expected_shortfall(0.5), rr.neg_expectation(),
-                rr.expectation_floor(0.3), rr.q_entropic(0.5, 2.0)):
+                rr.expectation_floor(0.3), rr.q_entropic(0.5, 2.0), rr.worst_case(),
+                rr.certainty_equivalent(rr.exponential_loss()), rr.certainty_equivalent(rr.identity_loss()),
+                rr.certainty_equivalent(rr.power_loss(2.0))):
         for _ in range(15):
             X = random_pos(uniform4, rng)
-            assert acceptance_level(rho, X) == pytest.approx(rho(X), abs=1e-9), rho.name
+            if rho.name.startswith("certainty_equivalent(power"):
+                X = Position(uniform4, -abs(X.values))  # the power loss is defined on losses -X >= 0
+            assert acceptance_level(rho, X) == rho(X), rho.name
+
+
+def test_acceptance_level_of_an_unbounded_risk_is_inf():
+    """inf{m : +inf <= m} = +inf: the exponential CE overflows at X = (-800, 1)."""
+    rho = rr.certainty_equivalent(rr.exponential_loss())
+    X = Position(rr.ProbSpace([0.5, 0.5]), [-800.0, 1.0])
+    with np.errstate(over="ignore"):
+        assert acceptance_level(rho, X) == math.inf
+
+
+def test_acceptance_level_rejects_nan(uniform4):
+    rho = rr.RiskFunctional("nan_measure", lambda X: math.nan, rr.AxiomFlags())
+    with pytest.raises(ValueError, match="nan_measure is NaN"):
+        acceptance_level(rho, Position(uniform4, [0.0, 1.0, 2.0, 3.0]))
 
 
 def test_cash_shift_identity(uniform4, rng):

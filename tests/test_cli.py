@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from robustrisk.cli import InputError, dumps17, main, parse_config, parse_scenario
@@ -303,3 +304,52 @@ def test_uncovered_measure_exits_2(tmp_path, scenario_file, capsys, argv):
     path = _write(tmp_path, "cfg.json", dict(CONFIG, rho={"kind": "expectation_floor", "params": {"K": 0.3}}))
     assert main(argv + ["--scenario", scenario_file, "--config", path]) == 2
     assert "expectation_floor(K=0.3)" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    """main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["properties", "--property", "bogus"], "argument --property: invalid choice: 'bogus'"),
+    *((["dual-check", "--verifier", v], f"error: {v} requires a family in the config")
+      for v in ("robust_dual", "robust_dual_ce", "convex_cash_additive", "second_approach")),
+], ids=["property", "robust_dual", "robust_dual_ce", "convex_cash_additive", "second_approach"])
+def test_missing_or_unknown_input_exits_2(tmp_path, scenario_file, capsys, argv, message):
+    """An unknown property, or a verifier that robustifies with no family to
+    robustify over, is an input error, not a traceback."""
+    path = _write(tmp_path, "cfg.json", {"rho": CONFIG["rho"]})
+    assert _exit_code(argv + ["--scenario", scenario_file, "--config", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+POWER_CE = {"rho": {"kind": "certainty_equivalent", "params": {"loss": {"kind": "power", "k": 2}}}}
+
+
+@pytest.mark.parametrize("subcommand", ["eval", "acceptance", "robustify"])
+def test_measure_undefined_at_a_position_exits_2(tmp_path, capsys, subcommand):
+    """A measure undefined at a position is an input error that names the
+    position and repeats the measure's reason."""
+    scenario = _write(tmp_path, "s.json", {"space": {"probs": [0.3, 0.3, 0.4]}, "positions": {"X": [0.4, -0.2, 0.1]}})
+    config = _write(tmp_path, "c.json", POWER_CE)
+    assert main([subcommand, "--scenario", scenario, "--config", config]) == 2
+    assert ("error: position X: certainty_equivalent(power2.0) is undefined there: power loss defined on x >= 0"
+            in capsys.readouterr().err)
+
+
+def test_acceptance_level_of_an_unbounded_risk(tmp_path):
+    """The exponential CE overflows to +inf at X = (-800, 1); acceptance
+    reports the level as eval reports the value."""
+    scenario = _write(tmp_path, "s.json", {"space": {"probs": [0.5, 0.5]}, "positions": {"X": [-800.0, 1.0]}})
+    config = _write(tmp_path, "c.json", {"rho": {"kind": "certainty_equivalent", "params": {"loss": {"kind": "exp"}}}})
+    reports = {}
+    for sub in ("eval", "acceptance"):
+        out = str(tmp_path / f"{sub}.json")
+        with np.errstate(over="ignore"):
+            assert main([sub, "--scenario", scenario, "--config", config, "--out", out]) == 0
+        reports[sub] = json.loads(open(out).read())
+    assert reports["acceptance"]["acceptance_level"] == reports["eval"]["values"]["X"] == "inf"

@@ -74,6 +74,20 @@ def test_simplex_grid_refuses_an_oversized_lattice(pair):
     assert len(simplex_grid(ProbSpace([0.5, 0.3, 0.2]), step=0.05)) == 231
 
 
+def test_simplex_grid_samples_larger_spaces():
+    """On more than three atoms the grid is P, the vertices and 300 seeded
+    Dirichlet draws: reproducible for a seed, different for another."""
+    space = ProbSpace([0.1, 0.2, 0.3, 0.4])
+    grid = simplex_grid(space, step=0.1, seed=3)
+    assert len(grid) == 305
+    for Q in grid:
+        assert np.all(Q.density >= 0) and abs(float(np.dot(space.probs, Q.density)) - 1.0) <= 1e-12
+    same, other = simplex_grid(space, step=0.1, seed=3), simplex_grid(space, step=0.1, seed=4)
+    densities = [tuple(Q.density) for Q in grid]
+    assert [tuple(Q.density) for Q in same] == densities
+    assert [tuple(Q.density) for Q in other] != densities
+
+
 def test_rearranged_expectation_uniform(uniform4, rng):
     """On a uniform space the rearranged expectation is the permutation max."""
     for _ in range(10):
@@ -209,6 +223,15 @@ def test_convex_cash_additive_dual(pair):
         assert abs(out["gap"]) <= 1e-5, fam.name
 
 
+def test_convex_cash_additive_dual_wasserstein(pair):
+    """Over a W1 ball the support functional's penalty is finite only at the
+    rearrangements of Q, and the dual meets the exact robust value."""
+    out = verify_convex_cash_additive_dual(rr.neg_expectation(), rr.wasserstein_ball(1.0, 0.2),
+                                           Position(pair, [0.8, -0.6]), simplex_grid(pair, step=0.05))
+    assert out["guarantee"] == "exact" and out["robust"] == pytest.approx(0.1, abs=1e-12)
+    assert abs(out["gap"]) <= 1e-8
+
+
 def test_second_approach_dual(pair):
     rho = rr.entropic(1.0)
     grid = simplex_grid(pair, step=0.01)
@@ -248,6 +271,9 @@ def test_dual_argmax_tie_break(pair):
     grid = simplex_grid(pair, step=0.05)
     Q = dual_argmax(rr.entropic(1.0), Position(pair, [1.0, 1.0]), grid, q=2.0)
     assert np.allclose(Q.density, 1.0, atol=1e-9)
+    # the worst case penalizes no scenario, so every one ties at X = (1, 1)
+    Q = dual_argmax(rr.worst_case(), Position(pair, [1.0, 1.0]), grid, q=2.0)
+    assert Q.density.tolist() == [1.0, 1.0]
 
 
 def test_dual_argmax_recovers_entropic_tilt(pair):

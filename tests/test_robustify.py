@@ -24,6 +24,19 @@ def test_sup_ball_closed_form(uniform4, rng):
             assert fam.membership(X, rv.witness)
 
 
+def test_sup_ball_vertex_enum(uniform4, rng):
+    """The corners of the sup ball hold the analytic worst case X - eps."""
+    fam = rr.sup_norm_ball(0.3)
+    for rho in (rr.entropic(1.0), rr.expected_shortfall(0.5), rr.worst_case(), rr.neg_expectation()):
+        X = random_pos(uniform4, rng)
+        rv = robust_value(rho, fam, X, solver="vertex_enum")
+        assert (rv.solver, rv.guarantee) == ("vertex_enum", "exact")
+        assert rv.value == robust_value(rho, fam, X, solver="analytic").value, rho.name
+    many = rr.ProbSpace([1.0 / 21] * 21)
+    with pytest.raises(ValueError, match="vertex enumeration guarded at n <= 20, got n = 21"):
+        robust_value(rr.entropic(1.0), fam, Position(many, np.zeros(21)), solver="vertex_enum")
+
+
 def test_p_ball_vertex_enum(uniform4):
     """Convex measures over the L1 ball: maximum sits at a spike vertex."""
     fam = rr.p_norm_ball(1.0, 0.2)

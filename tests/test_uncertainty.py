@@ -351,12 +351,24 @@ def test_law_invariance_without_shared_laws():
     assert v.tag == "unknown"
 
 
-def test_undecided_trials_are_not_counted():
-    """Convexity of a level set has no decision procedure, so every trial is
-    undecided: the verdict is unknown, not a sampled pass."""
+def test_undecided_trials_are_not_counted(uniform4, rng):
+    """No kind decides membership in lam*U_X + (1-lam)*U_Y, so convexity of a
+    level set has no decision procedure: the verdict is unknown, not a
+    sampled pass, no candidate is asked for, and no convexity witness
+    replays."""
     lev = rr.level_upper_set(rr.entropic(1.0), 0.3)
     v = check_property(lev, "convex", rr.ProbSpace([0.5, 0.5]), trials=20, seed=4)
     assert v.tag == "unknown" and v.trials == 0
+    calls = []
+    counted = dataclasses.replace(lev, discretize=lambda *a: calls.append(1) or lev.discretize(*a))
+    v = check_property(counted, "convex", uniform4, trials=40, seed=3)
+    assert v == check_property(lev, "convex", uniform4, trials=40, seed=3)
+    assert (v.tag, v.trials, v.note) == ("unknown", 0, "no trial could have found a violation")
+    assert calls == []
+    X, Y = random_pos(uniform4, rng), random_pos(uniform4, rng)
+    w = {"X": X, "Y": Y, "lam": 0.5, "Z": 0.5 * X + 0.5 * Y + 10.0}
+    for kind in KINDS:
+        assert not replay_witness(KINDS[kind](), "convex", w), kind
 
 
 def test_forged_witnesses_do_not_replay():
@@ -678,3 +690,65 @@ def test_hand_built_family_projects_by_scalar_bisection(skewed3, rng):
         lo, _ = _bisect(lambda t: fam.membership(X, X + t * (Z - X)), 0.0, 1.0, 60)
         assert np.array_equal(_project(fam, X, Z, True).values, (X + lo * (Z - X)).values)
         assert _project(fam, X, Z, False) is None
+
+
+# ---------------------------------------------------------------------------
+# Wasserstein-ball closed forms
+
+
+def _cone_cases(space, fam, rng, tries=120):
+    """Pairs (X, Z) with Z in U_X + L^p_+ but not in U_X."""
+    for _ in range(tries):
+        X = random_pos(space, rng)
+        Z = X + Position(space, rng.normal(size=space.n))
+        if not fam.membership(X, Z) and fam._plus_cone(X, Z):
+            yield X, Z
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["W1", "W2", "Winf"])
+def test_wasserstein_dominated_member(p, skewed3, rng):
+    """Above the ball, cone_witness lowers Z to the dominated quantile
+    envelope: always a member on uniform spaces, a verified candidate on
+    others."""
+    fam = rr.wasserstein_ball(p, 0.5)
+    for n in (3, 4):
+        cases = list(_cone_cases(rr.ProbSpace([1.0 / n] * n), fam, rng))
+        assert cases
+        for X, Z in cases:
+            W = cone_witness(fam, X, Z)
+            assert W is not None and fam.membership(X, W) and np.all(W.values <= Z.values), (n, X.values, Z.values)
+    cases = list(_cone_cases(skewed3, fam, rng))
+    returned = [(X, Z, W) for X, Z in cases if (W := cone_witness(fam, X, Z)) is not None]
+    assert len(returned) >= len(cases) // 2
+    for X, Z, W in returned:
+        assert fam.membership(X, W) and np.all(W.values <= Z.values)
+
+
+def test_winf_ball_worst_case_is_the_downward_shift(skewed3, uniform4, rng):
+    """Over a W_inf ball a monotone law-invariant measure peaks at X - eps,
+    and a search finds nothing higher (run for the two nonlinear measures on
+    three atoms, where it costs least)."""
+    fam = rr.wasserstein_ball(math.inf, 0.3)
+    for k, rho in enumerate((rr.entropic(1.0), rr.expected_shortfall(0.5), rr.worst_case(), rr.neg_expectation())):
+        for space in (skewed3, uniform4):
+            X = random_pos(space, rng)
+            rv = robust_value(rho, fam, X)
+            assert (rv.solver, rv.guarantee) == ("analytic", "exact")
+            assert rv.value == rho(X - 0.3)
+            if space is skewed3 and k < 2:
+                searched = robust_value(rho, fam, X, solver="projected_ascent", seed=2)
+                assert searched.value <= rv.value + 1e-12, rho.name
+
+
+def test_wasserstein_support_penalty(uniform4):
+    """The support functional's penalty is -eps ||dQ/dP||_q* at the
+    rearrangements of Q and +inf at every other measure."""
+    Q = rr.ScenarioMeasure(uniform4, [1.6, 0.4, 1.2, 0.8])
+    shuffled = rr.ScenarioMeasure(uniform4, [0.4, 1.2, 0.8, 1.6])
+    other = rr.ScenarioMeasure(uniform4, [1.5, 0.5, 1.2, 0.8])
+    w1 = rr.wasserstein_ball(1.0, 0.2)
+    for Qt in (Q, shuffled):
+        assert w1._support_penalty(Q, Qt) == pytest.approx(-0.2 * 1.6, abs=1e-15)
+    assert w1._support_penalty(Q, other) == math.inf
+    w2 = rr.wasserstein_ball(2.0, 0.2)
+    assert w2._support_penalty(Q, shuffled) == pytest.approx(-0.2 * math.sqrt(np.mean(Q.density**2)), abs=1e-15)
