@@ -121,7 +121,7 @@ class Position:
         v = np.asarray(values, dtype=float)
         if v.shape != (space.n,):
             raise ValueError(f"values must have length {space.n}, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("position values must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "space", space)
@@ -161,7 +161,7 @@ class ScenarioMeasure:
         d = np.asarray(density, dtype=float)
         if d.shape != (space.n,):
             raise ValueError(f"density must have length {space.n}, got shape {d.shape}")
-        if np.any(d < 0):
+        if (d < 0).any():
             raise ValueError("density must be nonnegative")
         mass = float(np.dot(space.probs, d))
         if not abs(mass - 1.0) <= 1e-9:  # NaN fails it

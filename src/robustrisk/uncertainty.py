@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -135,11 +134,12 @@ def _require_step(value: float, name: str) -> None:
 class UncertaintyFamily:
     """A family of uncertainty sets X -> U_X with solver-facing structure.
 
-    A family's kind is its class: it owns its predicate ``_member(X, Z)``, its
-    generator ``_candidates(X, resolution, budget, rng)`` and its closed forms,
-    the other underscore methods. Here each closed form returns None ("no
-    closed form"), which sends the callers to generic numerics, and the kinds
-    below override them. Left unset, the fields ``membership`` and
+    A family's kind is its class: it owns its predicate ``_member(X, Z)`` and
+    its array form ``_member_rows(X, rows)``, its generator ``_candidates(X,
+    resolution, budget, rng)`` of the rows of an (m, n) array, and its closed
+    forms, the other underscore methods. Here each closed form returns None
+    ("no closed form"), which sends the callers to generic numerics, and the
+    kinds below override them. Left unset, the fields ``membership`` and
     ``discretize`` are the kind's ``_member`` and ``_discretize``. A family
     built by hand passes both, ``membership(X, Z)`` and ``discretize(X,
     resolution, budget, seed)``, and takes the generic paths. The closed
@@ -168,16 +168,31 @@ class UncertaintyFamily:
         return self.params.get("rho1")
 
     def _discretize(self, X: Position, resolution: float, budget: int, seed: int) -> list:
-        """The members among the kind's candidates for U_X, drawn from one seeded stream."""
+        """The members among the kind's candidates for U_X, drawn from one
+        seeded stream, as Positions in the order drawn. The candidates are the
+        rows of one array, tested in one ``_member_rows`` call; a family whose
+        ``membership`` is not its kind's own ``_member`` (a copy with a
+        replaced predicate) tests them row by row through ``membership``."""
         rng = np.random.default_rng(seed)
-        return [Z for Z in self._candidates(X, resolution, budget, rng) if self.membership(X, Z)]
+        rows = self._candidates(X, resolution, budget, rng)
+        if not np.isfinite(rows).all():
+            raise ValueError("position values must be finite")
+        own = self.membership == self._member
+        keep = self._member_rows(X, rows) if own else UncertaintyFamily._member_rows(self, X, rows)
+        return [Position(X.space, row) for row in rows[keep]]
+
+    def _member_rows(self, X: Position, rows: np.ndarray) -> np.ndarray:
+        """Whether each row of the (m, n) array lies in U_X, by one
+        ``membership`` call per row."""
+        return np.array([bool(self.membership(X, Position(X.space, row))) for row in rows], dtype=bool)
 
     def _worst_case(self, rho: RiskFunctional, X: Position) -> Optional[tuple]:
         """(value, witness, guarantee) for sup over U_X of rho."""
         return None
 
-    def _vertices(self, X: Position) -> Optional[list]:
-        """Vertices of the polytope U_X; a convex rho attains its sup at one."""
+    def _vertices(self, X: Position) -> Optional[np.ndarray]:
+        """Vertices of the polytope U_X as the rows of an (m, n) array; a
+        convex rho attains its sup at one."""
         return None
 
     def _support(self, Q: ScenarioMeasure, X: Position) -> Optional[float]:
@@ -267,6 +282,9 @@ class _Ball(UncertaintyFamily):
     def _member(self, X, Z):
         return self._dist(X, Z) <= self.eps + MEMBER_TOL
 
+    def _member_rows(self, X, rows):
+        return self._dist_rows(X, rows) <= self.eps + MEMBER_TOL
+
     def _k(self, Q: ScenarioMeasure) -> float:
         """phi_Q(X) minus the (rearranged) Q-expectation of -X: eps times the
         dual norm of dQ/dP, which is 1 for p = inf."""
@@ -286,39 +304,45 @@ class _NormBall(_Ball):
     def _dist(self, X, Z):
         return _lp_norm(X.space, Z.values - X.values, self.p)
 
+    def _dist_rows(self, X, rows):
+        D = np.abs(rows - X.values)
+        if math.isinf(self.p):
+            return D.max(axis=1)
+        return ((D**self.p) @ X.space.probs) ** (1.0 / self.p)
+
     def _candidates(self, X, resolution, budget, rng):
-        n, p, eps = X.space.n, self.p, self.eps
-        pts = [X, X - eps, X + eps]
+        """Rows: X, X -/+ eps, then for p = inf the 2^n sign corners (when
+        they fit the budget) and a mesh or uniform draws of the box, else the
+        2n spikes of height eps / p_i^(1/p) (the vertices for p = 1) and
+        draws of radius at most eps."""
+        n, p, eps, x = X.space.n, self.p, self.eps, X.values
+        pts = [x, x - eps, x + eps]
         if math.isinf(p):
             if 0 < n <= 16 and 2**n <= budget:
-                for mask in range(2**n):
-                    signs = np.array([1.0 if mask >> i & 1 else -1.0 for i in range(n)])
-                    pts.append(Position(X.space, X.values + eps * signs))
+                bits = np.arange(2**n)[:, None] >> np.arange(n) & 1
+                pts.extend(x + eps * np.where(bits == 1, 1.0, -1.0))
             per_dim = max(2, int(round(2 * eps / resolution)) + 1) if eps > 0 else 1
             if per_dim**n <= budget and eps > 0:
                 axes = np.linspace(-eps, eps, per_dim)
                 mesh = np.stack(np.meshgrid(*([axes] * n), indexing="ij"), axis=-1).reshape(-1, n)
-                pts.extend(Position(X.space, X.values + off) for off in mesh)
+                pts.extend(x + mesh)
             else:
-                for _ in range(max(0, budget - len(pts))):
-                    off = rng.uniform(-eps, eps, size=n)
-                    pts.append(Position(X.space, X.values + off))
-            return pts
+                pts.extend(x + rng.uniform(-eps, eps, size=n) for _ in range(max(0, budget - len(pts))))
+            return np.array(pts)
         # extreme spikes of the weighted-ell^p ball (exact vertices for p=1)
-        for i in range(n):
-            height = eps / X.space.probs[i] ** (1.0 / p)
-            for s in (-1.0, 1.0):
-                off = np.zeros(n)
-                off[i] = s * height
-                pts.append(Position(X.space, X.values + off))
+        spikes = np.zeros((2 * n, n))
+        i = np.arange(n)
+        height = np.array([eps / q ** (1.0 / p) for q in X.space.probs])  # scalar powers, as the draws' norms
+        spikes[2 * i, i], spikes[2 * i + 1, i] = -height, height
+        pts.extend(x + spikes)
         while len(pts) < budget:
             d = rng.normal(size=n)
             nrm = _lp_norm(X.space, d, p)
             if nrm == 0:
                 continue
             r = eps * rng.uniform() ** (1.0 / max(n, 1))
-            pts.append(Position(X.space, X.values + d * (r / nrm)))
-        return pts
+            pts.append(x + d * (r / nrm))
+        return np.array(pts)
 
     def _worst_case(self, rho, X):
         eps = self.eps
@@ -333,20 +357,26 @@ class _NormBall(_Ball):
         return None if value is None else (value, X - eps, "exact")
 
     def _vertices(self, X):
-        space, n, eps = X.space, X.space.n, self.eps
+        """Rows: for p = inf the 2^n corners X + eps * s, the signs s in
+        ``itertools.product((-1, 1), repeat=n)`` order; for p = 1, X and then
+        X - eps/p_i e_i, X + eps/p_i e_i for each atom i in turn."""
+        n, eps = X.space.n, self.eps
         if math.isinf(self.p):
             if n > 20:
                 raise ValueError(f"vertex enumeration guarded at n <= 20, got n = {n}")
-            return [Position(space, X.values + eps * np.array(signs)) for signs in product((-1.0, 1.0), repeat=n)]
+            # column j: blocks of 2^(n-1-j) rows at -eps, then at +eps
+            rows = np.empty((2**n, n))
+            for j, x in enumerate(X.values):
+                block = rows.reshape(2**j, 2, 2 ** (n - 1 - j), n)
+                block[:, 0, :, j], block[:, 1, :, j] = x - eps, x + eps
+            return rows
         if self.p != 1.0:
             return None
-        verts = [X]
-        for i in range(n):
-            for s in (-1.0, 1.0):
-                vals = np.array(X.values, dtype=float)
-                vals[i] += s * eps / space.probs[i]
-                verts.append(Position(space, vals))
-        return verts
+        rows = np.tile(X.values, (2 * n + 1, 1))
+        i = np.arange(n)
+        rows[2 * i + 1, i] += -eps / X.space.probs
+        rows[2 * i + 2, i] += eps / X.space.probs
+        return rows
 
     def _support(self, Q, X):
         return expectation_under(Q, -X) + self._k(Q)
@@ -409,18 +439,23 @@ class _WassersteinBall(_Ball):
     def _dist(self, X, Z):
         return wasserstein_distance(X, Z, self.p)
 
-    def _candidates(self, X, resolution, budget, rng):
-        n, p, eps = X.space.n, self.p, self.eps
-        order = np.argsort(X.values, kind="stable")
-        widths = X.space.probs[order]
-        sorted_v = X.values[order]
+    def _dist_rows(self, X, rows):
+        return _wasserstein_rows(quantile_function(X), rows, X.space.probs, self.p)
 
-        def from_sorted(new_sorted: np.ndarray) -> Position:
+    def _candidates(self, X, resolution, budget, rng):
+        """Rows: X, X -/+ eps, quantile-space shifts of X of norm at most
+        eps realized along X's order, then rearrangements of X."""
+        n, p, eps, x = X.space.n, self.p, self.eps, X.values
+        order = np.argsort(x, kind="stable")
+        widths = X.space.probs[order]
+        sorted_v = x[order]
+
+        def from_sorted(new_sorted: np.ndarray) -> np.ndarray:
             vals = np.empty(n)
             vals[order] = np.sort(new_sorted)
-            return Position(X.space, vals)
+            return vals
 
-        pts = [X, X - eps, X + eps, from_sorted(sorted_v)]
+        pts = [x, x - eps, x + eps, from_sorted(sorted_v)]
         # quantile-space shifts of norm <= eps (comonotone worst cases included)
         n_shifts = max(4, budget // 4)
         for k in range(n_shifts):
@@ -432,9 +467,8 @@ class _WassersteinBall(_Ball):
             pts.append(from_sorted(sorted_v + d * (radius / nrm)))
         # rearrangements keep the law, hence always members
         for _ in range(max(2, budget // 8)):
-            perm = rng.permutation(n)
-            pts.append(Position(X.space, X.values[perm]))
-        return pts
+            pts.append(x[rng.permutation(n)])
+        return np.array(pts)
 
     def _worst_case(self, rho, X):
         eps, f = self.eps, rho.flags
@@ -505,6 +539,8 @@ class _WassersteinBall(_Ball):
             return _lifted(self, prop, space, 3.0 * eps + 1.0, note)
         if prop == "quasi_convex":
             return _ball_quasi_counterexample(self, space)
+        if prop == "c_quasi_convex":
+            return _ball_c_quasi_counterexample(self, space)
         return None
 
 
@@ -575,45 +611,51 @@ class _LevelFamily(UncertaintyFamily):
     """Level families of a quasi-convex, cash-subadditive base measure rho1."""
 
     def _candidates(self, X, resolution, budget, rng):
-        rho1 = self.rho1
+        """Rows: X, a scan along X - k down to the level boundary, the
+        constant at the level, three upward shifts, then per random ray its
+        boundary point and the midpoint (X + D when the ray never leaves)."""
+        rho1, space, x = self.rho1, X.space, X.values
         level = rho1(X) + self.eps
-        pts = [X]
+        pts = [x]
         # scan along X - k down to the level boundary
         k_star = _boundary_step(rho1, X, level)
         m = max(2, min(16, budget // 4))
-        for j in range(m + 1):
-            pts.append(X - k_star * j / m)
+        pts.extend(x - k_star * j / m for j in range(m + 1))
         # the constant position sitting exactly at the level (when it qualifies)
-        pts.append(Position(X.space, np.full(X.space.n, -level)))
+        pts.append(np.full(space.n, -level))
         # upward shifts (members whenever the family is solid)
-        for j in range(1, 4):
-            pts.append(X + j * max(resolution, 0.25))
+        pts.extend(x + j * max(resolution, 0.25) for j in range(1, 4))
         # random directions rescaled to the boundary: rho1 is quasi-convex and
         # X inside, so rho1 < level holds on an initial segment of each ray.
         # A measure with a vectorized _batch tests 63 points of it per call;
         # one evaluated row by row gains nothing from that and bisects.
         vectorized = _vectorized(rho1)
         while len(pts) < budget:
-            D = Position(X.space, rng.normal(size=X.space.n))
+            D = Position(space, rng.normal(size=space.n))
             s_hi = 1.0
             for _ in range(40):
-                if rho1(X - s_hi * D) >= level or rho1(X + s_hi * D) >= level:
+                down = rho1(X - s_hi * D) >= level
+                if down or rho1(X + s_hi * D) >= level:
                     break
                 s_hi *= 2.0
             else:
-                pts.append(X + D)
+                pts.append(x + D.values)
                 continue
-            sign = -1.0 if rho1(X - s_hi * D) >= level else 1.0
+            sign = -1.0 if down else 1.0
             if vectorized:
                 ray = sign * D.values
-                lo, _ = _bisect_array(
-                    lambda s: rho1._batch(X.values + s[:, None] * ray, X.space) < level, 0.0, s_hi, 60, 64
-                )
+                lo, _ = _bisect_array(lambda s: rho1._batch(x + s[:, None] * ray, space) < level, 0.0, s_hi, 60, 64)
             else:
                 lo, _ = _bisect(lambda s: rho1(X + sign * s * D) < level, 0.0, s_hi, 60)
-            pts.append(X + sign * lo * D)
-            pts.append(X + sign * 0.5 * lo * D)
-        return pts
+            pts.append(x + D.values * (sign * lo))
+            pts.append(x + D.values * (sign * 0.5 * lo))
+        return np.array(pts)
+
+    def _member(self, X, Z):
+        return bool(self._within(self.rho1(Z), self.rho1(X), MEMBER_TOL))
+
+    def _member_rows(self, X, rows):
+        return self._within(self.rho1._batch(rows, X.space), self.rho1(X), MEMBER_TOL)
 
     def _worst_case(self, rho, X):
         rho1 = self.rho1
@@ -648,7 +690,7 @@ class _LevelFamily(UncertaintyFamily):
         if not _vectorized(rho1):
             return None  # a row loop tests 63 points where bisection tests one
         r0 = rho1(X)
-        return _segment_search(X, Z, lambda rows: self._within(rho1._batch(rows, X.space), r0))
+        return _segment_search(X, Z, lambda rows: self._within(rho1._batch(rows, X.space), r0, 0.0))
 
     def _rule(self, prop, space):
         rho1 = self.rho1
@@ -664,11 +706,8 @@ class _LevelFamily(UncertaintyFamily):
 class _LevelUpperSet(_LevelFamily):
     """U_X = {Z : rho1(Z) <= rho1(X) + eps}."""
 
-    def _member(self, X, Z):
-        return self.rho1(Z) <= self.rho1(X) + self.eps + MEMBER_TOL
-
-    def _within(self, r, r0):
-        return r <= r0 + self.eps
+    def _within(self, r, r0, tol):
+        return r <= r0 + self.eps + tol
 
     def _rule(self, prop, space):
         verdict = super()._rule(prop, space)
@@ -687,11 +726,8 @@ class _LevelUpperSet(_LevelFamily):
 class _LevelBand(_LevelFamily):
     """U_X = {Z : |rho1(Z) - rho1(X)| <= eps}."""
 
-    def _member(self, X, Z):
-        return abs(self.rho1(Z) - self.rho1(X)) <= self.eps + MEMBER_TOL
-
-    def _within(self, r, r0):
-        return np.abs(r - r0) <= self.eps
+    def _within(self, r, r0, tol):
+        return np.abs(r - r0) <= self.eps + tol
 
     def _dominated(self, X, Z):
         return Z - _boundary_step(self.rho1, Z, self.rho1(X) - self.eps)

@@ -1,5 +1,7 @@
 """Worst-case risk over uncertainty sets: solvers, guarantees, preservation."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -49,6 +51,97 @@ def test_p_ball_vertex_enum(uniform4):
     assert rv.value >= grid.value - 1e-9
     assert fam.membership(X, rv.witness)
     assert rho(rv.witness) == pytest.approx(rv.value, abs=1e-9)
+
+
+def _reference_vertex_scan(rho, fam, X):
+    """The vertex solve as a scan over validated Positions, one scalar rho
+    each: the p = 1 spikes X, X -/+ eps/p_i e_i, or the sup-ball corners in
+    itertools.product order; ties within 1e-12 go to the lexicographically
+    smaller vertex, and the first +inf ends the scan. Returns the best value,
+    the best vertex and the number of vertices tied with it."""
+    space, eps = X.space, fam.eps
+    if fam.params["p"] == 1.0:
+        verts = [X]
+        for i in range(space.n):
+            for s in (-1.0, 1.0):
+                vals = np.array(X.values)
+                vals[i] += s * eps / space.probs[i]
+                verts.append(Position(space, vals))
+    else:
+        verts = [Position(space, X.values + eps * np.array(signs))
+                 for signs in itertools.product((-1.0, 1.0), repeat=space.n)]
+    best_v, best_z, values = -math.inf, None, []
+    for Z in verts:
+        v = rho(Z)
+        values.append(v)
+        if v == math.inf:
+            return v, Z, 1
+        if v > best_v + 1e-12 or (abs(v - best_v) <= 1e-12 and (best_z is None or tuple(Z.values) < tuple(best_z.values))):
+            best_v, best_z = v, Z
+    return best_v, best_z, sum(abs(v - best_v) <= 1e-12 for v in values)
+
+
+def _spaces(n):
+    return [rr.ProbSpace(np.full(n, 1.0 / n)), rr.ProbSpace(np.arange(1, n + 1) / (n * (n + 1) / 2))]
+
+
+def _convex_non_monotone():
+    """rho(X) = E[X^2]: convex, not monotone, evaluated row by row."""
+    return rr.RiskFunctional(name="second_moment", evaluate=lambda X: float(np.dot(X.space.probs, X.values**2)),
+                             flags=rr.AxiomFlags(convex=True, quasi_convex=True))
+
+
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_vertex_enum_matches_a_position_scan(n):
+    """One batched evaluation of the vertex rows picks the vertex that the
+    scan over Positions picks, and reports the same value and witness bytes
+    (the solves name the vertex solver, since the mean-shift closed form of
+    E[-X] answers first under "auto"): over the L1 ball, where the -spikes of E[-X] and of the worst case tie,
+    on random and integer-valued X, and over the sup ball for a convex rho
+    that is not monotone, so that no closed form answers first."""
+    rng = np.random.default_rng(n)
+    cases = [(rho, rr.p_norm_ball(1.0, 0.2)) for rho in
+             (rr.neg_expectation(), rr.worst_case(), rr.expected_shortfall(0.5), rr.expected_shortfall(0.25),
+              rr.entropic(1.0))]
+    if n < 16:
+        cases.append((_convex_non_monotone(), rr.sup_norm_ball(0.3)))
+    ties = 0
+    for space in _spaces(n):
+        for x in (rng.normal(0.0, 2.0, size=n), rng.integers(-3, 4, size=n).astype(float), np.zeros(n)):
+            X = Position(space, x)
+            for rho, fam in cases:
+                rv = robust_value(rho, fam, X, solver="vertex_enum")
+                value, witness, tied = _reference_vertex_scan(rho, fam, X)
+                assert (rv.solver, rv.guarantee) == ("vertex_enum", "exact")
+                assert rv.value == value, (rho.name, fam.name, x)
+                assert rv.witness.values.tobytes() == witness.values.tobytes(), (rho.name, fam.name, x)
+                ties += tied > 1
+    assert ties > 0
+
+
+def test_sup_ball_vertex_enum_at_sixteen_atoms():
+    """The 2^16 corners in one array, evaluated row by row for a hand-built
+    measure, give the scan's value and witness."""
+    space = rr.ProbSpace(np.full(16, 1.0 / 16))
+    X = Position(space, np.random.default_rng(5).normal(0.0, 2.0, size=16))
+    rho, fam = _convex_non_monotone(), rr.sup_norm_ball(0.3)
+    rv = robust_value(rho, fam, X)
+    value, witness, _ = _reference_vertex_scan(rho, fam, X)
+    assert rv.solver == "vertex_enum"
+    assert (rv.value, rv.witness.values.tobytes()) == (value, witness.values.tobytes())
+
+
+def test_vertex_enum_evaluates_the_witness_only(skewed3):
+    """A measure with a vectorized batch form scores the vertices in one
+    array call: its scalar evaluate runs once, at the returned vertex."""
+    calls = []
+    es = rr.expected_shortfall(0.5)
+    rho = dataclasses.replace(es, evaluate=lambda X: calls.append(X) or es.evaluate(X))
+    X = Position(skewed3, [0.4, -0.2, 0.1])
+    rv = robust_value(rho, rr.p_norm_ball(1.0, 0.2), X)
+    assert rv.solver == "vertex_enum"
+    assert len(calls) == 1 and calls[0] is rv.witness
+    assert rv.value == pytest.approx(0.48, abs=1e-12)
 
 
 def test_robust_dominates_base(uniform4, rng):
