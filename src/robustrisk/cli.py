@@ -32,7 +32,6 @@ class InputError(Exception):
 class ScenarioFile:
     space: ProbSpace
     positions: dict
-    measures: dict
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,9 @@ def parse_scenario(path: str) -> ScenarioFile:
         raise InputError(f"scenario file not found: {path}")
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON in {path}: {e}")
+    unknown = sorted(set(raw) - {"space", "positions"})
+    if unknown:
+        raise InputError(f"scenario has unknown keys {unknown}; allowed keys are ['space', 'positions']")
     if "space" not in raw or "probs" not in raw.get("space", {}):
         raise InputError("scenario missing field: space.probs")
     try:
@@ -75,15 +77,7 @@ def parse_scenario(path: str) -> ScenarioFile:
             positions[name] = Position(space, _numbers(vals))
         except ValueError as e:
             raise InputError(f"positions.{name}: {e}")
-    measures = {}
-    for name, spec_ in raw.get("measures", {}).items():
-        if not isinstance(spec_, dict):
-            raise InputError(f'measures.{name}: expected an object such as {{"density": [...]}}')
-        try:
-            measures[name] = ScenarioMeasure(space, _numbers(spec_["density"]))
-        except (KeyError, ValueError) as e:
-            raise InputError(f"measures.{name}: {e}")
-    return ScenarioFile(space=space, positions=positions, measures=measures)
+    return ScenarioFile(space=space, positions=positions)
 
 
 def _param(p: dict, key: str, default: Optional[float] = None) -> float:
@@ -165,14 +159,13 @@ def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _check_values(raw: dict, grid_keys):
-    """Type and range checks of the grid steps, the level and the allocate spec."""
+def _check_values(raw: dict):
+    """Type and range checks of the grid step, the level and the allocate spec."""
     for key, v in raw.get("grid", {}).items():
-        if key not in grid_keys:
-            raise InputError(f"config grid has unknown key {key!r}; allowed keys are {list(grid_keys)}")
-        bounds = "in (0, 1]" if key == "simplex_step" else "> 0"
-        if not _number(v) or v <= 0 or (key == "simplex_step" and v > 1):
-            raise InputError(f"config grid.{key} must be a number {bounds}, got {v!r}")
+        if key != "simplex_step":
+            raise InputError(f"config grid has unknown key {key!r}; allowed keys are ['simplex_step']")
+        if not _number(v) or not 0 < v <= 1:
+            raise InputError(f"config grid.simplex_step must be a number in (0, 1], got {v!r}")
     if "level" in raw and not _number(raw["level"]):
         raise InputError(f"config level must be a number, got {raw['level']!r}")
     spec_ = raw.get("allocate", {})
@@ -203,8 +196,8 @@ def parse_config(path: Optional[str]) -> RunConfig:
     for key in ("solver", "grid"):
         if not isinstance(raw.get(key, {}), dict):
             raise InputError(f"config {key} must be an object, got {raw[key]!r}")
-    grid = {"simplex_step": 0.01, "box_bound": 20.0, "lattice_step": 0.4}
-    _check_values(raw, grid)
+    grid = {"simplex_step": 0.01}
+    _check_values(raw)
     grid.update(raw.get("grid", {}))
     seed = raw.get("seed", 42)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -336,6 +329,7 @@ def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dic
             try:
                 rv = robustify.robust_value(rho, family, X, solver=config.solver.get("kind", "auto"), seed=seed)
             except ValueError as e:
+                _value_at(rho, name, X)  # a measure undefined at X is the position's error
                 raise InputError(f"solver: {e}")
             vals[name] = {
                 "value": rv.value,
@@ -357,14 +351,7 @@ def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dic
                 if rho.flags.cash_additive:
                     surface = duality.penalty_type(rho, "cash_additive")
                 else:
-                    surface = duality.penalty_type(
-                        rho,
-                        "brute_force",
-                        space=scenario.space,
-                        bound=config.grid["box_bound"],
-                        step=config.grid["lattice_step"],
-                        anchors=(X,),
-                    )
+                    surface = duality.penalty_type(rho, "brute_force", space=scenario.space, anchors=(X,))
                 rep = duality.verify_primal_dual(rho, X, grid, surface)
             elif verifier == "robust_dual":
                 rep = duality.verify_robust_dual(rho, family, X, grid, seed=seed)
@@ -378,6 +365,7 @@ def run(subcommand: str, config: RunConfig, scenario: ScenarioFile, args) -> dic
             else:
                 raise InputError(f"unknown verifier {verifier!r}")
         except ValueError as e:  # a measure or family the verifier does not cover
+            _value_at(rho, name, X)  # a measure undefined at X is the position's error
             raise InputError(f"{verifier}: {e}")
         report["position"] = name
         report["verifier"] = verifier

@@ -29,7 +29,6 @@ from .uncertainty import (
     UncertaintyFamily,
     _conjugate_order,
     _require_count,
-    _require_step,
     counterexample,
     no_counterexample,
 )
@@ -141,37 +140,34 @@ def support_function(family: UncertaintyFamily, Q: ScenarioMeasure, X: Position,
 # minimal penalties
 
 
-# Largest box lattice minimal_penalty and brute-force surfaces may build. With
-# the default bound and step, n = 2 needs 160,801 points and n = 3 needs
-# 64,481,201 (several GB once evaluated).
+# Box lattices span [-20, 20]^n at step 0.1 (minimal_penalty) or 0.4 (brute-force
+# surfaces), up to the cap: at step 0.1, n = 2 needs 160,801 points and n = 3
+# needs 64,481,201 (several GB once evaluated).
+_BOX_BOUND = 20.0
+_PENALTY_STEP = 0.1
+_SURFACE_STEP = 0.4
 _LATTICE_CAP = 2_000_000
 
 
-def _box_lattice(n: int, B: float, h: float) -> np.ndarray:
-    axis = np.arange(-B, B + h / 2, h)
+def _box_lattice(n: int, h: float) -> np.ndarray:
+    axis = np.arange(-_BOX_BOUND, _BOX_BOUND + h / 2, h)
     if axis.size**n > _LATTICE_CAP:
-        raise ValueError(
-            f"box lattice of {axis.size}^{n} points exceeds the cap of {_LATTICE_CAP}; "
-            "use a coarser step or a smaller bound"
-        )
+        raise ValueError(f"box lattice of {axis.size}^{n} points exceeds the cap of {_LATTICE_CAP}")
     return np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
 
 
-def minimal_penalty(
-    rho: RiskFunctional, Q: ScenarioMeasure, bound: float = 20.0, step: float = 0.1
-) -> float:
+def minimal_penalty(rho: RiskFunctional, Q: ScenarioMeasure) -> float:
     """c_rho(Q) = sup_X {E_Q[-X] - rho(X)}; closed form where known, else a
-    box-lattice supremum with linear-growth detection. Raises ValueError when
-    the lattice would exceed ``_LATTICE_CAP`` points."""
-    _require_step(bound, "bound")
-    _require_step(step, "step")
+    supremum over the box lattice of step 0.1 on [-20, 20]^n with
+    linear-growth detection. Raises ValueError when the lattice would exceed
+    ``_LATTICE_CAP`` points, as it does from n = 3 on."""
     closed = rho._penalty(Q)
     if closed is not None:
         return closed
     space = Q.space
-    lattice = _box_lattice(space.n, bound, step)
+    lattice = _box_lattice(space.n, _PENALTY_STEP)
     gains = -(lattice @ (space.probs * Q.density)) - rho._batch(lattice, space)
-    inner = np.max(np.abs(lattice), axis=1) <= bound / 2 + 1e-12
+    inner = np.max(np.abs(lattice), axis=1) <= _BOX_BOUND / 2 + 1e-12
     s_full, s_half = float(gains.max()), float(gains[inner].max())
     if s_full > s_half + 1e-6:
         return math.inf  # still growing at the box boundary
@@ -193,7 +189,7 @@ class PenaltySurface:
         return self.evaluator(t, Q)
 
 
-def _brute_force_R(rho_eval, space: ProbSpace, B: float, h: float, anchors: Sequence[Position]):
+def _brute_force_R(rho_eval, space: ProbSpace, anchors: Sequence[Position]):
     def evaluator(t: float, Q: ScenarioMeasure) -> float:
         a = space.probs * Q.density  # weights of E_Q[.]
         live = a > 1e-15
@@ -201,14 +197,14 @@ def _brute_force_R(rho_eval, space: ProbSpace, B: float, h: float, anchors: Sequ
         j = int(idx[0])  # solve the constraint for the heaviest coordinate
         best = math.inf
         free = [i for i in range(space.n) if i != j and live[i]]
-        base = np.full(space.n, B, dtype=float)  # null atoms pushed to the top
-        mesh = _box_lattice(len(free), B, h) if free else np.zeros((1, 0))
+        base = np.full(space.n, _BOX_BOUND, dtype=float)  # null atoms pushed to the top
+        mesh = _box_lattice(len(free), _SURFACE_STEP) if free else np.zeros((1, 0))
         pts = np.tile(base, (mesh.shape[0], 1))
         for col, i in enumerate(free):
             pts[:, i] = mesh[:, col]
         resid = -t - pts[:, [i for i in range(space.n) if i != j]] @ a[[i for i in range(space.n) if i != j]]
         yj = resid / a[j]
-        ok = np.abs(yj) <= B + 1e-9
+        ok = np.abs(yj) <= _BOX_BOUND + 1e-9
         if np.any(ok):
             pts = pts[ok]
             pts[:, j] = yj[ok]
@@ -225,14 +221,12 @@ def penalty_type(
     rho: RiskFunctional,
     kind: str = "cash_additive",
     space: Optional[ProbSpace] = None,
-    bound: float = 20.0,
-    step: float = 0.4,
     anchors: Sequence[Position] = (),
     loss: Optional[LossFunction] = None,
 ) -> PenaltySurface:
-    """Build the penalty-type functional R_rho as a reusable surface."""
-    _require_step(bound, "bound")
-    _require_step(step, "step")
+    """Build the penalty-type functional R_rho as a reusable surface. The
+    brute-force kind minimizes over the box lattice of step 0.4 on
+    [-20, 20]^n cut by the hyperplane E_Q[-Y] = t, and over the anchors."""
     if kind == "cash_additive":
         if not rho.flags.cash_additive:
             raise ValueError(f"{rho.name} is not flagged cash-additive")
@@ -248,7 +242,7 @@ def penalty_type(
     if kind == "brute_force":
         if space is None:
             raise ValueError("brute-force surface requires the probability space")
-        return PenaltySurface(_brute_force_R(rho, space, bound, step, tuple(anchors)), "brute_force")
+        return PenaltySurface(_brute_force_R(rho, space, tuple(anchors)), "brute_force")
     raise ValueError(f"unknown penalty surface kind {kind!r}")
 
 

@@ -140,12 +140,13 @@ class UncertaintyFamily:
     forms, the other underscore methods. Here each closed form returns None
     ("no closed form"), which sends the callers to generic numerics, and the
     kinds below override them. Left unset, the fields ``membership`` and
-    ``discretize`` are the kind's ``_member`` and ``_discretize``. A family
-    built by hand passes both, ``membership(X, Z)`` and ``discretize(X,
-    resolution, budget, seed)``, and takes the generic paths. The closed
-    forms test membership through ``self.membership``, so a copy made with
-    ``dataclasses.replace`` keeps its closed forms around the replaced
-    predicate.
+    ``discretize`` are the kind's ``_member`` and ``_discretize`` bound to
+    this family. A copy made with ``dataclasses.replace`` rebinds them, so it
+    answers with its own params. A family built by hand passes both,
+    ``membership(X, Z)`` and ``discretize(X, resolution, budget, seed)``, and
+    takes the generic paths; a missing one is a TypeError. The closed forms
+    test membership through ``self.membership``, so a copy with a replaced
+    predicate keeps its closed forms around it.
     """
 
     name: str
@@ -154,10 +155,12 @@ class UncertaintyFamily:
     discretize: Optional[Callable[[Position, float, int, int], list]] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.membership is None:
-            object.__setattr__(self, "membership", self._member)
-        if self.discretize is None:
-            object.__setattr__(self, "discretize", self._discretize)
+        for name, own in (("membership", "_member"), ("discretize", "_discretize")):
+            given = getattr(self, name)
+            if given is None or type(getattr(given, "__self__", None)) is type(self) and given.__name__ == own:
+                if not hasattr(self, "_member"):  # a family built by hand has no kind methods
+                    raise TypeError(f"a family built by hand needs a {name} callable")
+                object.__setattr__(self, name, getattr(self, own))
 
     @property
     def eps(self) -> float:
@@ -233,10 +236,6 @@ class UncertaintyFamily:
         X + t (Z - X) leaves U_X, in closed form or by an array search; None
         sends the caller to a scalar bisection on membership."""
         return None
-
-    def _decided(self, X: Position, Z: Position) -> Optional[bool]:
-        """Membership of Z in U_X, or None where the predicate's False is no decision."""
-        return self.membership(X, Z)
 
 
 def _segment_search(X: Position, Z: Position, inside) -> float:
@@ -816,36 +815,34 @@ def _fails(decided: Optional[bool]) -> Optional[bool]:
     return None if decided is None else not decided
 
 
-def _differ(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
-    return None if a is None or b is None else a != b
-
-
 def _violation(family: UncertaintyFamily, prop: str, w: dict) -> Optional[bool]:
     """Whether the witness w violates the property, with the property's full
     hypothesis tested (last, as it rarely settles a sampled candidate); None
-    when the family has no decision procedure. A violation that needs a
-    non-membership rests on ``_decided``, where a False may be undecided."""
-    m, d = family.membership, family._decided
+    when the family has no decision procedure: no kind decides convexity, a
+    kind without ``_plus_cone`` cannot decide order preservation or
+    c-quasi-convexity, and a finite chain may not settle continuity from
+    above. The other properties are decided by ``membership``."""
+    m = family.membership
     if prop == "monotone":
-        return _leq(w["X"], w["Y"]) and _fails(d(w["X"], w["Z"])) and m(w["Y"], w["Z"])
+        return _leq(w["X"], w["Y"]) and not m(w["X"], w["Z"]) and m(w["Y"], w["Z"])
     if prop == "order_preserving":
         return _leq(w["X"], w["Y"]) and _fails(family._plus_cone(w["X"], w["Yp"])) and m(w["Y"], w["Yp"])
     if prop == "solid":
-        return _leq(w["Z"], w["Zbar"]) and _fails(d(w["X"], w["Zbar"])) and m(w["X"], w["Z"])
+        return _leq(w["Z"], w["Zbar"]) and not m(w["X"], w["Zbar"]) and m(w["X"], w["Z"])
     if prop == "convex":
         return None  # no kind decides membership in lam*U_X + (1-lam)*U_Y
     if prop in ("quasi_convex", "c_quasi_convex"):
         X, Y, lam, Z = w["X"], w["Y"], w["lam"], w["Z"]
         if prop == "quasi_convex":
-            outside = _fails(d(X, Z)) and _fails(d(Y, Z))
+            outside = not m(X, Z) and not m(Y, Z)
         else:
             inside = [family._plus_cone(V, Z) for V in (X, Y)]
             outside = None if None in inside else not any(inside)
         return outside and m(lam * X + (1.0 - lam) * Y, Z)
     if prop == "law_invariant":
-        return _differ(d(w["X"], w["Z"]), d(w["Xp"], w["Z"])) and same_distribution(w["X"], w["Xp"])
+        return m(w["X"], w["Z"]) != m(w["Xp"], w["Z"]) and same_distribution(w["X"], w["Xp"])
     if prop == "cash_invariant":
-        return _differ(d(w["X"] + w["c"], w["Z"] + w["c"]), d(w["X"], w["Z"]))
+        return m(w["X"] + w["c"], w["Z"] + w["c"]) != m(w["X"], w["Z"])
     if prop == "continuous_from_above":
         # finite decreasing chain X_n = X + 2^-n * Delta; a member of U_X must
         # eventually enter U_{X_n}
@@ -1026,23 +1023,7 @@ class _Solidified(UncertaintyFamily):
     """Upward closure of the family params["base"]."""
 
     def _member(self, X, Z):
-        family = self.params["base"]
-        out = family._plus_cone(X, Z)
-        if out is not None:
-            return out
-        # generic fallback: scalar downward scan
-        if family.membership(X, Z):
-            return True
-        for k in np.linspace(0.0, 8.0 * (1.0 + family.eps), 257):
-            if family.membership(X, Z - float(k)):
-                return True
-        return False
-
-    def _decided(self, X, Z):
-        if self.membership(X, Z):
-            return True
-        # the scan tries constant shifts only: its False is no decision
-        return None if self.params["base"]._plus_cone(X, Z) is None else False
+        return self.params["base"]._plus_cone(X, Z)
 
     def _discretize(self, X, resolution, budget, seed):
         pts = self.params["base"].discretize(X, resolution, budget, seed)
@@ -1057,7 +1038,12 @@ class _Solidified(UncertaintyFamily):
 
 
 def solidify(family: UncertaintyFamily) -> UncertaintyFamily:
-    """Upward closure: membership'(X, Z) iff Z - K is a member for some K >= 0."""
-    if isinstance(family, _LevelUpperSet):
+    """Upward closure: membership'(X, Z) iff Z - K is a member for some K >= 0,
+    decided by the kind's ``_plus_cone``; a kind without one (a family built
+    by hand) is a ValueError. A level upper set or a solidified family is
+    solid already and is returned as it is."""
+    if isinstance(family, (_LevelUpperSet, _Solidified)):
         return family
+    if type(family)._plus_cone is UncertaintyFamily._plus_cone:
+        raise ValueError(f"solidify needs a family kind that decides U_X + L^p_+; {family.name} has none")
     return _Solidified(name=f"solidified({family.name})", params={"base": family, "eps": family.eps})

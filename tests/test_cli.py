@@ -11,7 +11,6 @@ from robustrisk.cli import InputError, dumps17, main, parse_config, parse_scenar
 SCENARIO = {
     "space": {"probs": [0.5, 0.5]},
     "positions": {"X": [0.8, -0.6], "Y": [1.0, 0.5], "A": [0.5, 0.25], "B": [0.5, 0.25]},
-    "measures": {"Q": {"density": [1.2, 0.8]}},
 }
 
 CONFIG = {
@@ -44,7 +43,6 @@ def _write(tmp_path, name, payload):
 def test_parse_scenario_roundtrip(scenario_file):
     sc = parse_scenario(scenario_file)
     assert set(sc.positions) == {"X", "Y", "A", "B"}
-    assert "Q" in sc.measures
     assert sc.space.n == 2
 
 
@@ -60,7 +58,7 @@ def test_parse_scenario_errors(tmp_path):
     with pytest.raises(InputError, match="positions.X"):
         parse_scenario(_write(tmp_path, "badpos.json",
                               {"space": {"probs": [0.5, 0.5]}, "positions": {"X": [1.0]}}))
-    with pytest.raises(InputError, match="measures.Q"):
+    with pytest.raises(InputError, match=r"scenario has unknown keys \['measures'\]"):
         parse_scenario(_write(tmp_path, "badq.json",
                               {"space": {"probs": [0.5, 0.5]},
                                "measures": {"Q": {"density": [5.0, 5.0]}}}))
@@ -194,9 +192,17 @@ def test_properties_requires_family(tmp_path, scenario_file):
 
 
 def test_measure_given_as_list_exits_2(tmp_path, config_file, capsys):
+    """No subcommand reads scenario measures, so a scenario has no such key."""
     bad = dict(SCENARIO, measures={"Q": [1.2, 0.8]})
     assert main(["eval", "--scenario", _write(tmp_path, "s.json", bad), "--config", config_file]) == 2
-    assert "measures.Q" in capsys.readouterr().err
+    assert "scenario has unknown keys ['measures']" in capsys.readouterr().err
+
+
+def test_misspelt_scenario_key_exits_2(tmp_path, config_file, capsys):
+    """A misspelt positions key is an input error, not an empty report."""
+    bad = {"space": SCENARIO["space"], "postions": SCENARIO["positions"]}
+    assert main(["eval", "--scenario", _write(tmp_path, "s.json", bad), "--config", config_file]) == 2
+    assert "scenario has unknown keys ['postions']; allowed keys are ['space', 'positions']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section", ["rho", "family"])
@@ -255,10 +261,12 @@ def test_unreplayable_counterexample_exits_2(scenario_file, config_file, capsys,
     (dict(CONFIG, seed=True), "seed"),
     (dict(CONFIG, seed=7.9), "seed"),
     (dict(CONFIG, seed=-5), "config seed must be a non-negative integer"),
+    (dict(CONFIG, grid={"box_bound": 20.0}), "unknown key 'box_bound'; allowed keys are ['simplex_step']"),
+    (dict(CONFIG, grid={"lattice_step": 0.4}), "unknown key 'lattice_step'; allowed keys are ['simplex_step']"),
 ], ids=["misspelt-key", "seed", "loss", "solver", "grid", "bogus-solver", "grid-step-type", "grid-step-range",
         "grid-key", "level", "allocate", "allocate-parts", "rho-param-type", "family-param-type", "rho-param-nan",
         "rho-param-inf", "family-param-bool", "family-order-nan", "seed-bool",
-        "seed-fraction", "seed-negative"])
+        "seed-fraction", "seed-negative", "grid-box-bound", "grid-lattice-step"])
 def test_bad_config_exits_2(tmp_path, scenario_file, capsys, config, message):
     """A malformed config is an input error, never a traceback or a default
     (a misspelt family would report the unrobustified value)."""
@@ -288,8 +296,7 @@ def test_negative_seed_flag_exits_2(scenario_file, config_file, capsys, subcomma
     ({"space": {"probs": [True]}}, "space.probs"),
     (dict(SCENARIO, positions={"X": [True, -0.5]}), "positions.X"),
     (dict(SCENARIO, positions={"X": False}), "positions.X"),
-    (dict(SCENARIO, measures={"Q": {"density": [False, 2.0]}}), "measures.Q"),
-], ids=["probs", "position", "position-scalar", "density"])
+], ids=["probs", "position", "position-scalar"])
 def test_bool_scenario_values_exit_2(tmp_path, config_file, capsys, scenario, message):
     """JSON true/false in a scenario is an input error, not the number 1 or 0."""
     path = _write(tmp_path, "bools.json", scenario)
@@ -338,6 +345,18 @@ def test_measure_undefined_at_a_position_exits_2(tmp_path, capsys, subcommand):
     config = _write(tmp_path, "c.json", POWER_CE)
     assert main([subcommand, "--scenario", scenario, "--config", config]) == 2
     assert ("error: position X: certainty_equivalent(power2.0) is undefined there: power loss defined on x >= 0"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [["robustify"], ["dual-check", "--verifier", "primal_dual"]],
+                         ids=["robustify", "primal_dual"])
+def test_measure_undefined_at_a_robustified_position_exits_2(tmp_path, capsys, argv):
+    """Over a family, and in the primal-dual check, a measure undefined at the
+    position is still the position's error, not the solver's or the verifier's."""
+    scenario = _write(tmp_path, "s.json", {"space": {"probs": [0.3, 0.3, 0.4]}, "positions": {"Y": [0.4, -0.2, 0.1]}})
+    config = _write(tmp_path, "c.json", dict(POWER_CE, family={"kind": "sup_norm_ball", "params": {"eps": 0.3}}))
+    assert main(argv + ["--scenario", scenario, "--config", config]) == 2
+    assert ("error: position Y: certainty_equivalent(power2.0) is undefined there: power loss defined on x >= 0"
             in capsys.readouterr().err)
 
 

@@ -240,14 +240,30 @@ def test_second_approach_dual(pair):
     assert abs(out["gap"]) <= 1e-5
 
 
+def test_second_approach_dual_over_a_level_set():
+    """Over a level upper set phi_Q(Y) = rho1(Y) + eps + c_rho1(Q), so the
+    dual is the grid supremum of R_rho1 shifted by eps; with rho = rho1 the
+    robust value is rho(X) + eps. A base that is not cash-additive has no such
+    form."""
+    space = ProbSpace([0.5, 0.3, 0.2])
+    rho, X, grid = rr.entropic(1.0), Position(space, [0.4, -0.2, 0.1]), simplex_grid(space, step=0.05)
+    out = verify_second_approach_dual(rho, rr.level_upper_set(rho, 0.3), X, grid)
+    assert out["robust"] == rho(X) + 0.3 and out["guarantee"] == "exact"
+    assert abs(out["gap"]) <= 1e-5
+    with pytest.raises(ValueError, match="needs a cash-additive base"):
+        verify_second_approach_dual(rho, rr.level_upper_set(rr.q_entropic(0.5, 2.0), 0.3), X, grid)
+
+
 @pytest.mark.parametrize("kw", [dict(step=0), dict(step=-0.1), dict(step=math.nan), dict(bound=0), dict(bound=math.inf)])
 def test_lattice_steps_must_be_positive_and_finite(pair, kw):
-    """A bad box bound or lattice step fails up front with a message naming it,
-    also for a brute-force surface that is not evaluated yet."""
+    """The box bound and the lattice steps are fixed positive finite
+    constants, not options: passing one, whatever its value, fails up front
+    with a message naming it, also for a brute-force surface that is not
+    evaluated yet."""
     name = next(iter(kw))
-    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
         minimal_penalty(rr.expectation_floor(1.0), ScenarioMeasure.reference(pair), **kw)
-    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
         penalty_type(rr.q_entropic(0.5, 2.0), "brute_force", space=pair, **kw)
 
 

@@ -257,7 +257,7 @@ def test_solidified_band_membership(skewed3):
              (-3.0, -3.0, -3.0): False, (0.0, -0.6, 1.0): False}
     for values, inside in cases.items():
         Z = Position(skewed3, values)
-        assert solid.membership(X, Z) is inside and solid._decided(X, Z) is inside, values
+        assert solid.membership(X, Z) is inside, values
     assert not band.membership(X, Position(skewed3, [5.0, 5.0, 5.0]))
 
 
@@ -288,9 +288,11 @@ def test_solidify(uniform4):
     assert not sol.membership(X, Position(uniform4, [-1.0, 0.0, 0.0, 0.0]))
     v = check_property(sol, "solid", uniform4, trials=10, seed=2)
     assert not v.is_counterexample
-    # a solid family is its own solidification for upper level sets
+    # a solid family is its own solidification: upper level sets, and the
+    # solidified families themselves
     lev = rr.level_upper_set(rr.entropic(1.0), 0.3)
     assert solidify(lev) is lev
+    assert solidify(sol) is sol
 
 
 def test_eps_zero_degenerate(uniform4):
@@ -488,7 +490,7 @@ def _hand_built_l1_ball(eps: float) -> UncertaintyFamily:
 
 def test_hand_built_family(skewed3):
     """A family built by hand from two callables takes the generic paths:
-    search, sampled property checks and the scan of solidify."""
+    search and sampled property checks."""
     fam = _hand_built_l1_ball(0.3)
     X = Position(skewed3, [0.4, -0.2, 0.1])
     # search over the candidates, which hold the vertices: a lower bound that
@@ -503,13 +505,33 @@ def test_hand_built_family(skewed3):
     assert v.is_counterexample and replay_witness(fam, "monotone", v.witness)
     v = check_property(fam, "cash_invariant", skewed3, trials=20, seed=4)
     assert v.tag == "sampled_no_counterexample" and v.trials == 20
-    # solidify has no cone test here and scans downward cash shifts instead
-    sol = solidify(fam)
-    assert sol.membership(X, X + 5.0) and not fam.membership(X, X + 5.0)
-    assert not sol.membership(X, X - 1.0)
-    base, members = fam.discretize(X, 0.25, 16, 2), sol.discretize(X, 0.25, 16, 2)
-    assert _key(members[: len(base)]) == _key(base)
-    assert all(sol.membership(X, Z) for Z in members)
+
+
+def test_solidify_needs_a_cone_test():
+    """The upward closure is decided by the kind's _plus_cone. A family built
+    by hand has none, and no scan of shifts can decide a non-membership, so
+    solidify refuses it instead of answering from a subset of the closure."""
+    with pytest.raises(ValueError, match=r"solidify needs a family kind that decides U_X \+ L\^p_\+; hand_l1"):
+        solidify(_hand_built_l1_ball(0.3))
+
+
+def test_hand_built_family_needs_both_callables():
+    """A family built by hand has no kind methods to fall back on: a missing
+    callable fails at construction and is named."""
+    with pytest.raises(TypeError, match="needs a discretize callable"):
+        UncertaintyFamily("h", {}, membership=lambda X, Z: True)
+    with pytest.raises(TypeError, match="needs a membership callable"):
+        UncertaintyFamily("h", {})
+
+
+def test_copy_with_new_params_answers_with_them():
+    """dataclasses.replace passes the original's bound _member and
+    _discretize; the copy rebinds them, so it answers with its own params."""
+    pair = rr.ProbSpace([0.5, 0.5])
+    copy = dataclasses.replace(rr.p_norm_ball(2.0, 0.5), params={"p": 2.0, "eps": 0.1})
+    X = Position(pair, [0.0, 0.0])
+    assert not copy.membership(X, Position(pair, [0.3, 0.3]))
+    assert _key(copy.discretize(X, 0.25, 16, 3)) == _key(rr.p_norm_ball(2.0, 0.1).discretize(X, 0.25, 16, 3))
 
 
 def test_hand_built_support_function_meets_the_closed_form(skewed3, rng):
@@ -609,20 +631,9 @@ def test_level_candidates_are_members(base, kind):
 
 def test_solidified_family_is_certified_solid(skewed3):
     """An upward closure is solid by definition, whatever test its predicate
-    runs; the scan fallback of a hand-built base used to yield a
-    counterexample here."""
-    v = check_property(solidify(_hand_built_l1_ball(0.3)), "solid", skewed3, trials=20, seed=4)
+    runs."""
+    v = check_property(solidify(rr.p_norm_ball(1.0, 0.3)), "solid", skewed3, trials=20, seed=4)
     assert v.tag == "certified_holds"
-
-
-@pytest.mark.parametrize("prop", ["monotone", "quasi_convex"])
-def test_solidify_scan_gives_no_artifact_counterexample(prop, skewed3):
-    """The scan of a hand-built base tries constant shifts only, so its False
-    is no decision: the sampled check used to return counterexamples that
-    replayed, with Z above X pointwise in the monotone one."""
-    fam = solidify(_hand_built_l1_ball(0.3))
-    v = check_property(fam, prop, skewed3, trials=20, seed=4)
-    assert v.tag == "sampled_no_counterexample" and 0 < v.trials < 20 and "undecided" in v.note
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +828,7 @@ def test_replaced_membership_filters_row_by_row(skewed3):
         return fam.membership(X, Z) and Z.values[0] <= X.values[0]
 
     copy = dataclasses.replace(fam, membership=lower_half)
-    members = copy._discretize(X, 0.25, 16, 3)
+    members = copy.discretize(X, 0.25, 16, 3)
     rows = fam._candidates(X, 0.25, 16, np.random.default_rng(3))
     assert len(calls) == len(rows)
     assert _key(members) == _key([Z for Z in fam.discretize(X, 0.25, 16, 3) if Z.values[0] <= X.values[0]])
