@@ -8,8 +8,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .duality import SimplexGrid, _polish_simplex, dual_argmax, minimal_penalty, support_function
-from .prob_core import Position, ProbSpace, ScenarioMeasure, expectation_under
+from .duality import SimplexGrid, _minimal_penalty_rows, _polish_simplex, _support_rows, dual_argmax, minimal_penalty
+from .prob_core import Position, ProbSpace, ScenarioMeasure, _masses, expectation_under
 from .risk_measures import RiskFunctional
 from .robustify import robust_value
 from .uncertainty import (
@@ -56,8 +56,8 @@ class _GradientRule(AllocationRule):
     def _robust(self, family, X, Y, seed):
         # Lambda(., Y) is linear, so its supremum over U_X is the support
         # function at the aggregate's dual scenario
-        Qs = self.params["scenario_for"](Y)
-        return support_function(family, Qs, X, seed=seed) - minimal_penalty(self.base_rho, Qs)
+        W = _masses(self.params["scenario_for"](Y))
+        return float(_support_rows(family, W, X, seed)[0] - _minimal_penalty_rows(self.base_rho, W, X.space)[0])
 
 
 def gradient_car(rho: RiskFunctional, grid: SimplexGrid) -> AllocationRule:
@@ -81,17 +81,18 @@ def gradient_car(rho: RiskFunctional, grid: SimplexGrid) -> AllocationRule:
         Q0 = dual_argmax(rho, Y, grid, 2.0)
         # refine the lattice argmax so the identity Lambda(Y,Y)=rho(Y) holds
         # to solver precision rather than lattice precision
-        _, Qs = _polish_simplex(
+        w0 = _masses(Q0)[0]
+        _, w = _polish_simplex(
             grid.space,
-            lambda Q: expectation_under(Q, -Y) - minimal_penalty(rho, Q),
-            Q0,
+            lambda W: -(W @ Y.values) - _minimal_penalty_rows(rho, W, grid.space),
+            w0,
             grid.step,
         )
-        return Qs
+        return Q0 if w is w0 else ScenarioMeasure(grid.space, w / grid.space.probs)
 
     def lam(X: Position, Y: Position) -> float:
         Qs = scenario_for(Y)
-        return expectation_under(Qs, -X) - minimal_penalty(rho, Qs)
+        return -expectation_under(Qs, X) - minimal_penalty(rho, Qs)
 
     return _GradientRule(
         name=f"gradient_car({rho.name})",

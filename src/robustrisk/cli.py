@@ -60,10 +60,15 @@ def parse_scenario(path: str) -> ScenarioFile:
         raise InputError(f"scenario file not found: {path}")
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON in {path}: {e}")
+    if not isinstance(raw, dict):
+        raise InputError("scenario must be a JSON object")
     unknown = sorted(set(raw) - {"space", "positions"})
     if unknown:
         raise InputError(f"scenario has unknown keys {unknown}; allowed keys are ['space', 'positions']")
-    if "space" not in raw or "probs" not in raw.get("space", {}):
+    for key in ("space", "positions"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise InputError(f"scenario {key} must be an object, got {raw[key]!r}")
+    if "space" not in raw or "probs" not in raw["space"]:
         raise InputError("scenario missing field: space.probs")
     try:
         space = ProbSpace(_numbers(raw["space"]["probs"]))

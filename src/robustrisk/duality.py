@@ -1,7 +1,9 @@
 """Support functions, minimal penalties, penalty-type surfaces and dual verifiers.
 
 The dual side of every verifier is a finite maximization over a simplex grid
-of scenario measures. Brute-force penalty surfaces always include
+of scenario measures, scored as the rows of an (m, n) array of Q-masses:
+penalties, support functions and surfaces each take all rows in one call.
+Brute-force penalty surfaces always include
 caller-supplied anchor positions so the gap at the query point is one-sided
 despite lattice coarseness.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -18,9 +21,10 @@ from .prob_core import (
     Position,
     ProbSpace,
     ScenarioMeasure,
+    _density_norm_rows,
+    _masses,
+    _relative_entropy_rows,
     density_norm,
-    expectation_under,
-    relative_entropy,
 )
 from .risk_measures import LossFunction, RiskFunctional
 from .robustify import robust_value
@@ -56,23 +60,37 @@ __all__ = [
 
 _RANDOM_GRID_POINTS = 300  # Dirichlet draws on a space of more than 3 atoms
 # Largest lattice simplex_grid builds on up to 3 atoms. Step 0.002 on three
-# atoms gives 125,751 measures in a few seconds; each measure is a Python object.
+# atoms gives 125,751 measures in under a second: a row of ``weights`` each,
+# and a ScenarioMeasure each only once ``points`` is read.
 _SIMPLEX_GRID_CAP = 200_000
 
 
 @dataclass(frozen=True)
 class SimplexGrid:
-    """Finite set of scenario measures covering the probability simplex."""
+    """Finite set of scenario measures covering the probability simplex.
+
+    ``weights`` is the (m, n) array of their Q-masses, one measure a row; the
+    dual searches score its rows. ``points`` holds the same measures, in the
+    same order, as ScenarioMeasures with density row / P, built on first use.
+    """
 
     space: ProbSpace
     step: float
-    points: tuple
+    weights: np.ndarray
+
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(self.measure(k) for k in range(len(self.weights)))
+
+    def measure(self, k: int) -> ScenarioMeasure:
+        """Row k as a ScenarioMeasure."""
+        return ScenarioMeasure(self.space, self.weights[k] / self.space.probs)
 
     def __iter__(self):
         return iter(self.points)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.weights)
 
 
 def _compositions(total: int, parts: int):
@@ -96,9 +114,7 @@ def simplex_grid(space: ProbSpace, step: float = 0.01, seed: int = 0) -> Simplex
     def add(weights: np.ndarray):
         w = np.asarray(weights, dtype=float)
         w = w / w.sum()
-        key = tuple(np.round(w, 12))
-        if key not in seen:
-            seen[key] = ScenarioMeasure(space, w / space.probs)
+        seen.setdefault(tuple(np.round(w, 12)), w)
 
     add(space.probs)  # P itself
     for i in range(n):
@@ -116,7 +132,9 @@ def simplex_grid(space: ProbSpace, step: float = 0.01, seed: int = 0) -> Simplex
         rng = np.random.default_rng(seed)
         for _ in range(_RANDOM_GRID_POINTS):
             add(rng.dirichlet(np.ones(n)))
-    return SimplexGrid(space=space, step=step, points=tuple(seen.values()))
+    weights = np.array(list(seen.values()))
+    weights.flags.writeable = False
+    return SimplexGrid(space=space, step=step, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +145,17 @@ def support_function(family: UncertaintyFamily, Q: ScenarioMeasure, X: Position,
     """phi_Q(X) = sup over U_X of E_Q[-Z]: the family's closed form where it
     has one, else a numeric lower bound over the members discretized at
     resolution 0.1 and budget 64."""
-    closed = family._support(Q, X)
+    return float(_support_rows(family, _masses(Q), X, seed)[0])
+
+
+def _support_rows(family: UncertaintyFamily, W: np.ndarray, X: Position, seed: int) -> np.ndarray:
+    """``support_function`` for each row of W, the Q-masses of a measure Q;
+    the members are discretized once for all rows."""
+    closed = family._support_rows(W, X)
     if closed is not None:
         return closed
-    best = -math.inf
-    for Z in [X, *family.discretize(X, 0.1, 64, seed)]:
-        best = max(best, expectation_under(Q, -Z))
-    return best
+    Z = np.array([X.values, *(Z.values for Z in family.discretize(X, 0.1, 64, seed))])
+    return (W @ -Z.T).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +169,14 @@ _BOX_BOUND = 20.0
 _PENALTY_STEP = 0.1
 _SURFACE_STEP = 0.4
 _LATTICE_CAP = 2_000_000
+# Rows times lattice points scored in one array pass. Without it, a brute-force
+# surface over three atoms at grid step 0.01 would hold 5,151 x 10,201 points.
+_CHUNK = 2**20
 
 
 def _box_lattice(n: int, h: float) -> np.ndarray:
+    if n == 0:
+        return np.zeros((1, 0))
     axis = np.arange(-_BOX_BOUND, _BOX_BOUND + h / 2, h)
     if axis.size**n > _LATTICE_CAP:
         raise ValueError(f"box lattice of {axis.size}^{n} points exceeds the cap of {_LATTICE_CAP}")
@@ -161,17 +188,26 @@ def minimal_penalty(rho: RiskFunctional, Q: ScenarioMeasure) -> float:
     supremum over the box lattice of step 0.1 on [-20, 20]^n with
     linear-growth detection. Raises ValueError when the lattice would exceed
     ``_LATTICE_CAP`` points, as it does from n = 3 on."""
-    closed = rho._penalty(Q)
+    return float(_minimal_penalty_rows(rho, _masses(Q), Q.space)[0])
+
+
+def _minimal_penalty_rows(rho: RiskFunctional, W: np.ndarray, space: ProbSpace) -> np.ndarray:
+    """``minimal_penalty`` for each row of W, the Q-masses of a measure Q.
+    The lattice and rho on it are computed once for all rows."""
+    closed = rho._penalty_rows(W, space)
     if closed is not None:
         return closed
-    space = Q.space
     lattice = _box_lattice(space.n, _PENALTY_STEP)
-    gains = -(lattice @ (space.probs * Q.density)) - rho._batch(lattice, space)
+    risk = rho._batch(lattice, space)[:, None]
     inner = np.max(np.abs(lattice), axis=1) <= _BOX_BOUND / 2 + 1e-12
-    s_full, s_half = float(gains.max()), float(gains[inner].max())
-    if s_full > s_half + 1e-6:
-        return math.inf  # still growing at the box boundary
-    return s_full
+    out = np.empty(len(W))
+    rows = max(1, _CHUNK // len(lattice))
+    for k in range(0, len(W), rows):
+        gains = -(lattice @ W[k : k + rows].T) - risk
+        s_full, s_half = gains.max(axis=0), gains[inner].max(axis=0)
+        # still growing at the box boundary: +inf
+        out[k : k + rows] = np.where(s_full > s_half + 1e-6, math.inf, s_full)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -180,41 +216,71 @@ def minimal_penalty(rho: RiskFunctional, Q: ScenarioMeasure) -> float:
 
 @dataclass(frozen=True)
 class PenaltySurface:
-    """R(t, Q): smallest risk among positions with Q-expected loss t."""
+    """R(t, Q): smallest risk among positions with Q-expected loss t.
 
-    evaluator: Callable[[float, ScenarioMeasure], float]
+    ``evaluator(t, W, space)`` scores rows: levels t of shape (m,) against
+    W, the (m, n) Q-masses of measures on space, giving m values.
+    ``evaluator(t, Q)`` is the one-row case and gives a float.
+    """
+
+    evaluator: Callable
     kind: str  # "brute_force" | "cash_additive" | "loss"
 
-    def __call__(self, t: float, Q: ScenarioMeasure) -> float:
-        return self.evaluator(t, Q)
+    def __call__(self, *args):
+        return self.evaluator(*args)
+
+
+def _surface(rows, kind: str) -> PenaltySurface:
+    """The surface whose evaluator scores rows with ``rows(t, W, space)``."""
+
+    def evaluator(t, W, space: Optional[ProbSpace] = None):
+        if isinstance(W, ScenarioMeasure):
+            return float(rows(np.array([t], dtype=float), _masses(W), W.space)[0])
+        return rows(np.asarray(t, dtype=float), W, space)
+
+    return PenaltySurface(evaluator, kind)
 
 
 def _brute_force_R(rho_eval, space: ProbSpace, anchors: Sequence[Position]):
-    def evaluator(t: float, Q: ScenarioMeasure) -> float:
-        a = space.probs * Q.density  # weights of E_Q[.]
-        live = a > 1e-15
-        idx = np.argsort(-a)
-        j = int(idx[0])  # solve the constraint for the heaviest coordinate
-        best = math.inf
-        free = [i for i in range(space.n) if i != j and live[i]]
-        base = np.full(space.n, _BOX_BOUND, dtype=float)  # null atoms pushed to the top
-        mesh = _box_lattice(len(free), _SURFACE_STEP) if free else np.zeros((1, 0))
-        pts = np.tile(base, (mesh.shape[0], 1))
-        for col, i in enumerate(free):
-            pts[:, i] = mesh[:, col]
-        resid = -t - pts[:, [i for i in range(space.n) if i != j]] @ a[[i for i in range(space.n) if i != j]]
-        yj = resid / a[j]
-        ok = np.abs(yj) <= _BOX_BOUND + 1e-9
-        if np.any(ok):
-            pts = pts[ok]
-            pts[:, j] = yj[ok]
-            best = float(np.min(rho_eval._batch(pts, space)))
-        for Y in anchors:
-            shift = expectation_under(Q, -Y) - t  # move the anchor onto the hyperplane
-            best = min(best, rho_eval(Y + shift))
+    n = space.n
+    meshes = {}  # box lattice of each number of free coordinates, built once
+    anchor_rows = np.array([Y.values for Y in anchors]).reshape(-1, n)
+
+    def rows(t: np.ndarray, W: np.ndarray, _space: ProbSpace) -> np.ndarray:
+        m = len(W)
+        best = np.full(m, math.inf)
+        # solve the constraint for the heaviest coordinate j; the other live
+        # coordinates run over the lattice, null atoms are pushed to the top
+        j = np.argmax(W, axis=1)
+        free = W > 1e-15
+        free[np.arange(m), j] = False
+        group = j * 2**n + free @ (1 << np.arange(n))
+        for g in dict.fromkeys(group.tolist()):
+            idx = np.flatnonzero(group == g)
+            jg, cols = int(j[idx[0]]), np.flatnonzero(free[idx[0]])
+            if cols.size not in meshes:
+                meshes[cols.size] = _box_lattice(cols.size, _SURFACE_STEP)
+            mesh = meshes[cols.size]
+            pts = np.full((mesh.shape[0], n), _BOX_BOUND)
+            pts[:, cols] = mesh
+            others = np.arange(n) != jg
+            chunk = max(1, _CHUNK // mesh.shape[0])
+            for k in range(0, idx.size, chunk):
+                sub = idx[k : k + chunk]
+                a = W[sub]
+                yj = (-t[sub, None] - a[:, others] @ pts[:, others].T) / a[:, jg, None]
+                row, at = np.nonzero(np.abs(yj) <= _BOX_BOUND + 1e-9)
+                cand = pts[at]
+                cand[:, jg] = yj[row, at]
+                low = np.full(sub.size, math.inf)
+                np.minimum.at(low, row, rho_eval._batch(cand, space))
+                best[sub] = low
+        for y in anchor_rows:
+            shift = -(W @ y) - t  # move the anchor onto the hyperplane
+            best = np.minimum(best, rho_eval._batch(y + shift[:, None], space))
         return best
 
-    return evaluator
+    return rows
 
 
 def penalty_type(
@@ -230,27 +296,33 @@ def penalty_type(
     if kind == "cash_additive":
         if not rho.flags.cash_additive:
             raise ValueError(f"{rho.name} is not flagged cash-additive")
-
-        def evaluator(t: float, Q: ScenarioMeasure) -> float:
-            return t - minimal_penalty(rho, Q)
-
-        return PenaltySurface(evaluator, "cash_additive")
+        return _surface(lambda t, W, space: t - _minimal_penalty_rows(rho, W, space), "cash_additive")
     if kind == "loss":
         if loss is None:
             raise ValueError("loss surface requires a loss function")
-        return PenaltySurface(lambda t, Q: loss_penalty(loss, t, Q), "loss")
+        return _surface(lambda t, W, space: _loss_rows(loss, t, W, space), "loss")
     if kind == "brute_force":
         if space is None:
             raise ValueError("brute-force surface requires the probability space")
-        return PenaltySurface(_brute_force_R(rho, space, tuple(anchors)), "brute_force")
+        return _surface(_brute_force_R(rho, space, tuple(anchors)), "brute_force")
     raise ValueError(f"unknown penalty surface kind {kind!r}")
 
 
 def loss_penalty(loss: LossFunction, t: float, Q: ScenarioMeasure) -> float:
     """R_ell(t, Q) = ell^-1(max_{x >= 0} { x t - E_P[ell*(x dQ/dP)] })."""
+    return float(_loss_rows(loss, np.array([t], dtype=float), _masses(Q), Q.space)[0])
+
+
+def _loss_rows(loss: LossFunction, t: np.ndarray, W: np.ndarray, space: ProbSpace) -> np.ndarray:
+    """``loss_penalty`` for each row of W, the Q-masses of a measure Q: in
+    closed form for the exponential loss, else one golden search per row."""
     if loss.exponential:
-        return t - relative_entropy(Q)
-    pr, d = Q.space.probs, Q.density
+        return t - _relative_entropy_rows(W, space.probs)
+    return np.array([_golden_loss_penalty(loss, float(tk), w / space.probs, space.probs) for tk, w in zip(t, W)])
+
+
+def _golden_loss_penalty(loss: LossFunction, t: float, d: np.ndarray, pr: np.ndarray) -> float:
+    """``loss_penalty`` at density d by a golden-section search over x."""
 
     def g(x: float) -> float:
         conj = loss.conj_vec(x * d)
@@ -295,18 +367,21 @@ def loss_penalty(loss: LossFunction, t: float, Q: ScenarioMeasure) -> float:
 
 # ---------------------------------------------------------------------------
 # dual verifiers
+#
+# Each objective f maps an (m, n) array of Q-mass rows to m values.
 
 
 def _grid_sup(grid: SimplexGrid, f, polish: bool = True) -> float:
-    """Max of f over the grid, refined by ``_polish_simplex`` around the
-    first maximizer when ``polish`` is set."""
-    best, arg = -math.inf, None
-    for Q in grid:
-        v = f(Q)
-        if v > best:
-            best, arg = v, Q
-    if polish and arg is not None:
-        best = max(best, _polish_simplex(grid.space, f, arg, grid.step)[0])
+    """Max of f over the grid rows, refined by ``_polish_simplex`` around the
+    first maximizer when ``polish`` is set. NaN never wins."""
+    vals = f(grid.weights)
+    vals = np.where(np.isnan(vals), -math.inf, vals)
+    k = int(np.argmax(vals))
+    best = float(vals[k])
+    if best == -math.inf:
+        return best
+    if polish:
+        best = max(best, _polish_simplex(grid.space, f, grid.weights[k], grid.step)[0])
     return best
 
 
@@ -320,37 +395,67 @@ def _robust_report(lhs, dual: float, grid: SimplexGrid) -> dict:
     }
 
 
-def _polish_simplex(space: ProbSpace, f, Q0: ScenarioMeasure, radius: float):
-    """Local pattern search on the simplex around Q0: pairwise mass transfers
-    with a halving radius, for at most 120 rounds. Tightens the lattice
-    supremum without leaving the feasible set, so the result is still a valid
-    dual lower bound. Returns the refined value together with the refined
-    measure."""
-    w = np.array(Q0.density * space.probs, dtype=float)
-    Qbest = Q0
-    best = f(Q0)
-    r = radius
-    for _ in range(120):
-        improved = False
-        for i in range(space.n):
-            for j in range(space.n):
-                if i == j:
-                    continue
+def _polish_simplex(space: ProbSpace, f, w0: np.ndarray, radius: float):
+    """Local pattern search on the simplex around the Q-masses w0: pairwise
+    mass transfers with a halving radius, for at most 120 rounds. Tightens
+    the lattice supremum without leaving the feasible set, so the result is
+    still a valid dual lower bound. Returns the refined value together with
+    the refined Q-masses, w0 itself when no move improves on it.
+
+    A round tries the moves in order and keeps each that improves the value
+    by more than 1e-15; a round that keeps none halves the radius, down to
+    1e-13. f scores ahead: one call takes the moves left in the round, and
+    at a round's start also the rounds after it at the halved radii, which
+    start from the same masses unless a move is kept. The first move that
+    improves is kept and what follows it is scored again. So the moves kept
+    are those of a scan that scores one move at a time. The rounds scored
+    ahead double in number while none improves."""
+    moves = [(i, j) for i in range(space.n) for j in range(space.n) if i != j]
+
+    def candidates(w, radii, first):
+        at, rows = [], []
+        for level, r in enumerate(radii):
+            for idx in range(first, len(moves)):
+                i, j = moves[idx]
                 move = min(r, w[j])
                 if move <= 0.0:
                     continue
                 w2 = w.copy()
                 w2[i] += move
                 w2[j] -= move
-                Q2 = ScenarioMeasure(space, w2 / w2.sum() / space.probs)
-                v = f(Q2)
-                if v > best + 1e-15:
-                    w, best, Qbest, improved = w2, v, Q2, True
-        if not improved:
-            r *= 0.5
+                at.append((level, idx))
+                rows.append(w2)
+        return at, rows
+
+    w = best_row = w0
+    best = float(f(w0[None, :])[0])
+    r, rounds, ahead = radius, 0, 1
+    while rounds < 120:
+        radii = [r]
+        while len(radii) < min(ahead, 120 - rounds) and radii[-1] * 0.5 >= 1e-13:
+            radii.append(radii[-1] * 0.5)
+        kept = False
+        at, rows = candidates(w, radii, 0)
+        while rows:
+            rows = np.array(rows)
+            normed = rows / rows.sum(axis=1, keepdims=True)
+            vals = f(normed)
+            hit = np.flatnonzero(vals > best + 1e-15)
+            if hit.size == 0:
+                break
+            h = int(hit[0])
+            level, idx = at[h]
+            if not kept:  # the rounds before this one kept nothing
+                kept, rounds, r = True, rounds + level, radii[level]
+            w, best_row, best = rows[h], normed[h], float(vals[h])
+            at, rows = candidates(w, [r], idx + 1)
+        if kept:
+            rounds, ahead = rounds + 1, 1
+        else:
+            rounds, r, ahead = rounds + len(radii), radii[-1] * 0.5, 2 * ahead
             if r < 1e-13:
                 break
-    return best, Qbest
+    return best, best_row
 
 
 def verify_primal_dual(
@@ -361,8 +466,8 @@ def verify_primal_dual(
         raise ValueError(f"{rho.name} lacks the flags required by the dual representation")
     primal = rho(X)
 
-    def g(Q):
-        return penalty(expectation_under(Q, -X), Q)
+    def g(W):
+        return penalty(-(W @ X.values), W, grid.space)
 
     dual = _grid_sup(grid, g, polish)
     return {"primal": primal, "dual": dual, "gap": primal - dual, "step": grid.step}
@@ -390,8 +495,8 @@ def verify_robust_dual(
         penalty = penalty_type(rho, "brute_force", space=X.space, anchors=(X, X - family.eps))
     lhs = robust_value(rho, family, X, seed=seed)
 
-    def g(Q):
-        return penalty(support_function(family, Q, X, seed=seed), Q)
+    def g(W):
+        return penalty(_support_rows(family, W, X, seed), W, grid.space)
 
     dual = _grid_sup(grid, g)
     return _robust_report(lhs, dual, grid)
@@ -400,37 +505,49 @@ def verify_robust_dual(
 def verify_convex_cash_additive_dual(
     rho: RiskFunctional, family: UncertaintyFamily, X: Position, grid: SimplexGrid
 ) -> dict:
-    """Robust value vs sup_{Qt} { E_Qt[-X] - inf_Q { c_{phi_Q}(Qt) + c_rho(Q) } }."""
+    """Robust value vs sup_{Qt} { E_Qt[-X] - inf_Q { c_{phi_Q}(Qt) + c_rho(Q) } }.
+
+    c_{phi_Q}(Qt) is finite only for Qt in a class around Q (Q itself for
+    norm balls, its rearrangements for Wasserstein balls), so the infimum
+    runs over the grid measures whose ``_partner_key`` lies within the
+    class window of Qt's, found by one sort."""
     if not (rho.flags.convex and rho.flags.cash_additive):
         raise ValueError(f"{rho.name} must be convex and cash-additive")
     lhs = robust_value(rho, family, X)
-    pts = list(grid)
-    c_rho = [minimal_penalty(rho, Q) for Q in pts]
+    space, W = grid.space, grid.weights
+    keyed = family._partner_key(W, space)
+    if keyed is None:
+        raise ValueError(f"no support-penalty closed form for {family.name}")
+    key, win = keyed
+    order = np.argsort(key, kind="stable")
+    lo = np.searchsorted(key[order], key - win, "left")
+    hi = np.searchsorted(key[order], key + win, "right")
+    pts = grid.points
+    c_rho = _minimal_penalty_rows(rho, W, space).tolist()
+    gain = (-(W @ X.values)).tolist()
     dual, arg = -math.inf, None
-    for Qt in pts:
+    for t, Qt in enumerate(pts):
         inner = math.inf
-        for Q, cr in zip(pts, c_rho):
+        for s in order[lo[t] : hi[t]]:
+            cr = c_rho[s]
             if math.isinf(cr):
                 continue
-            cphi = family._support_penalty(Q, Qt)
-            if cphi is None:
-                raise ValueError(f"no support-penalty closed form for {family.name}")
+            cphi = family._support_penalty(pts[s], Qt)
             if math.isinf(cphi):
                 continue
             inner = min(inner, cphi + cr)
         if math.isinf(inner):
             continue
-        v = expectation_under(Qt, -X) - inner
+        v = gain[t] - inner
         if v > dual:
-            dual, arg = v, Qt
+            dual, arg = v, t
     if arg is not None:
         # along the diagonal Qt = Q the inner infimum collapses to the closed
         # form -k_Q + c_rho(Q), giving a one-measure objective to refine
-        def g(Q):
-            cphi = family._support_penalty(Q, Q)
-            return expectation_under(Q, -X) - cphi - minimal_penalty(rho, Q)
+        def g(V):
+            return -(V @ X.values) + family._k_rows(V, space) - _minimal_penalty_rows(rho, V, space)
 
-        dual = max(dual, _polish_simplex(grid.space, g, arg, grid.step)[0])
+        dual = max(dual, _polish_simplex(space, g, W[arg], grid.step)[0])
     return _robust_report(lhs, dual, grid)
 
 
@@ -445,34 +562,32 @@ def verify_second_approach_dual(
     if not (rho.flags.convex and rho.flags.cash_additive and rho.flags.continuous_from_above):
         raise ValueError(f"{rho.name} must be convex, cash-additive, continuous from above")
     lhs = robust_value(rho, family, X, seed=seed)
-    rho1, P = family.rho1, ScenarioMeasure.reference(X.space)
+    rho1, P, space = family.rho1, ScenarioMeasure.reference(X.space), grid.space
     if rho1 is not None:
         if not rho1.flags.cash_additive:
             raise ValueError("second-approach verifier needs a cash-additive base for level families")
         base = penalty_type(rho1, "cash_additive")
 
         # phi_Q(Y) = rho1(Y) + eps + c_rho1(Q), hence R_{phi_Q} = R_rho1 + eps + c_rho1(Q)
-        def g_inner(Qt):
-            return base(expectation_under(Qt, -X), Qt)
+        def g_inner(W):
+            return base(-(W @ X.values), W, space)
 
         inner = _grid_sup(grid, g_inner)
 
-        def g_outer(Q):
-            cr = minimal_penalty(rho, Q)
-            c1 = rho1._penalty(Q)
-            if c1 is None or math.isinf(c1) or math.isinf(cr):
-                return -math.inf
-            return inner + family.eps + c1 - cr
+        def g_outer(W):
+            cr = _minimal_penalty_rows(rho, W, space)
+            c1 = rho1._penalty_rows(W, space)
+            if c1 is None:
+                return np.full(len(W), -math.inf)
+            return np.where(np.isinf(c1) | np.isinf(cr), -math.inf, inner + family.eps + c1 - cr)
 
         dual = _grid_sup(grid, g_outer)
     elif family._support_penalty(P, P) is not None:
         # phi_Q = E_Q[-.] + k_Q up to rearrangement, so R_{phi_Q}(t, Qt) is
         # t + k_Q at Qt = Q and -inf otherwise
-        def g(Q):
-            cr = minimal_penalty(rho, Q)
-            if math.isinf(cr):
-                return -math.inf
-            return support_function(family, Q, X) - cr
+        def g(W):
+            cr = _minimal_penalty_rows(rho, W, space)
+            return np.where(np.isinf(cr), -math.inf, _support_rows(family, W, X, 0) - cr)
 
         dual = _grid_sup(grid, g)
     else:
@@ -487,23 +602,27 @@ def non_expansivity_check(
     seed: int = 0,
 ) -> PropertyVerdict:
     """|R(t,Q) - R(t',Q)| <= |t - t'| + tol and R increasing in t, sampled
-    (tol = 1e-6)."""
+    (tol = 1e-6). All samples are drawn first and scored in two calls of the
+    surface; the first violation in draw order is reported."""
     tol = 1e-6
     _require_count(samples, "samples")
     rng = np.random.default_rng(seed)
-    pts = list(grid)
-    for k in range(samples):
-        Q = pts[int(rng.integers(len(pts)))]
-        t, tp = float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5))
-        a, b = penalty(t, Q), penalty(tp, Q)
+    draws = [
+        (int(rng.integers(len(grid))), float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5))) for _ in range(samples)
+    ]
+    idx, ts, tps = (np.array(col) for col in zip(*draws))
+    rows = grid.weights[idx]
+    Rt, Rtp = penalty(ts, rows, grid.space).tolist(), penalty(tps, rows, grid.space).tolist()
+    for (k, t, tp), a, b in zip(draws, Rt, Rtp):
         if math.isinf(a) or math.isinf(b):
             continue
         if abs(a - b) > abs(t - tp) + tol:
-            return counterexample({"t": t, "tp": tp, "Q": Q, "Rt": a, "Rtp": b})
+            return counterexample({"t": t, "tp": tp, "Q": grid.measure(k), "Rt": a, "Rtp": b})
         lo, hi = min(t, tp), max(t, tp)
         vlo, vhi = (a, b) if t <= tp else (b, a)
         if vlo > vhi + tol:
-            return counterexample({"t": lo, "tp": hi, "Q": Q, "Rt": vlo, "Rtp": vhi}, "not increasing in t")
+            witness = {"t": lo, "tp": hi, "Q": grid.measure(k), "Rt": vlo, "Rtp": vhi}
+            return counterexample(witness, "not increasing in t")
     return no_counterexample(samples)
 
 
@@ -512,24 +631,22 @@ def dual_argmax(
 ) -> ScenarioMeasure:
     """Grid argmax of R_rho(E_Q[-X], Q); ties by smallest density q-norm, then
     lexicographically smallest density."""
+    space, W = grid.space, grid.weights
+    c = _minimal_penalty_rows(rho, W, space)
+    v = (-(W @ X.values) - c).tolist()
+    D = W / space.probs
+    dn = _density_norm_rows(D, space.probs, q).tolist()
     best = None
     best_val = -math.inf
-    for Q in grid:
-        c = minimal_penalty(rho, Q)
-        if math.isinf(c):
-            continue
-        v = expectation_under(Q, -X) - c
-        if best is None or v > best_val + 1e-12:
-            best, best_val = Q, v
-        elif abs(v - best_val) <= 1e-12:
-            dn_new, dn_old = density_norm(Q, q), density_norm(best, q)
-            if dn_new < dn_old - 1e-12 or (
-                abs(dn_new - dn_old) <= 1e-12 and tuple(Q.density) < tuple(best.density)
-            ):
-                best = Q
+    for k in np.flatnonzero(~np.isinf(c)).tolist():
+        if best is None or v[k] > best_val + 1e-12:
+            best, best_val = k, v[k]
+        elif abs(v[k] - best_val) <= 1e-12:
+            if dn[k] < dn[best] - 1e-12 or (abs(dn[k] - dn[best]) <= 1e-12 and tuple(D[k]) < tuple(D[best])):
+                best = k
     if best is None:
         raise ValueError("dual supremum is -inf on the whole grid")
-    return best
+    return grid.measure(best)
 
 
 def wasserstein_bound_check(

@@ -36,6 +36,7 @@ ATOL = 1e-12
 # 0.7000000000000001). Sups and law comparisons skip them; integrals keep
 # them, since their weight is their width.
 _SLIVER = ATOL
+_TINY = np.finfo(float).tiny
 
 
 def _bisect(below, lo: float, hi: float, steps: int, rtol: float = 0.0):
@@ -282,27 +283,52 @@ def _wasserstein_rows(qx: QuantileSteps, rows: np.ndarray, probs: np.ndarray, p:
     return (widths * gap**p).sum(axis=1) ** (1.0 / p)
 
 
+def _masses(Q: ScenarioMeasure) -> np.ndarray:
+    """Q as the one row of a (1, n) array of Q-masses, the form the row
+    functions below take."""
+    return (Q.space.probs * Q.density)[None, :]
+
+
 def rearranged_expectation(Q: ScenarioMeasure, Y: Position) -> float:
     """sup over Y' with the law of Y of E_Q[Y']: the comonotone quantile integral
     of Y against the density dQ/dP."""
-    widths, ay, ad = _merged_quantile_gaps(quantile_function(Y), _quantile_of(Q.density, Q.space.probs))
-    return float(np.dot(widths, ay * ad))
+    return float(_rearranged_rows(_masses(Q), Y)[0])
+
+
+def _rearranged_rows(W: np.ndarray, Y: Position) -> np.ndarray:
+    """``rearranged_expectation`` for each row of W, the Q-masses of a
+    measure Q on the space of Y, one quantile merge per row."""
+    qy, probs = quantile_function(Y), Y.space.probs
+    out = np.empty(len(W))
+    for k, w in enumerate(W):
+        widths, ay, ad = _merged_quantile_gaps(qy, _quantile_of(w / probs, probs))
+        out[k] = np.dot(widths, ay * ad)
+    return out
 
 
 def relative_entropy(Q: ScenarioMeasure) -> float:
     """Kullback-Leibler divergence H(Q|P) = E_P[(dQ/dP) ln(dQ/dP)], with 0 ln 0 = 0."""
-    d = Q.density
-    pos = d > 0
-    return float(np.dot(Q.space.probs[pos] * d[pos], np.log(d[pos])))
+    return float(_relative_entropy_rows(_masses(Q), Q.space.probs)[0])
+
+
+def _relative_entropy_rows(W: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """``relative_entropy`` for each row of W, the Q-masses of a measure Q.
+    A null atom has W = 0 and contributes 0 times a finite log."""
+    return np.add.reduce(W * np.log(np.maximum(W / probs, _TINY)), axis=1)
 
 
 def density_norm(Q: ScenarioMeasure, q: float) -> float:
     """L^q(P) norm of the density dQ/dP; q = inf gives the max."""
     if not q >= 1:
         raise ValueError("norm order q must be >= 1")
+    return float(_density_norm_rows(Q.density[None, :], Q.space.probs, q)[0])
+
+
+def _density_norm_rows(D: np.ndarray, probs: np.ndarray, q: float) -> np.ndarray:
+    """``density_norm`` for each row of the (m, n) density array D."""
     if math.isinf(q):
-        return float(Q.density.max())
-    return float(np.dot(Q.space.probs, Q.density**q) ** (1.0 / q))
+        return D.max(axis=1)
+    return ((D**q) @ probs) ** (1.0 / q)
 
 
 def same_distribution(X: Position, Y: Position, tol: float = ATOL) -> bool:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .prob_core import Position, ProbSpace, ScenarioMeasure, expectation, relative_entropy
+from .prob_core import Position, ProbSpace, ScenarioMeasure, _masses, _relative_entropy_rows, expectation
 
 __all__ = [
     "AxiomFlags",
@@ -67,9 +67,15 @@ class RiskFunctional:
         """rho on each row of pts."""
         return np.array([self(Position(space, row)) for row in pts])
 
-    def _penalty(self, Q: ScenarioMeasure) -> Optional[float]:
-        """Minimal penalty c_rho(Q) where it is known in closed form, else None."""
+    def _penalty_rows(self, W: np.ndarray, space: ProbSpace) -> Optional[np.ndarray]:
+        """Minimal penalty c_rho(Q) for each row of W, the Q-masses of a
+        measure Q on space, where it is known in closed form, else None."""
         return None
+
+    def _penalty(self, Q: ScenarioMeasure) -> Optional[float]:
+        """c_rho(Q) in closed form, else None: the one-row ``_penalty_rows``."""
+        rows = self._penalty_rows(_masses(Q), Q.space)
+        return None if rows is None else float(rows[0])
 
     def _shifted_mean(self, X: Position, eps: float) -> Optional[float]:
         """rho(X - eps) from E[X] alone, for the measures that depend on the mean only."""
@@ -174,8 +180,8 @@ class _NegExpectation(_Kind):
     def _batch(self, pts, space):
         return -pts @ space.probs
 
-    def _penalty(self, Q):
-        return 0.0 if float(np.max(np.abs(Q.density - 1.0))) <= 1e-9 else math.inf
+    def _penalty_rows(self, W, space):
+        return np.where(np.abs(W / space.probs - 1.0).max(axis=1) <= 1e-9, 0.0, math.inf)
 
     def _shifted_mean(self, X, eps):
         return -expectation(X) + eps
@@ -214,8 +220,8 @@ class _WorstCase(_Kind):
     def _batch(self, pts, space):
         return np.max(-pts, axis=1)
 
-    def _penalty(self, Q):
-        return 0.0
+    def _penalty_rows(self, W, space):
+        return np.zeros(len(W))
 
     def _dual_scenario(self, X):
         # P conditioned on the atoms where X is smallest
@@ -235,8 +241,8 @@ class _Entropic(_Kind):
         m = a.max(axis=1, keepdims=True)
         return (m[:, 0] + np.log(np.exp(a - m).sum(axis=1))) / gamma
 
-    def _penalty(self, Q):
-        return relative_entropy(Q) / self.params["gamma"]
+    def _penalty_rows(self, W, space):
+        return _relative_entropy_rows(W, space.probs) / self.params["gamma"]
 
     def _dual_scenario(self, X):
         # the Esscher density e^{-gamma X} / E[e^{-gamma X}]
@@ -272,8 +278,8 @@ class _ExpectedShortfall(_Kind):
         take = np.minimum(w, np.maximum(alpha - (cum - w), 0.0))
         return (take * l_sorted).sum(axis=1) / alpha
 
-    def _penalty(self, Q):
-        return 0.0 if float(Q.density.max()) <= 1.0 / self.params["alpha"] + 1e-9 else math.inf
+    def _penalty_rows(self, W, space):
+        return np.where((W / space.probs).max(axis=1) <= 1.0 / self.params["alpha"] + 1e-9, 0.0, math.inf)
 
     def _dual_scenario(self, X):
         # density 1/alpha on the lowest values of X up to mass alpha; the
@@ -318,8 +324,8 @@ class _CertaintyEquivalent(_Kind):
             return _ENTROPIC_1._batch(pts, space)
         return super()._batch(pts, space)
 
-    def _penalty(self, Q):
-        return _ENTROPIC_1._penalty(Q) if self.params["loss"].exponential else None
+    def _penalty_rows(self, W, space):
+        return _ENTROPIC_1._penalty_rows(W, space) if self.params["loss"].exponential else None
 
     def _same(self, other):
         if type(other) is not type(self):

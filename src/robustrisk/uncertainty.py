@@ -27,16 +27,16 @@ from .prob_core import (
     Position,
     ProbSpace,
     ScenarioMeasure,
-    density_norm,
-    expectation_under,
     quantile_function,
-    rearranged_expectation,
     same_distribution,
     wasserstein_distance,
     _bisect,
     _bisect_array,
+    _density_norm_rows,
+    _masses,
     _merged_quantile_gaps,
     _quantile_norm,
+    _rearranged_rows,
     _wasserstein_rows,
 )
 from .risk_measures import RiskFunctional
@@ -198,12 +198,25 @@ class UncertaintyFamily:
         convex rho attains its sup at one."""
         return None
 
-    def _support(self, Q: ScenarioMeasure, X: Position) -> Optional[float]:
-        """phi_Q(X) = sup over U_X of E_Q[-Z]."""
+    def _support_rows(self, W: np.ndarray, X: Position) -> Optional[np.ndarray]:
+        """phi_Q(X) = sup over U_X of E_Q[-Z] for each row of W, the Q-masses
+        of a measure Q, where the kind has a closed form, else None."""
         return None
+
+    def _support(self, Q: ScenarioMeasure, X: Position) -> Optional[float]:
+        """phi_Q(X) in closed form, else None: the one-row ``_support_rows``."""
+        rows = self._support_rows(_masses(Q), X)
+        return None if rows is None else float(rows[0])
 
     def _support_penalty(self, Q: ScenarioMeasure, Qt: ScenarioMeasure) -> Optional[float]:
         """Minimal penalty of the support functional phi_Q, evaluated at Qt."""
+        return None
+
+    def _partner_key(self, W: np.ndarray, space: ProbSpace) -> Optional[tuple]:
+        """(key, win) for the rows of W, the Q-masses of measures Q, where
+        ``_support_penalty(Q, Qt)`` is finite only for Qt in a class around
+        Q: one number per row that moves by at most win within a class. So a
+        sort on the key finds each row's class. None for kinds without one."""
         return None
 
     def _plus_cone(self, X: Position, Z: Position) -> Optional[bool]:
@@ -285,9 +298,16 @@ class _Ball(UncertaintyFamily):
         return self._dist_rows(X, rows) <= self.eps + MEMBER_TOL
 
     def _k(self, Q: ScenarioMeasure) -> float:
-        """phi_Q(X) minus the (rearranged) Q-expectation of -X: eps times the
-        dual norm of dQ/dP, which is 1 for p = inf."""
-        return self.eps if math.isinf(self.p) else self.eps * density_norm(Q, _conjugate_order(self.p))
+        return float(self._k_rows(_masses(Q), Q.space)[0])
+
+    def _k_rows(self, W: np.ndarray, space: ProbSpace) -> np.ndarray:
+        """phi_Q(X) minus the (rearranged) Q-expectation of -X, for each row
+        of W, the Q-masses of a measure Q: eps times the dual norm of dQ/dP,
+        which is 1 for p = inf. It is also -c_{phi_Q}(Q), the support penalty
+        on the diagonal."""
+        if math.isinf(self.p):
+            return np.full(len(W), self.eps)
+        return self.eps * _density_norm_rows(W / space.probs, space.probs, _conjugate_order(self.p))
 
     def _split(self, X, Y, lam, Z):
         D = Z - (lam * X + (1.0 - lam) * Y)
@@ -377,12 +397,19 @@ class _NormBall(_Ball):
         rows[2 * i + 2, i] += eps / X.space.probs
         return rows
 
-    def _support(self, Q, X):
-        return expectation_under(Q, -X) + self._k(Q)
+    def _support_rows(self, W, X):
+        return -(W @ X.values) + self._k_rows(W, X.space)
 
     def _support_penalty(self, Q, Qt):
         # phi_Q is E_Q[-.] plus a constant, so the penalty is finite only at Qt = Q
         return -self._k(Q) if float(np.max(np.abs(Q.density - Qt.density))) <= 1e-9 else math.inf
+
+    def _partner_key(self, W, space):
+        # densities within 1e-9 of each other have keys within 1e-9 * sum(c);
+        # irrational weights keep distinct lattice densities apart
+        D = W / space.probs
+        c = np.sqrt(np.arange(2.0, space.n + 2.0))
+        return D @ c, float(c.sum()) * (1e-9 + 1e-12 * max(1.0, float(D.max(initial=0.0))))
 
     def _plus_cone(self, X, Z):
         deficit = np.maximum(X.values - Z.values, 0.0)
@@ -486,14 +513,22 @@ class _WassersteinBall(_Ball):
             return rho(W), W, "lower_bound"
         return None
 
-    def _support(self, Q, X):
-        return rearranged_expectation(Q, -X) + self._k(Q)
+    def _support_rows(self, W, X):
+        return _rearranged_rows(W, -X) + self._k_rows(W, X.space)
 
     def _support_penalty(self, Q, Qt):
         # phi_Q depends on the law of its argument: finite at rearrangements of Q
         if same_distribution(Position(Q.space, Q.density), Position(Q.space, Qt.density), tol=1e-9):
             return -self._k(Q)
         return math.inf
+
+    def _partner_key(self, W, space):
+        # E_P[D^2] is law-invariant. Where two quantile functions of densities
+        # up to M differ by at most 1e-9 off intervals of width at most 1e-12
+        # (at most 2n of them), it moves by at most 2M 1e-9 + 2n M^2 1e-12.
+        D = W / space.probs
+        M = max(1.0, float(D.max(initial=0.0)))
+        return (D * D) @ space.probs, 4e-9 * M + 4e-12 * space.n * M * M
 
     def _plus_cone(self, X, Z):
         # lowering coordinates reaches exactly the laws with dominated quantiles
@@ -667,10 +702,10 @@ class _LevelFamily(UncertaintyFamily):
             return target, W, "exact"
         return val, W, "lower_bound"
 
-    def _support(self, Q, X):
+    def _support_rows(self, W, X):
         rho1 = self.rho1
-        c1 = rho1._penalty(Q)
-        if c1 is None or not rho1.flags.cash_additive:
+        c1 = rho1._penalty_rows(W, X.space) if rho1.flags.cash_additive else None
+        if c1 is None:
             return None
         # members satisfy E_Q[-Z] <= rho1(Z) + c(Q) <= rho1(X) + eps + c(Q)
         return rho1(X) + self.eps + c1

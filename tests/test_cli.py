@@ -205,6 +205,21 @@ def test_misspelt_scenario_key_exits_2(tmp_path, config_file, capsys):
     assert "scenario has unknown keys ['postions']; allowed keys are ['space', 'positions']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (["space"], "error: scenario must be a JSON object"),
+        ({"space": {"probs": [0.5, 0.5]}, "positions": [[1, 2]]}, "error: scenario positions must be an object"),
+        ({"space": ["probs"], "positions": {}}, "error: scenario space must be an object"),
+    ],
+    ids=["top-level-list", "positions-list", "space-list"],
+)
+def test_scenario_that_is_not_an_object_exits_2(tmp_path, config_file, capsys, payload, message):
+    """A scenario part that is not a JSON object is an input error, not a traceback."""
+    assert main(["eval", "--scenario", _write(tmp_path, "s.json", payload), "--config", config_file]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section", ["rho", "family"])
 def test_unknown_spec_keys_exit_2(tmp_path, scenario_file, capsys, section):
     """A parameter beside kind instead of under params is an error, not a

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import robustrisk as rr
+from robustrisk import duality
 from robustrisk import (
     LossFunction,
     Position,
@@ -320,3 +321,229 @@ def test_box_lattice_guard_fails_fast():
     space = ProbSpace([0.5, 0.3, 0.2])
     with pytest.raises(ValueError, match="box lattice"):
         minimal_penalty(rr.expectation_floor(1.0), ScenarioMeasure.reference(space))
+
+
+# ---------------------------------------------------------------------------
+# row forms: grids as (m, n) arrays of Q-masses
+
+ROW_SPACES = {
+    "pair": (ProbSpace([0.5, 0.5]), 0.05),
+    "skewed3": (ProbSpace([0.5, 0.3, 0.2]), 0.1),
+    "dirichlet5": (ProbSpace(np.random.default_rng(5).dirichlet(np.ones(5))), 0.1),
+}
+
+
+@pytest.fixture(params=sorted(ROW_SPACES))
+def row_grid(request):
+    space, step = ROW_SPACES[request.param]
+    return simplex_grid(space, step=step, seed=1)
+
+
+def test_grid_weights_are_the_points_as_rows(row_grid):
+    """Row k of weights holds the Q-masses of points[k]: density times P."""
+    W = row_grid.weights
+    assert W.shape == (len(row_grid), row_grid.space.n) and not W.flags.writeable
+    for w, Q in zip(W, row_grid.points):
+        np.testing.assert_array_equal(w / row_grid.space.probs, Q.density)
+
+
+SHIPPED = [
+    rr.entropic(1.0),
+    rr.entropic(2.5),
+    rr.expected_shortfall(0.5),
+    rr.expected_shortfall(0.25),
+    rr.worst_case(),
+    rr.neg_expectation(),
+    rr.certainty_equivalent(rr.exponential_loss()),
+]
+
+
+@pytest.mark.parametrize("rho", SHIPPED, ids=lambda r: r.name)
+def test_penalty_rows_match_minimal_penalty(rho, row_grid):
+    rows = rho._penalty_rows(row_grid.weights, row_grid.space)
+    scalar = [minimal_penalty(rho, Q) for Q in row_grid]
+    np.testing.assert_allclose(rows, scalar, rtol=0.0, atol=1e-14)
+
+
+def test_lattice_penalty_rows_match_minimal_penalty(pair):
+    """Measures without a closed form take the box lattice, scored for all
+    rows at once."""
+    grid = simplex_grid(pair, step=0.1)
+    for rho in (rr.expectation_floor(1.0), rr.q_entropic(0.5, 2.0)):
+        assert rho._penalty_rows(grid.weights, pair) is None
+        rows = duality._minimal_penalty_rows(rho, grid.weights, pair)
+        np.testing.assert_allclose(rows, [minimal_penalty(rho, Q) for Q in grid], rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [rr.p_norm_ball(1.0, 0.3), rr.p_norm_ball(2.0, 0.3), rr.sup_norm_ball(0.3), rr.wasserstein_ball(1.0, 0.2),
+     rr.level_upper_set(rr.entropic(1.0), 0.3)],
+    ids=lambda f: f.name,
+)
+def test_support_rows_match_support_function(family, row_grid, rng):
+    X = random_pos(row_grid.space, rng)
+    rows = family._support_rows(row_grid.weights, X)
+    np.testing.assert_allclose(rows, [support_function(family, Q, X) for Q in row_grid], rtol=0.0, atol=1e-14)
+
+
+def _surfaces(space):
+    X = Position(space, np.linspace(-0.5, 0.7, space.n))
+    yield penalty_type(rr.entropic(1.0), "cash_additive")
+    yield penalty_type(rr.expected_shortfall(0.5), "cash_additive")
+    yield penalty_type(rr.certainty_equivalent(rr.exponential_loss()), "loss", loss=rr.exponential_loss())
+    yield penalty_type(rr.certainty_equivalent(rr.power_loss(2.0)), "loss", loss=rr.power_loss(2.0))
+    if space.n <= 3:
+        yield penalty_type(rr.expectation_floor(0.5), "brute_force", space=space, anchors=(X, X - 0.2))
+
+
+def test_surface_rows_match_one_row_calls(row_grid, rng):
+    space = row_grid.space
+    for surface in _surfaces(space):
+        t = rng.uniform(-3, 3, size=len(row_grid))
+        rows = surface(t, row_grid.weights, space)
+        one = [surface(float(tk), Q) for tk, Q in zip(t, row_grid)]
+        np.testing.assert_allclose(rows, one, rtol=0.0, atol=1e-14, err_msg=surface.kind)
+
+
+def test_chunk_size_changes_no_value(monkeypatch, rng):
+    """Brute-force surfaces and lattice penalties score rows times lattice
+    points in chunks; chunks of a few points give the same values."""
+    space = ProbSpace([0.5, 0.3, 0.2])
+    grid = simplex_grid(space, step=0.1)
+    X = Position(space, [0.4, -0.2, 0.1])
+    t = rng.uniform(-2, 2, size=len(grid))
+    floor = rr.expectation_floor(0.5)
+    pair_grid = simplex_grid(ProbSpace([0.5, 0.5]), step=0.1)
+    qent = rr.q_entropic(0.5, 2.0)
+
+    def values():
+        surface = penalty_type(floor, "brute_force", space=space, anchors=(X,))
+        return surface(t, grid.weights, space), duality._minimal_penalty_rows(qent, pair_grid.weights, pair_grid.space)
+
+    wide = values()
+    monkeypatch.setattr(duality, "_CHUNK", 7)
+    narrow = values()
+    for a, b in zip(wide, narrow):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-14)
+
+
+def test_non_expansivity_witness_is_pinned():
+    """Samples are drawn first and scored in two surface calls; the report is
+    the first violation in draw order, as when each sample was scored in
+    turn. The lattice error of the brute-force q-entropic surface exceeds the
+    tolerance at Q = P."""
+    pair = ProbSpace([0.5, 0.5])
+    surface = penalty_type(rr.q_entropic(0.5, 2.0), "brute_force", space=pair)
+    v = non_expansivity_check(surface, simplex_grid(pair, 0.05), samples=500, seed=0)
+    assert v.tag == "counterexample"
+    w = v.witness
+    assert (w["t"], w["tp"]) == (3.942608451139048, 3.598475275467088)
+    assert w["Q"].density.tolist() == [1.0, 1.0]
+    assert w["Rt"] == pytest.approx(1.943026146105768, abs=1e-12)
+    assert w["Rtp"] == pytest.approx(1.5984755984906767, abs=1e-12)
+    cash = penalty_type(rr.entropic(1.0), "cash_additive")
+    v = non_expansivity_check(cash, simplex_grid(pair, 0.05), samples=200, seed=11)
+    assert v.tag == "sampled_no_counterexample"
+
+
+def _pairwise_convex_cash_dual(rho, family, X, grid):
+    """The dual of verify_convex_cash_additive_dual by the loop over every
+    pair (Q, Qt) of grid measures, before the polish."""
+    pts = list(grid)
+    c_rho = [minimal_penalty(rho, Q) for Q in pts]
+    dual = -math.inf
+    for Qt in pts:
+        inner = min(
+            (family._support_penalty(Q, Qt) + cr for Q, cr in zip(pts, c_rho) if not math.isinf(cr)),
+            default=math.inf,
+        )
+        if not math.isinf(inner):
+            dual = max(dual, expectation_under(Qt, -X) - inner)
+    return dual
+
+
+@pytest.mark.parametrize(
+    "space, step",
+    [(ProbSpace([0.5, 0.5]), 0.05), (ProbSpace([0.5, 0.3, 0.2]), 0.1), (ProbSpace([1 / 3, 1 / 3, 1 / 3]), 0.1)],
+    ids=["pair", "skewed3", "uniform3"],
+)
+def test_convex_cash_dual_matches_the_pairwise_loop(space, step, rng, monkeypatch):
+    grid = simplex_grid(space, step=step)
+    monkeypatch.setattr(duality, "_polish_simplex", lambda space, f, w0, radius: (-math.inf, w0))
+    for rho in (rr.entropic(1.0), rr.expected_shortfall(0.5), rr.neg_expectation()):
+        for family in (rr.sup_norm_ball(0.2), rr.p_norm_ball(2.0, 0.2), rr.wasserstein_ball(1.0, 0.2)):
+            X = random_pos(space, rng)
+            out = verify_convex_cash_additive_dual(rho, family, X, grid)
+            assert out["dual"] == pytest.approx(_pairwise_convex_cash_dual(rho, family, X, grid), abs=1e-14)
+
+
+@pytest.mark.parametrize("family", [rr.sup_norm_ball(0.2), rr.p_norm_ball(2.0, 0.2), rr.wasserstein_ball(1.0, 0.2)],
+                         ids=lambda f: f.name)
+def test_convex_cash_dual_calls_the_support_penalty_linearly(family, monkeypatch):
+    """The inner infimum runs over each Qt's class only, found by a sort: Qt
+    itself on a norm ball, its rearrangements on a Wasserstein ball. So the
+    support penalty is called O(m) times, not m^2 (53,361 on this grid)."""
+    space = ProbSpace([1 / 3, 1 / 3, 1 / 3])
+    grid = simplex_grid(space, step=0.05)
+    calls = []
+    kind = type(family)
+    original = kind._support_penalty
+    monkeypatch.setattr(kind, "_support_penalty", lambda self, Q, Qt: calls.append(1) or original(self, Q, Qt))
+    verify_convex_cash_additive_dual(rr.entropic(1.0), family, Position(space, [0.4, -0.2, 0.1]), grid)
+    # a norm-ball class is Qt alone; a Wasserstein class holds at most the 3! rearrangements, and
+    # the sort may add the few measures whose key falls in the window by chance
+    limit = 8 * len(grid) if family.name.startswith("wasserstein") else len(grid)
+    assert len(grid) <= len(calls) <= limit
+
+
+def _polish_one_move_at_a_time(space, g, w0, radius):
+    """The pattern search of _polish_simplex scoring one move per call of g,
+    which maps one row of Q-masses to its value."""
+    w, best_row, best, r = w0, w0, g(w0), radius
+    for _ in range(120):
+        improved = False
+        for i in range(space.n):
+            for j in range(space.n):
+                move = min(r, w[j])
+                if i == j or move <= 0.0:
+                    continue
+                w2 = w.copy()
+                w2[i] += move
+                w2[j] -= move
+                v = g(w2 / w2.sum())
+                if v > best + 1e-15:
+                    w, best_row, best, improved = w2, w2 / w2.sum(), v, True
+        if not improved:
+            r *= 0.5
+            if r < 1e-13:
+                break
+    return best, best_row
+
+
+@pytest.mark.parametrize("space", [ProbSpace([0.5, 0.5]), ProbSpace([0.5, 0.3, 0.2]),
+                                   ProbSpace([0.1, 0.15, 0.2, 0.25, 0.3])], ids=["n2", "n3", "n5"])
+def test_polish_keeps_the_moves_of_a_one_move_scan(space, rng):
+    """Scoring moves and halved rounds ahead in one call keeps the moves a
+    scan scoring one move at a time keeps, to the bit, including a search
+    stopped by the 120-round cap."""
+    probs = space.probs
+    for trial in range(6):
+        x = rng.normal(size=space.n)
+        target = rng.dirichlet(np.ones(space.n))
+
+        def g(w, x=x, target=target):
+            if trial == 5:  # every round improves: the cap ends the search
+                return float(w[0])
+            d = w / probs
+            return float(-np.dot(w, x) - np.dot(w, np.log(np.maximum(d, 1e-300))) - 3.0 * abs(w - target).max())
+
+        def f(W):
+            return np.array([g(w) for w in W])
+
+        w0 = rng.dirichlet(np.ones(space.n))
+        radius = 1e-4 if trial == 5 else 0.1
+        best, row = duality._polish_simplex(space, f, w0, radius)
+        ref_best, ref_row = _polish_one_move_at_a_time(space, g, w0, radius)
+        assert best == ref_best
+        np.testing.assert_array_equal(row, ref_row)
