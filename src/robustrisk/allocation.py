@@ -8,7 +8,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .duality import SimplexGrid, _minimal_penalty_rows, _polish_simplex, _support_rows, dual_argmax, minimal_penalty
+from .duality import SimplexGrid, _minimal_penalty_rows, _polish_simplex, _support_of, dual_argmax, minimal_penalty
 from .prob_core import Position, ProbSpace, ScenarioMeasure, _masses, expectation_under
 from .risk_measures import RiskFunctional
 from .robustify import robust_value
@@ -57,7 +57,7 @@ class _GradientRule(AllocationRule):
         # Lambda(., Y) is linear, so its supremum over U_X is the support
         # function at the aggregate's dual scenario
         W = _masses(self.params["scenario_for"](Y))
-        return float(_support_rows(family, W, X, seed)[0] - _minimal_penalty_rows(self.base_rho, W, X.space)[0])
+        return float(_support_of(family, X, seed)(W)[0] - _minimal_penalty_rows(self.base_rho, W, X.space)[0])
 
 
 def gradient_car(rho: RiskFunctional, grid: SimplexGrid) -> AllocationRule:

@@ -145,17 +145,24 @@ def support_function(family: UncertaintyFamily, Q: ScenarioMeasure, X: Position,
     """phi_Q(X) = sup over U_X of E_Q[-Z]: the family's closed form where it
     has one, else a numeric lower bound over the members discretized at
     resolution 0.1 and budget 64."""
-    return float(_support_rows(family, _masses(Q), X, seed)[0])
+    return float(_support_of(family, X, seed)(_masses(Q))[0])
 
 
-def _support_rows(family: UncertaintyFamily, W: np.ndarray, X: Position, seed: int) -> np.ndarray:
-    """``support_function`` for each row of W, the Q-masses of a measure Q;
-    the members are discretized once for all rows."""
-    closed = family._support_rows(W, X)
-    if closed is not None:
-        return closed
-    Z = np.array([X.values, *(Z.values for Z in family.discretize(X, 0.1, 64, seed))])
-    return (W @ -Z.T).max(axis=1)
+def _support_of(family: UncertaintyFamily, X: Position, seed: int):
+    """W -> ``support_function`` for each row of W, the Q-masses of a measure
+    Q. A family without a closed form is discretized at the first call, and
+    later calls reuse its members: they depend on X and the seed only."""
+    members = []
+
+    def rows(W: np.ndarray) -> np.ndarray:
+        closed = family._support_rows(W, X)
+        if closed is not None:
+            return closed
+        if not members:
+            members.append(np.array([X.values, *(Z.values for Z in family.discretize(X, 0.1, 64, seed))]))
+        return (W @ -members[0].T).max(axis=1)
+
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +501,10 @@ def verify_robust_dual(
     else:
         penalty = penalty_type(rho, "brute_force", space=X.space, anchors=(X, X - family.eps))
     lhs = robust_value(rho, family, X, seed=seed)
+    support = _support_of(family, X, seed)
 
     def g(W):
-        return penalty(_support_rows(family, W, X, seed), W, grid.space)
+        return penalty(support(W), W, grid.space)
 
     dual = _grid_sup(grid, g)
     return _robust_report(lhs, dual, grid)
@@ -585,9 +593,11 @@ def verify_second_approach_dual(
     elif family._support_penalty(P, P) is not None:
         # phi_Q = E_Q[-.] + k_Q up to rearrangement, so R_{phi_Q}(t, Qt) is
         # t + k_Q at Qt = Q and -inf otherwise
+        support = _support_of(family, X, 0)
+
         def g(W):
             cr = _minimal_penalty_rows(rho, W, space)
-            return np.where(np.isinf(cr), -math.inf, _support_rows(family, W, X, 0) - cr)
+            return np.where(np.isinf(cr), -math.inf, support(W) - cr)
 
         dual = _grid_sup(grid, g)
     else:

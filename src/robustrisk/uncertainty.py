@@ -180,14 +180,18 @@ class UncertaintyFamily:
         rows = self._candidates(X, resolution, budget, rng)
         if not np.isfinite(rows).all():
             raise ValueError("position values must be finite")
-        own = self.membership == self._member
-        keep = self._member_rows(X, rows) if own else UncertaintyFamily._member_rows(self, X, rows)
+        keep = self._member_rows(X, rows) if _own_rows(self) else UncertaintyFamily._member_rows(self, X, rows)
         return [Position(X.space, row) for row in rows[keep]]
 
     def _member_rows(self, X: Position, rows: np.ndarray) -> np.ndarray:
         """Whether each row of the (m, n) array lies in U_X, by one
         ``membership`` call per row."""
         return np.array([bool(self.membership(X, Position(X.space, row))) for row in rows], dtype=bool)
+
+    def _member_grid(self, centers: list, rows: np.ndarray) -> np.ndarray:
+        """A (len(centers), m) array: whether each row lies in U_C for each
+        center C, one ``_member_rows`` call per center."""
+        return np.array([self._member_rows(C, rows) for C in centers])
 
     def _worst_case(self, rho: RiskFunctional, X: Position) -> Optional[tuple]:
         """(value, witness, guarantee) for sup over U_X of rho."""
@@ -249,6 +253,14 @@ class UncertaintyFamily:
         X + t (Z - X) leaves U_X, in closed form or by an array search; None
         sends the caller to a scalar bisection on membership."""
         return None
+
+
+def _own_rows(family: UncertaintyFamily) -> bool:
+    """Whether ``family.membership`` is its kind's own predicate and the kind
+    decides it for many rows in one array call: not a family built by hand,
+    nor a solidified one, nor a copy with a replaced ``membership``."""
+    rows = type(family)._member_rows is not UncertaintyFamily._member_rows
+    return rows and family.membership == family._member
 
 
 def _segment_search(X: Position, Z: Position, inside) -> float:
@@ -324,10 +336,18 @@ class _NormBall(_Ball):
         return _lp_norm(X.space, Z.values - X.values, self.p)
 
     def _dist_rows(self, X, rows):
-        D = np.abs(rows - X.values)
+        return self._norm_rows(np.abs(rows - X.values), X.space.probs)
+
+    def _norm_rows(self, D, probs):
+        """The L^p(P) norm of D >= 0 along its last axis."""
         if math.isinf(self.p):
-            return D.max(axis=1)
-        return ((D**self.p) @ X.space.probs) ** (1.0 / self.p)
+            return D.max(axis=-1)
+        return ((D**self.p) @ probs) ** (1.0 / self.p)
+
+    def _member_grid(self, centers, rows):
+        # every center's distances in one array expression
+        at = np.array([C.values for C in centers])[:, None, :]
+        return self._norm_rows(np.abs(rows - at), centers[0].space.probs) <= self.eps + MEMBER_TOL
 
     def _candidates(self, X, resolution, budget, rng):
         """Rows: X, X -/+ eps, then for p = inf the 2^n sign corners (when
@@ -691,6 +711,11 @@ class _LevelFamily(UncertaintyFamily):
     def _member_rows(self, X, rows):
         return self._within(self.rho1._batch(rows, X.space), self.rho1(X), MEMBER_TOL)
 
+    def _member_grid(self, centers, rows):
+        # the rows' rho1 once, compared with each center's scalar rho1
+        r = self.rho1._batch(rows, centers[0].space)
+        return self._within(r[None, :], np.array([self.rho1(C) for C in centers])[:, None], MEMBER_TOL)
+
     def _worst_case(self, rho, X):
         rho1 = self.rho1
         if not rho._same(rho1):
@@ -879,22 +904,40 @@ def _violation(family: UncertaintyFamily, prop: str, w: dict) -> Optional[bool]:
     if prop == "cash_invariant":
         return m(w["X"] + w["c"], w["Z"] + w["c"]) != m(w["X"], w["Z"])
     if prop == "continuous_from_above":
-        # finite decreasing chain X_n = X + 2^-n * Delta; a member of U_X must
-        # eventually enter U_{X_n}
-        X, Z, Delta = w["X"], w["Z"], w["Delta"]
+        return next(_above(family, w["X"], w["Delta"], [w["Z"]]))
+    raise ValueError(f"unknown family property {prop!r}")
 
-        def chain(k):
-            return Position(X.space, X.values + 0.5**k * Delta.values)
 
-        # members usually enter near the end of the chain: test it from there
-        if any(m(chain(k), Z) for k in range(11, 0, -1)) or (Delta.values < 0).any() or not m(X, Z):
-            return False
+def _above(family: UncertaintyFamily, X: Position, Delta: Position, Zs: list):
+    """``_violation`` of continuity from above for each candidate Z of Zs,
+    lazily and in order, along the finite decreasing chain X_k = X + 2^-k
+    Delta, k = 11, ..., 1: a member of U_X must eventually enter U_{X_k}.
+    False when Z enters some U_{X_k}, Delta has a negative entry or Z is not
+    in U_X; otherwise True when the violation margin persists along the tail
+    of the chain, and None when it may still decay.
+
+    A kind with its own array membership decides all candidates together, one
+    membership array per chain point and one for X (``_member_grid``). Any
+    other family tests one candidate at a time through ``membership``."""
+    chain = [Position(X.space, X.values + 0.5**k * Delta.values) for k in range(11, 0, -1)]
+    negative = bool((Delta.values < 0).any())
+    if _own_rows(family):
+        inside = family._member_grid([*chain, X], np.array([Z.values for Z in Zs]))
+        settled = iter(inside[:-1].any(axis=0) | negative | ~inside[-1])
+    else:
+        # members usually enter near the end of the chain, so the candidate
+        # at a time tests it from there and stops at the first set it enters
+        m = family.membership
+        settled = (any(m(C, Z) for C in chain) or negative or not m(X, Z) for Z in Zs)
+    for Z, done in zip(Zs, settled):
+        if done:
+            yield False
+            continue
         # a finite chain cannot falsify the limit property unless the
         # violation margin persists instead of decaying along the tail
-        m_prev, m_last = family._margin(chain(10), Z), family._margin(chain(11), Z)
+        m_prev, m_last = family._margin(chain[1], Z), family._margin(chain[0], Z)
         persists = m_prev is not None and m_last is not None and m_last > 1e-9 and m_last > 0.75 * m_prev
-        return True if persists else None
-    raise ValueError(f"unknown family property {prop!r}")
+        yield True if persists else None
 
 
 def _verified(family: UncertaintyFamily, prop: str, witnesses, note: str) -> Optional[PropertyVerdict]:
@@ -997,6 +1040,18 @@ def _draw(prop: str, X: Position, rng: np.random.Generator):
     return X, lambda Z: {"X": X, "Delta": Delta, "Z": Z}
 
 
+def _trial(family: UncertaintyFamily, prop: str, witnesses):
+    """Each witness of one trial with its ``_violation``, in order. The
+    witnesses of a continuity trial share X and Delta, and ``_above`` decides
+    their candidates together."""
+    if prop != "continuous_from_above":
+        return ((w, _violation(family, prop, w)) for w in witnesses)
+    ws = list(witnesses)
+    if not ws:
+        return ()
+    return zip(ws, _above(family, ws[0]["X"], ws[0]["Delta"], [w["Z"] for w in ws]))
+
+
 def _sampled_check(
     family: UncertaintyFamily, prop: str, space: ProbSpace, trials: int, seed: int
 ) -> PropertyVerdict:
@@ -1010,9 +1065,8 @@ def _sampled_check(
         decided = False
         if drawn is not None:
             point, witness = drawn
-            for Z in family.discretize(point, resolution, budget, seed + 7 * t + 1):
-                w = witness(Z)
-                out = _violation(family, prop, w)
+            members = family.discretize(point, resolution, budget, seed + 7 * t + 1)
+            for w, out in _trial(family, prop, map(witness, members)):
                 if out:
                     return counterexample(w)
                 decided = decided or out is not None

@@ -1,5 +1,6 @@
 """Dual representations: penalties, surfaces, gap checks."""
 
+import dataclasses
 import math
 import time
 from itertools import permutations
@@ -185,6 +186,26 @@ def test_robust_dual_gap(pair):
     X = Position(pair, [0.8, -0.6])
     out = verify_robust_dual(rho, fam, X, grid)
     assert abs(out["gap"]) <= 1e-5
+
+
+def test_robust_dual_discretizes_the_support_once():
+    """A family with no closed-form support is discretized once for the whole
+    grid objective, not again on each of its calls, and the dual value is the
+    one of an objective that discretizes on every call."""
+    space = ProbSpace([0.5, 0.3, 0.2])
+    rho, fam, X = rr.entropic(1.0), rr.solidify(rr.p_norm_ball(1.0, 0.2)), Position(space, [0.4, -0.2, 0.1])
+    grid = simplex_grid(space, step=0.05)
+    calls = []
+    counted = dataclasses.replace(fam, discretize=lambda *a: calls.append(a[1:]) or fam.discretize(*a))
+    rr.robust_value(rho, counted, X)
+    search = len(calls)  # the robust value's own search discretizes U_X too
+    calls.clear()
+    out = verify_robust_dual(rho, counted, X, grid)
+    assert search == 1 and calls == [(0.1, 64, 0)] * 2  # the robust value's search, then the objective's
+    penalty = penalty_type(rho, "cash_additive")
+    # an objective that discretizes the members again on each call
+    dual = duality._grid_sup(grid, lambda W: penalty(duality._support_of(fam, X, 0)(W), W, space))
+    assert out["dual"] == dual
 
 
 def test_robust_dual_certainty_equivalent_form(pair):

@@ -864,3 +864,120 @@ def test_wasserstein_c_quasi_convexity_rule(probs, p, eps):
     assert v.is_counterexample and v.note == "two-sided spread witness"
     assert replay_witness(fam, "c_quasi_convex", v.witness)
     assert _key(v) == _key(fam._rule("c_quasi_convex", space))
+
+
+# ---------------------------------------------------------------------------
+# continuity from above, decided on rows
+
+
+_ES = rr.expected_shortfall(0.5)
+ABOVE_KINDS = {
+    "p1": lambda: rr.p_norm_ball(1.0, 0.3),
+    "p2": lambda: rr.p_norm_ball(2.0, 0.3),
+    "sup": lambda: rr.sup_norm_ball(0.3),
+    "w1": lambda: rr.wasserstein_ball(1.0, 0.3),
+    "w2": lambda: rr.wasserstein_ball(2.0, 0.3),
+    "upper_entropic": lambda: rr.level_upper_set(_ENT, 0.3),
+    "band_entropic": lambda: rr.level_band(_ENT, 0.3),
+    "upper_es": lambda: rr.level_upper_set(_ES, 0.3),
+    "band_es": lambda: rr.level_band(_ES, 0.3),
+}
+
+
+@pytest.mark.parametrize("kind", ABOVE_KINDS)
+def test_continuity_rows_agree_with_the_scalar_path(kind):
+    """A kind decides a trial's candidates by one membership array per chain
+    point; a copy whose membership wraps the kind's predicate tests them one
+    at a time. Both give the same verdict, trial count, note and witness."""
+    fam = ABOVE_KINDS[kind]()
+    scalar = dataclasses.replace(fam, membership=lambda X, Z: fam._member(X, Z))
+    assert uncertainty._own_rows(fam) and not uncertainty._own_rows(scalar)
+    for probs in ([0.5, 0.5], [0.5, 0.3, 0.2], [0.25] * 4):
+        space = rr.ProbSpace(probs)
+        for seed in range(12):
+            got = check_property(fam, "continuous_from_above", space, trials=20, seed=seed)
+            want = check_property(scalar, "continuous_from_above", space, trials=20, seed=seed)
+            assert _key(got) == _key(want), (kind, probs, seed)
+
+
+@pytest.mark.parametrize("kind", ABOVE_KINDS)
+def test_continuity_row_decisions_match_one_candidate_at_a_time(kind):
+    """Candidate by candidate, the row decisions are those of the scalar path,
+    and the membership grid is the scalar predicate at each chain point. The
+    candidates are members of U_X and of sets along the chain, so some enter
+    the chain late, some early and some never; X - 3 lies in none."""
+    fam = ABOVE_KINDS[kind]()
+    scalar = dataclasses.replace(fam, membership=lambda X, Z: fam._member(X, Z))
+    for probs in ([0.5, 0.5], [0.5, 0.3, 0.2], [0.25] * 4):
+        space = rr.ProbSpace(probs)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            X = random_pos(space, rng)
+            Delta = Position(space, np.abs(rng.normal(size=space.n)))
+            chain = [X + 0.5**k * Delta for k in range(11, 0, -1)]
+            Zs = [Z for C in (X, chain[-1], chain[-2], chain[-4]) for Z in fam.discretize(C, 0.25, 12, seed)]
+            Zs.append(X - 3.0)
+            got = list(uncertainty._above(fam, X, Delta, Zs))
+            assert got == list(uncertainty._above(scalar, X, Delta, Zs)), (kind, probs, seed)
+            assert False in got and None in got, got
+            inside = fam._member_grid([*chain, X], np.array([Z.values for Z in Zs]))
+            assert inside.tolist() == [[fam._member(C, Z) for Z in Zs] for C in [*chain, X]]
+
+
+@pytest.mark.parametrize("build, pinned", [
+    (lambda: solidify(rr.p_norm_ball(2.0, 0.3)), 1480),
+    (lambda: _hand_built_l1_ball(0.3), 1395),
+], ids=["solidified", "hand_built"])
+def test_continuity_scalar_path_keeps_its_call_count(build, pinned, skewed3, monkeypatch):
+    """A family without its own array membership tests each candidate from
+    the end of the chain and stops at the first set it enters: the counts of
+    membership calls are those of the candidate-at-a-time check."""
+    fam, calls = build(), []
+    if isinstance(fam, uncertainty._Solidified):
+        # the solidified family's own membership is its base's cone test
+        cone = uncertainty._NormBall._plus_cone
+        monkeypatch.setattr(uncertainty._NormBall, "_plus_cone", lambda *a: calls.append(1) or cone(*a))
+    else:
+        member = fam.membership
+        fam = dataclasses.replace(fam, membership=lambda X, Z: calls.append(1) or member(X, Z))
+    assert not uncertainty._own_rows(fam)
+    v = check_property(fam, "continuous_from_above", skewed3, trials=20, seed=0)
+    assert (v.tag, v.trials, v.note) == ("sampled_no_counterexample", 20, "")
+    assert len(calls) == pinned
+
+
+class _JumpBall(uncertainty._NormBall):
+    """A sup ball whose set at X = 0 holds every position: U_X jumps at 0, so
+    a decreasing chain down to 0 never lets a far member in."""
+
+    def _member(self, X, Z):
+        return not X.values.any() or super()._member(X, Z)
+
+    def _member_rows(self, X, rows):
+        return super()._member_rows(X, rows) | (not X.values.any())
+
+    _member_grid = UncertaintyFamily._member_grid
+
+
+def test_continuity_witness_built_by_hand_replays(skewed3):
+    """replay_witness re-derives a violation built by hand through the same
+    decision as sampling, on rows and on the scalar path alike; a witness
+    whose member enters the chain, or whose Delta is not nonnegative, is
+    none."""
+    jump = _JumpBall(name="jump", params={"p": math.inf, "eps": 0.3})
+    scalar = dataclasses.replace(jump, membership=lambda X, Z: jump._member(X, Z))
+    assert uncertainty._own_rows(jump) and not uncertainty._own_rows(scalar)
+    zero = Position(skewed3, np.zeros(3))
+    w = {"X": zero, "Delta": Position(skewed3, [1.0, 0.5, 2.0]), "Z": Position(skewed3, [-1.0, -1.0, -1.0])}
+    near = dict(w, Z=Position(skewed3, [0.1, -0.2, 0.0]))
+    late = dict(w, Z=0.5 * w["Delta"])  # enters the chain's first set only
+    down = dict(w, Delta=Position(skewed3, [1.0, -0.5, 2.0]))
+    for fam in (jump, scalar):
+        assert replay_witness(fam, "continuous_from_above", w)
+        assert not replay_witness(fam, "continuous_from_above", near)
+        assert not replay_witness(fam, "continuous_from_above", late)
+        assert not replay_witness(fam, "continuous_from_above", down)
+    # a member on the boundary of a ball never enters the chain either, but
+    # its margin halves along the chain: not a violation
+    edge = dict(w, Z=Position(skewed3, [-0.3, -0.3, -0.3]))
+    assert not replay_witness(rr.sup_norm_ball(0.3), "continuous_from_above", edge)
