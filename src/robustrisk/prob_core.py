@@ -256,15 +256,13 @@ def wasserstein_distance(X: Position, Y: Position, p: float = 1.0) -> float:
     return _quantile_norm(widths, np.abs(ax - ay), p)
 
 
-def _wasserstein_rows(qx: QuantileSteps, rows: np.ndarray, probs: np.ndarray, p: float) -> np.ndarray:
-    """``wasserstein_distance`` from the law with quantile function ``qx`` to
-    each row of the (m, n) array ``rows``, a position on atoms of masses
-    ``probs``. Per row, the breakpoints of qx are merged with the row's own,
-    and the L^p norm of the quantile gap is taken on them (the essential sup
-    for p = inf)."""
+def _merged_rows(qx: QuantileSteps, rows: np.ndarray, probs: np.ndarray):
+    """Per row of the (m, n) array ``rows``, a position on atoms of masses
+    ``probs``, the breakpoints of qx merged with the row's own: the widths
+    of the merged intervals, and on each interval the index of qx's step and
+    the atom whose value is the row's quantile there."""
     (m, n), k = rows.shape, qx.cum.size
     order = np.argsort(rows, axis=1, kind="stable")
-    vals = np.take_along_axis(rows, order, axis=1)
     cum = np.cumsum(probs[order], axis=1)
     cum[:, -1] = 1.0
     both = np.concatenate((np.broadcast_to(qx.cum, (m, k)), cum), axis=1)
@@ -277,10 +275,25 @@ def _wasserstein_rows(qx: QuantileSteps, rows: np.ndarray, probs: np.ndarray, p:
     iy = np.minimum(seen - from_row, n - 1)
     ix = np.minimum(np.arange(k + n) - seen + from_row, k - 1)
     widths = np.diff(merged, axis=1, prepend=0.0)
-    gap = np.abs(qx.values[ix] - np.take_along_axis(vals, iy, axis=1))
+    return widths, ix, np.take_along_axis(order, iy, axis=1)
+
+
+def _gap_norm_rows(widths: np.ndarray, gap: np.ndarray, p: float) -> np.ndarray:
+    """The L^p norm on (0, 1] of each row of ``gap`` >= 0, a step function
+    on intervals of the given widths, along the last axis; for p = inf the
+    max over the intervals that are not slivers."""
     if math.isinf(p):
-        return np.where(widths > _SLIVER, gap, 0.0).max(axis=1)
-    return (widths * gap**p).sum(axis=1) ** (1.0 / p)
+        return np.where(widths > _SLIVER, gap, 0.0).max(axis=-1)
+    return (widths * gap**p).sum(axis=-1) ** (1.0 / p)
+
+
+def _wasserstein_rows(qx: QuantileSteps, rows: np.ndarray, probs: np.ndarray, p: float) -> np.ndarray:
+    """``wasserstein_distance`` from the law with quantile function ``qx`` to
+    each row of the (m, n) array ``rows``, a position on atoms of masses
+    ``probs``: the L^p norm of the quantile gap on the merged breakpoints of
+    each row (``_merged_rows``)."""
+    widths, ix, atom = _merged_rows(qx, rows, probs)
+    return _gap_norm_rows(widths, np.abs(qx.values[ix] - np.take_along_axis(rows, atom, axis=1)), p)
 
 
 def _masses(Q: ScenarioMeasure) -> np.ndarray:

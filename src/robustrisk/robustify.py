@@ -110,13 +110,14 @@ def _project(family: UncertaintyFamily, X: Position, Z: Position, x_member: bool
     whether X is in U_X.
 
     Z itself when it is a member. Otherwise, if X is a member, the point where
-    the segment leaves U_X by the kind's closed form or array search
-    (``family._pullback``), or else by a scalar bisection on membership. The
-    array searches take the halvings of that bisection, so neither needs more
-    than membership at X, and both move only to points where it held. On a
-    set that is not X-star-shaped, such as a level band, that exit need not
-    be the first. The kind's point is confirmed by ``family.membership``, and
-    the scalar bisection runs when that fails.
+    the segment leaves U_X by the kind's own search (``family._pullback``),
+    or else by a scalar bisection on membership. A ball's search gives the
+    first exit, also on a Wasserstein ball, which is not X-star-shaped. A
+    level family's array search takes the halvings of the scalar bisection:
+    both need no more than membership at X and move only to points where it
+    held, and on a set that is not X-star-shaped, such as a level band, their
+    exit need not be the first. The kind's point is confirmed by
+    ``family.membership``, and the scalar bisection runs when that fails.
     """
     if family.membership(X, Z):
         return Z

@@ -33,8 +33,10 @@ from .prob_core import (
     _bisect,
     _bisect_array,
     _density_norm_rows,
+    _gap_norm_rows,
     _masses,
     _merged_quantile_gaps,
+    _merged_rows,
     _quantile_norm,
     _rearranged_rows,
     _wasserstein_rows,
@@ -250,8 +252,11 @@ class UncertaintyFamily:
 
     def _pullback(self, X: Position, Z: Position) -> Optional[float]:
         """For a member X and a non-member Z, a t in [0, 1] where the segment
-        X + t (Z - X) leaves U_X, in closed form or by an array search; None
-        sends the caller to a scalar bisection on membership."""
+        X + t (Z - X) leaves U_X; None sends the caller to a scalar bisection
+        on membership. Balls give the first exit: a norm ball in closed form,
+        a Wasserstein ball by an exact search over the pieces of the segment
+        between crossing times. A level family gives the exit its array
+        search ends at, which need not be the first."""
         return None
 
 
@@ -261,14 +266,6 @@ def _own_rows(family: UncertaintyFamily) -> bool:
     nor a solidified one, nor a copy with a replaced ``membership``."""
     rows = type(family)._member_rows is not UncertaintyFamily._member_rows
     return rows and family.membership == family._member
-
-
-def _segment_search(X: Position, Z: Position, inside) -> float:
-    """The t in [0, 1] where ``_bisect`` on ``inside`` along the segment
-    X + t (Z - X) ends, found 63 points per call of ``inside``, which maps an
-    array of points (one per row) to an array of bools."""
-    D = Z.values - X.values
-    return _bisect_array(lambda s: inside(X.values + s[:, None] * D), 0.0, 1.0, 60, 64)[0]
 
 
 def random_position(space: ProbSpace, rng: np.random.Generator) -> Position:
@@ -339,10 +336,12 @@ class _NormBall(_Ball):
         return self._norm_rows(np.abs(rows - X.values), X.space.probs)
 
     def _norm_rows(self, D, probs):
-        """The L^p(P) norm of D >= 0 along its last axis."""
+        """The L^p(P) norm of D >= 0 along its last axis, summed along that
+        contiguous axis so that a row's bits do not depend on how many rows
+        come with it."""
         if math.isinf(self.p):
             return D.max(axis=-1)
-        return ((D**self.p) @ probs) ** (1.0 / self.p)
+        return (D**self.p * probs).sum(axis=-1) ** (1.0 / self.p)
 
     def _member_grid(self, centers, rows):
         # every center's distances in one array expression
@@ -575,8 +574,36 @@ class _WassersteinBall(_Ball):
         return Position(Z.space, vals)
 
     def _pullback(self, X, Z):
-        qx = quantile_function(X)
-        return _segment_search(X, Z, lambda rows: _wasserstein_rows(qx, rows, X.space.probs, self.p) <= self.eps)
+        # The order of X + t D, D = Z - X, changes only at the times where two
+        # atoms cross. Between two of them the quantile gaps are affine in t,
+        # so the distance is convex there: the first scored time outside the
+        # ball closes the piece that holds the first exit, and a bisection on
+        # that piece's gaps finds it without sorting. Crossing times are scored
+        # 64 to a call, in order, after skipping those that the bound
+        # W_p(X + s D, X + t D) <= |t - s| ||D||_p keeps inside the ball.
+        x, D, probs, qx = X.values, Z.values - X.values, X.space.probs, quantile_function(X)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            T = (x[None, :] - x[:, None]) / (D[:, None] - D[None, :])
+        T = np.concatenate(([0.0], np.unique(T[(T > 0.0) & (T < 1.0)]), [1.0]))
+        lipschitz = _lp_norm(X.space, D, self.p)
+        at, d = 0, 0.0  # T[at] is inside, at distance d <= eps
+        while True:
+            at = int(np.searchsorted(T, T[at] + (self.eps - d) / lipschitz, side="right"))
+            if at == T.size:
+                return 1.0
+            dist = _wasserstein_rows(qx, x + T[at : at + 64, None] * D, probs, self.p)
+            out = np.flatnonzero(dist > self.eps)
+            if out.size:
+                break
+            at, d = at + dist.size - 1, dist[-1]
+        # T[j - 1] was scored or skipped, so the piece [T[j - 1], T[j]] starts inside
+        j = at + int(out[0])
+        widths, ix, atom = _merged_rows(qx, (x + 0.5 * (T[j - 1] + T[j]) * D)[None, :], probs)
+        a, b = qx.values[ix] - x[atom], -D[atom]
+        lo, _ = _bisect_array(
+            lambda s: _gap_norm_rows(widths, np.abs(a + s[:, None] * b), self.p) <= self.eps, T[j - 1], T[j], 60, 64
+        )
+        return float(lo)
 
     def _rule(self, prop, space):
         eps = self.eps
@@ -748,8 +775,12 @@ class _LevelFamily(UncertaintyFamily):
         rho1 = self.rho1
         if not _vectorized(rho1):
             return None  # a row loop tests 63 points where bisection tests one
-        r0 = rho1(X)
-        return _segment_search(X, Z, lambda rows: self._within(rho1._batch(rows, X.space), r0, 0.0))
+        r0, D = rho1(X), Z.values - X.values
+        # where _bisect on membership along the segment ends, 63 points per batched rho1
+        lo, _ = _bisect_array(
+            lambda s: self._within(rho1._batch(X.values + s[:, None] * D, X.space), r0, 0.0), 0.0, 1.0, 60, 64
+        )
+        return lo
 
     def _rule(self, prop, space):
         rho1 = self.rho1

@@ -24,7 +24,7 @@ from robustrisk import (
 from robustrisk import uncertainty
 from robustrisk.prob_core import _bisect
 from robustrisk.robustify import _project
-from robustrisk.uncertainty import _boundary_step
+from robustrisk.uncertainty import MEMBER_TOL, _boundary_step
 
 from conftest import random_pos
 
@@ -317,6 +317,20 @@ def test_sup_ball_is_p_norm_ball_inf(uniform4, rng):
         assert np.array_equal(W.values, Wp.values)
         assert sup.membership(X, Z) == pinf.membership(X, Z)
         assert sup._plus_cone(X, Z) == pinf._plus_cone(X, Z)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_norm_rows_bits_do_not_depend_on_the_row_count(p):
+    """k blocks of rows stacked into one array get the bits of k separate
+    calls, so a candidate decided alone and among others gets one answer."""
+    rng = np.random.default_rng(7)
+    fam = rr.p_norm_ball(p, 0.3)
+    for _ in range(75):
+        n, m, k = (int(v) for v in rng.integers((2, 1, 2), (9, 20, 6)))
+        probs = rng.dirichlet(np.ones(n))
+        blocks = [np.abs(rng.normal(size=(m, n))) for _ in range(k)]
+        separate = np.concatenate([fam._norm_rows(B, probs) for B in blocks])
+        assert np.array_equal(fam._norm_rows(np.concatenate(blocks), probs), separate)
 
 
 def test_wasserstein_cone_aligns_quantiles():
@@ -641,8 +655,11 @@ def test_solidified_family_is_certified_solid(skewed3):
 
 PROJECTION_KINDS = {
     **{k: KINDS[k] for k in ("sup", "p1", "p2", "w1", "level_upper_set", "level_band")},
+    "w1.5": lambda: rr.wasserstein_ball(1.5, 0.3),
     "w2": lambda: rr.wasserstein_ball(2.0, 0.3),
+    "winf": lambda: rr.wasserstein_ball(math.inf, 0.3),
 }
+W_KINDS = ("w1", "w1.5", "w2", "winf")
 
 
 def _segments(rng):
@@ -676,6 +693,52 @@ def test_projection_lands_on_the_bisection_boundary(kind, rng):
         lo, _ = _bisect(lambda t: fam.membership(X, X + t * (Z - X)), 0.0, 1.0, 60)
         assert fam._pullback(X, Z) == pytest.approx(lo, abs=1e-9)
     assert outside >= 8
+
+
+def _wide_segments(rng):
+    """(X, Z) pairs on 40 atoms with Z near a rearrangement of X, so that many
+    of the 780 crossing times come before the segment leaves a W ball."""
+    wide = rr.ProbSpace(rng.dirichlet(np.full(40, 4.0)))
+    for _ in range(6):
+        X = random_pos(wide, rng)
+        yield X, Position(wide, X.values[rng.permutation(40)] + rng.normal(size=40))
+
+
+@pytest.mark.parametrize("kind", W_KINDS)
+def test_wasserstein_pullback_stays_inside_up_to_its_exit(kind, rng):
+    """The pull-back of a Wasserstein ball is the first exit of the segment:
+    every point of the segment before it is a member, and the distance there
+    is eps."""
+    fam = PROJECTION_KINDS[kind]()
+    for X, Z in [*_segments(rng), *_wide_segments(rng)]:
+        if fam.membership(X, Z):
+            continue
+        t = fam._pullback(X, Z)
+        assert fam._dist(X, X + t * (Z - X)) == pytest.approx(fam.eps, abs=1e-9)
+        assert all(fam._dist(X, X + s * (Z - X)) <= fam.eps + MEMBER_TOL for s in np.linspace(0.0, t, 200))
+
+
+@pytest.mark.parametrize("kind", W_KINDS)
+def test_wasserstein_pullback_skips_only_crossings_inside(kind, rng, monkeypatch):
+    """The crossing times that the Lipschitz bound keeps inside the ball go
+    unscored, and scoring every one of them gives the same bits."""
+    fam = PROJECTION_KINDS[kind]()
+    segments = [(X, Z) for X, Z in [*_segments(rng), *_wide_segments(rng)] if not fam.membership(X, Z)]
+    skipping = [fam._pullback(X, Z) for X, Z in segments]
+    monkeypatch.setattr(uncertainty, "_lp_norm", lambda *args: math.inf)
+    assert [fam._pullback(X, Z) for X, Z in segments] == skipping
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+def test_wasserstein_pullback_takes_the_first_exit(p):
+    """X + t (Z - X) = (2t, 1 - 2t) leaves the W_p ball of radius .1 at
+    t = .05, is back at t = .5, where it has the law of X, and leaves again
+    at t = .55: the pull-back stops at the first exit."""
+    space = rr.ProbSpace([0.5, 0.5])
+    X, Z = Position(space, [0.0, 1.0]), Position(space, [2.0, -1.0])
+    fam = rr.wasserstein_ball(p, 0.1)
+    assert fam._pullback(X, Z) == pytest.approx(0.05, abs=1e-12)
+    assert np.allclose(_project(fam, X, Z, True).values, [0.1, 0.9], rtol=0.0, atol=1e-12)
 
 
 def test_projection_confirms_the_kind_point(skewed3, rng):
