@@ -68,7 +68,7 @@ def _bisect_array(below, lo: float, hi: float, steps: int, fan: int):
     frac = np.arange(1, fan) / fan
     while hi - lo > width:
         s = lo + (hi - lo) * frac
-        holds = np.asarray(below(s), dtype=bool)
+        holds = below(s).tolist()
         a, b = 0, fan  # the cell [lo, hi] on the grid lo, s[0], ..., s[fan - 2], hi
         while b - a > 1:
             mid = (a + b) // 2
@@ -90,7 +90,7 @@ class ProbSpace:
     probs: np.ndarray
 
     def __init__(self, probs):
-        p = np.asarray(probs, dtype=float)
+        p = np.array(probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a non-empty 1-D sequence")
         if np.any(p <= 0):
@@ -113,13 +113,15 @@ class ProbSpace:
 
 @dataclass(frozen=True)
 class Position:
-    """Payoff vector over the atoms of a ProbSpace; positive values are gains."""
+    """Payoff vector over the atoms of a ProbSpace; positive values are gains.
+    It keeps a read-only copy of the values it is given."""
 
     space: ProbSpace
     values: np.ndarray
+    _quantiles = None  # not a field: the QuantileSteps of quantile_function
 
     def __init__(self, space: ProbSpace, values):
-        v = np.asarray(values, dtype=float)
+        v = np.array(values, dtype=float)
         if v.shape != (space.n,):
             raise ValueError(f"values must have length {space.n}, got shape {v.shape}")
         if not np.isfinite(v).all():
@@ -159,7 +161,7 @@ class ScenarioMeasure:
     density: np.ndarray
 
     def __init__(self, space: ProbSpace, density):
-        d = np.asarray(density, dtype=float)
+        d = np.array(density, dtype=float)
         if d.shape != (space.n,):
             raise ValueError(f"density must have length {space.n}, got shape {d.shape}")
         if (d < 0).any():
@@ -207,21 +209,27 @@ class QuantileSteps:
 
 
 def quantile_function(X: Position) -> QuantileSteps:
-    """Quantile (inverse CDF) of the law of X under P, atoms merged."""
-    return _quantile_of(X.values, X.space.probs)
+    """Quantile (inverse CDF) of the law of X under P, atoms merged. It is
+    computed once per Position, which owns its values, and kept on it: every
+    call for X returns the same read-only steps."""
+    if X._quantiles is None:
+        q = _quantile_of(X.values, X.space.probs)
+        q.values.flags.writeable = q.cum.flags.writeable = False
+        object.__setattr__(X, "_quantiles", q)
+    return X._quantiles
 
 
 def _quantile_of(values: np.ndarray, probs: np.ndarray) -> QuantileSteps:
-    order = np.argsort(values, kind="stable")
-    v = np.asarray(values, dtype=float)[order]
-    w = np.asarray(probs, dtype=float)[order]
+    order = values.argsort(kind="stable")
+    v = values[order]
     # merge equal values so breakpoints are unique
-    keep = np.concatenate(([True], np.diff(v) > 0))
-    idx = np.cumsum(keep) - 1
+    keep = np.empty(v.size, dtype=bool)
+    keep[0] = True
+    np.greater(v[1:], v[:-1], out=keep[1:])
     merged_v = v[keep]
     merged_w = np.zeros(merged_v.size)
-    np.add.at(merged_w, idx, w)
-    cum = np.cumsum(merged_w)
+    np.add.at(merged_w, np.add.accumulate(keep, dtype=np.intp) - 1, probs[order])
+    cum = np.add.accumulate(merged_w)
     cum[-1] = 1.0
     return QuantileSteps(values=merged_v, cum=cum)
 
@@ -260,22 +268,26 @@ def _merged_rows(qx: QuantileSteps, rows: np.ndarray, probs: np.ndarray):
     """Per row of the (m, n) array ``rows``, a position on atoms of masses
     ``probs``, the breakpoints of qx merged with the row's own: the widths
     of the merged intervals, and on each interval the index of qx's step and
-    the atom whose value is the row's quantile there."""
+    the atom whose value is the row's quantile there. Written with ufunc
+    methods and plain indexing, as these run once per ascent step on one row."""
     (m, n), k = rows.shape, qx.cum.size
-    order = np.argsort(rows, axis=1, kind="stable")
-    cum = np.cumsum(probs[order], axis=1)
-    cum[:, -1] = 1.0
-    both = np.concatenate((np.broadcast_to(qx.cum, (m, k)), cum), axis=1)
-    pos = np.argsort(both, axis=1, kind="stable")
-    merged = np.take_along_axis(both, pos, axis=1)
+    order = rows.argsort(axis=1, kind="stable")
+    both = np.empty((m, k + n))  # qx's breakpoints, then the row's
+    both[:, :k] = qx.cum
+    np.add.accumulate(probs[order], axis=1, out=both[:, k:])
+    both[:, -1] = 1.0
+    pos = both.argsort(axis=1, kind="stable")
+    r = np.arange(m)[:, None]
+    merged = both[r, pos]
+    widths = merged.copy()
+    widths[:, 1:] -= merged[:, :-1]
     # on each merged interval, the index of either step: the count of its
     # breakpoints that come before (qx's first among equal breakpoints)
     from_row = pos >= k
-    seen = np.cumsum(from_row, axis=1)
+    seen = np.add.accumulate(from_row, axis=1, dtype=np.intp)
     iy = np.minimum(seen - from_row, n - 1)
     ix = np.minimum(np.arange(k + n) - seen + from_row, k - 1)
-    widths = np.diff(merged, axis=1, prepend=0.0)
-    return widths, ix, np.take_along_axis(order, iy, axis=1)
+    return widths, ix, order[r, iy]
 
 
 def _gap_norm_rows(widths: np.ndarray, gap: np.ndarray, p: float) -> np.ndarray:
@@ -283,8 +295,8 @@ def _gap_norm_rows(widths: np.ndarray, gap: np.ndarray, p: float) -> np.ndarray:
     on intervals of the given widths, along the last axis; for p = inf the
     max over the intervals that are not slivers."""
     if math.isinf(p):
-        return np.where(widths > _SLIVER, gap, 0.0).max(axis=-1)
-    return (widths * gap**p).sum(axis=-1) ** (1.0 / p)
+        return np.maximum.reduce(np.where(widths > _SLIVER, gap, 0.0), axis=-1)
+    return np.add.reduce(widths * gap**p, axis=-1) ** (1.0 / p)
 
 
 def _wasserstein_rows(qx: QuantileSteps, rows: np.ndarray, probs: np.ndarray, p: float) -> np.ndarray:
@@ -293,7 +305,7 @@ def _wasserstein_rows(qx: QuantileSteps, rows: np.ndarray, probs: np.ndarray, p:
     ``probs``: the L^p norm of the quantile gap on the merged breakpoints of
     each row (``_merged_rows``)."""
     widths, ix, atom = _merged_rows(qx, rows, probs)
-    return _gap_norm_rows(widths, np.abs(qx.values[ix] - np.take_along_axis(rows, atom, axis=1)), p)
+    return _gap_norm_rows(widths, np.abs(qx.values[ix] - rows[np.arange(len(rows))[:, None], atom]), p)
 
 
 def _masses(Q: ScenarioMeasure) -> np.ndarray:

@@ -101,7 +101,7 @@ def _best_vertex(rho: RiskFunctional, X: Position, rows: np.ndarray) -> RobustVa
     i = _scan(np.concatenate(parts).tolist(), rows)
     if i is None:
         return RobustValue(-math.inf, None, "vertex_enum", "exact")
-    W = Position(X.space, rows[i].copy())  # a copy: a view would keep all rows alive
+    W = Position(X.space, rows[i])
     return RobustValue(rho(W), W, "vertex_enum", "exact")
 
 

@@ -29,7 +29,6 @@ from .prob_core import (
     ScenarioMeasure,
     quantile_function,
     same_distribution,
-    wasserstein_distance,
     _bisect,
     _bisect_array,
     _density_norm_rows,
@@ -482,7 +481,9 @@ class _WassersteinBall(_Ball):
     """U_X = {Z : d_Wp(X, Z) <= eps}; membership depends on laws only."""
 
     def _dist(self, X, Z):
-        return wasserstein_distance(X, Z, self.p)
+        """W_p(X, Z) as the one-row call of ``_dist_rows``, so scalar and row
+        membership agree bit for bit; X's quantiles are kept on X."""
+        return float(self._dist_rows(X, Z.values[None, :])[0])
 
     def _dist_rows(self, X, rows):
         return _wasserstein_rows(quantile_function(X), rows, X.space.probs, self.p)

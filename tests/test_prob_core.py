@@ -18,7 +18,7 @@ from robustrisk import (
     same_distribution,
     wasserstein_distance,
 )
-from robustrisk.prob_core import _bisect, _bisect_array, _wasserstein_rows
+from robustrisk.prob_core import _bisect, _bisect_array, _merged_rows, _wasserstein_rows
 
 from conftest import random_pos
 
@@ -42,6 +42,24 @@ def test_position_arithmetic(uniform4):
     assert np.allclose((X - 1.0).values, [0.0, 1.0, 2.0, 3.0])
     assert np.allclose((2.0 * X).values, (X * 2.0).values)
     assert np.allclose((-X).values, -X.values)
+
+
+def test_objects_own_their_values():
+    """A Position, a ProbSpace and a ScenarioMeasure keep copies of the
+    arrays they are given: a later write to the caller's array does not
+    reach them, and the caller's array stays writeable."""
+    b = np.arange(4.0)
+    space = ProbSpace(np.full(3, 1.0 / 3.0))
+    P = Position(space, b[:3])
+    b[0] = 9.0
+    assert P.values.tolist() == [0.0, 1.0, 2.0] and not P.values.flags.writeable
+    probs, density = np.array([0.5, 0.5]), np.array([1.5, 0.5])
+    S = ProbSpace(probs)
+    Q = ScenarioMeasure(S, density)
+    key = hash(S)
+    probs[0], density[0] = 0.25, 0.5
+    assert S.probs.tolist() == [0.5, 0.5] and hash(S) == key
+    assert Q.density.tolist() == [1.5, 0.5]
 
 
 def test_operands_on_different_spaces_rejected():
@@ -219,3 +237,47 @@ def test_wasserstein_rows_match_the_scalar_distance(p, rng):
                 batch = _wasserstein_rows(quantile_function(X), rows, space.probs, p)
                 scalar = [wasserstein_distance(X, Position(space, row), p) for row in rows]
                 assert np.allclose(batch, scalar, rtol=0.0, atol=1e-12)
+
+
+def _merged_rows_reference(qx, rows, probs):
+    """The merge of ``_merged_rows`` written with take_along_axis, diff and
+    concatenate: a reference that shares none of the kernel's indexing."""
+    (m, n), k = rows.shape, qx.cum.size
+    order = np.argsort(rows, axis=1, kind="stable")
+    cum = np.cumsum(probs[order], axis=1)
+    cum[:, -1] = 1.0
+    both = np.concatenate((np.broadcast_to(qx.cum, (m, k)), cum), axis=1)
+    pos = np.argsort(both, axis=1, kind="stable")
+    merged = np.take_along_axis(both, pos, axis=1)
+    from_row = pos >= k
+    seen = np.cumsum(from_row, axis=1)
+    iy = np.minimum(seen - from_row, n - 1)
+    ix = np.minimum(np.arange(k + n) - seen + from_row, k - 1)
+    widths = np.diff(merged, axis=1, prepend=0.0)
+    return widths, ix, np.take_along_axis(order, iy, axis=1)
+
+
+@pytest.mark.parametrize("m", [1, 63])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+def test_row_kernels_keep_their_bits(m, p, rng):
+    """``_merged_rows`` and ``_wasserstein_rows`` give the bits of the
+    reference formula, on rows with and without tied values."""
+    for probs in ([0.25] * 4, [0.5, 0.3, 0.2], rng.dirichlet(np.full(6, 4.0))):
+        space = ProbSpace(probs / np.sum(probs))
+        for tied in (False, True):
+            X = random_pos(space, rng)
+            rows = X.values + rng.normal(size=(m, space.n))
+            if tied:
+                X, rows = Position(space, np.round(X.values)), np.round(rows)
+            qx = quantile_function(X)
+            want = _merged_rows_reference(qx, rows, space.probs)
+            got = _merged_rows(qx, rows, space.probs)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            widths, ix, atom = want
+            gap = np.abs(qx.values[ix] - np.take_along_axis(rows, atom, axis=1))
+            if math.isinf(p):
+                norm = np.where(widths > 1e-12, gap, 0.0).max(axis=-1)
+            else:
+                norm = (widths * gap**p).sum(axis=-1) ** (1.0 / p)
+            assert _wasserstein_rows(qx, rows, space.probs, p).tobytes() == norm.tobytes()

@@ -878,6 +878,29 @@ def test_member_rows_match_membership(kind):
                 assert kept == [row.tobytes() for row in rows[:-2][got[:-2]]]
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["W1", "W2", "Winf"])
+def test_wasserstein_membership_is_the_one_row_call(p, rng):
+    """Scalar W_p distance and membership are the one-row call of the row
+    kernel: the same bits, also on tied rows and on the boundary rows that
+    ``_pullback`` places at distance eps, where a last-bit difference would
+    flip the answer. X's quantiles are computed once and kept."""
+    fam = rr.wasserstein_ball(p, 0.3)
+    for probs in ([0.25] * 4, [0.5, 0.3, 0.2], rng.dirichlet(np.full(6, 4.0))):
+        space = rr.ProbSpace(probs / np.sum(probs))
+        for k in range(12):
+            X = random_pos(space, rng)
+            rows = X.values + rng.normal(size=(8, space.n))
+            if k % 3 == 0:
+                X, rows = Position(space, np.round(X.values)), np.round(rows)
+            outside = [row for row in rows if not fam.membership(X, Position(space, row))]
+            ts = [fam._pullback(X, Position(space, row)) for row in outside]
+            rows = np.vstack([rows, *(X.values + t * (row - X.values) for t, row in zip(ts, outside))])
+            scalar = [fam._dist(X, Position(space, row)) for row in rows]
+            assert np.array(scalar).tobytes() == fam._dist_rows(X, rows).tobytes()
+            assert fam._member_rows(X, rows).tolist() == [fam.membership(X, Position(space, row)) for row in rows]
+            assert rr.quantile_function(X) is rr.quantile_function(X)
+
+
 def test_replaced_membership_filters_row_by_row(skewed3):
     """A copy whose membership is not its kind's own predicate keeps the
     kind's candidates but tests them through that membership, one call per
