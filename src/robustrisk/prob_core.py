@@ -54,33 +54,62 @@ def _bisect(below, lo: float, hi: float, steps: int, rtol: float = 0.0):
     return lo, hi
 
 
-def _bisect_array(below, lo: float, hi: float, steps: int, fan: int):
-    """The search of ``_bisect`` with fan - 1 points tested per round. Each
-    round tests the grid that splits [lo, hi] into fan cells in one call of
-    ``below``, which maps an array of points to an array of bools, then
-    bisects the grid on the results. For a power of two fan, these are the
-    log2(fan) halvings ``_bisect`` takes. So lo only moves to points where
-    the predicate holds, and where it holds on an initial part of [lo, hi]
-    each round keeps the cell where it first fails. Stops once hi - lo is
-    2**-steps of its start, or when lo and hi stop moving. Returns the final
-    (lo, hi)."""
-    width = (hi - lo) * 0.5**steps
-    frac = np.arange(1, fan) / fan
-    while hi - lo > width:
-        s = lo + (hi - lo) * frac
-        holds = below(s).tolist()
-        a, b = 0, fan  # the cell [lo, hi] on the grid lo, s[0], ..., s[fan - 2], hi
-        while b - a > 1:
-            mid = (a + b) // 2
-            if holds[mid - 1]:
-                a = mid
-            else:
-                b = mid
-        cell = (float(s[a - 1]) if a > 0 else lo, float(s[b - 1]) if b < fan else hi)
-        if cell == (lo, hi):
+# The first fan of _exit_search: 65 points, ends included. Each later fan is
+# the secant point g of the bracket [a, b] and g +- (b - a) 2^-k for 31
+# geometric k from 1 to 52, or the 63 inner points of a uniform fan.
+_UNIFORM = np.arange(65) / 64
+_SECANT = 0.5 ** np.geomspace(1.0, 52.0, 31)
+_SECANT = np.concatenate((-_SECANT, [0.0], _SECANT[::-1]))
+
+
+def _exit_search(margin, lo: float, hi: float):
+    """Where a predicate stops holding on [lo, hi], searched on its signed
+    margin: ``margin`` maps a 1-D array of points to margins, and a point
+    holds where its margin is <= 0 (NaN fails). lo is taken to hold.
+
+    The first call scores a uniform fan of 65 points, ends included; the end
+    margins only feed the secant, and hi counts as failing. The first failing
+    point and the point before it bracket an exit. Each later call scores the
+    secant point of the bracket's margins with a fan of geometric offsets
+    around it (Brent 1973, ch. 4), or, after a secant fan that shrank the
+    bracket less than 64-fold, a uniform fan, and keeps the first failing
+    point again. Stops at adjacent floats, once the bracket is 2**-60 of
+    [lo, hi] as 60 halvings leave it, or when no point of a fan falls inside
+    it; so no exit takes more than about 20 calls.
+    Returns (lo, hi): lo holds or is the given lo, hi fails or is the given hi."""
+    floor = (hi - lo) * 0.5**60
+    s = lo + (hi - lo) * _UNIFORM
+    s[-1] = hi
+    m = margin(s)
+    ok = m <= 0.0
+    ok[0], ok[-1] = True, False
+    i = int(ok.argmin())
+    a, b, ma, mb = float(s[i - 1]), float(s[i]), float(m[i - 1]), float(m[i])
+    uniform = False
+    while b - a > floor and math.nextafter(a, b) < b:
+        w = b - a
+        if uniform:
+            s = a + w * _UNIFORM[1:-1]
+        else:
+            d = mb - ma
+            g = a - ma * w / d if d > 0.0 else a
+            if not a < g < b:  # the margins give no secant root inside
+                g = a + 0.5 * w
+            s = g + w * _SECANT
+        s = s[(s > a) & (s < b)]
+        if not s.size:
             break
-        lo, hi = cell
-    return lo, hi
+        m = margin(s)
+        ok = m <= 0.0
+        i = int(ok.argmin())
+        if ok[i]:
+            a, ma = float(s[-1]), float(m[-1])
+        else:
+            b, mb = float(s[i]), float(m[i])
+            if i:
+                a, ma = float(s[i - 1]), float(m[i - 1])
+        uniform = not uniform and (b - a) * 64.0 > w
+    return a, b
 
 
 @dataclass(frozen=True)

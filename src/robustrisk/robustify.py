@@ -113,11 +113,13 @@ def _project(family: UncertaintyFamily, X: Position, Z: Position, x_member: bool
     the segment leaves U_X by the kind's own search (``family._pullback``),
     or else by a scalar bisection on membership. A ball's search gives the
     first exit, also on a Wasserstein ball, which is not X-star-shaped. A
-    level family's array search takes the halvings of the scalar bisection:
-    both need no more than membership at X and move only to points where it
-    held, and on a set that is not X-star-shaped, such as a level band, their
-    exit need not be the first. The kind's point is confirmed by
-    ``family.membership``, and the scalar bisection runs when that fails.
+    level family's gives an exit from the set without membership slack: over
+    a vectorized base the first one its fans see, also on a level band, which
+    need not be X-star-shaped, and over a row-by-row base where a scalar
+    bisection ends. The kind's point is confirmed by ``family.membership``,
+    and the scalar bisection on membership runs when that fails; it moves
+    only to points where membership held, and on a set that is not
+    X-star-shaped its exit need not be the first.
     """
     if family.membership(X, Z):
         return Z

@@ -30,8 +30,8 @@ from .prob_core import (
     quantile_function,
     same_distribution,
     _bisect,
-    _bisect_array,
     _density_norm_rows,
+    _exit_search,
     _gap_norm_rows,
     _masses,
     _merged_quantile_gaps,
@@ -254,8 +254,11 @@ class UncertaintyFamily:
         X + t (Z - X) leaves U_X; None sends the caller to a scalar bisection
         on membership. Balls give the first exit: a norm ball in closed form,
         a Wasserstein ball by an exact search over the pieces of the segment
-        between crossing times. A level family gives the exit its array
-        search ends at, which need not be the first."""
+        between crossing times. A level family gives an exit from the set
+        without MEMBER_TOL: over a vectorized base the first exit its search
+        sees, which on a band that the segment leaves and re-enters between
+        two points of its first fan is not the first; over a row-by-row base
+        where a scalar bisection on that predicate ends."""
         return None
 
 
@@ -578,10 +581,11 @@ class _WassersteinBall(_Ball):
         # The order of X + t D, D = Z - X, changes only at the times where two
         # atoms cross. Between two of them the quantile gaps are affine in t,
         # so the distance is convex there: the first scored time outside the
-        # ball closes the piece that holds the first exit, and a bisection on
-        # that piece's gaps finds it without sorting. Crossing times are scored
-        # 64 to a call, in order, after skipping those that the bound
-        # W_p(X + s D, X + t D) <= |t - s| ||D||_p keeps inside the ball.
+        # ball closes the piece that holds the first exit, and a search on the
+        # margin W_p - eps of that piece's gaps finds it without sorting.
+        # Crossing times are scored 64 to a call, in order, after skipping
+        # those that the bound W_p(X + s D, X + t D) <= |t - s| ||D||_p keeps
+        # inside the ball.
         x, D, probs, qx = X.values, Z.values - X.values, X.space.probs, quantile_function(X)
         with np.errstate(divide="ignore", invalid="ignore"):
             T = (x[None, :] - x[:, None]) / (D[:, None] - D[None, :])
@@ -601,10 +605,10 @@ class _WassersteinBall(_Ball):
         j = at + int(out[0])
         widths, ix, atom = _merged_rows(qx, (x + 0.5 * (T[j - 1] + T[j]) * D)[None, :], probs)
         a, b = qx.values[ix] - x[atom], -D[atom]
-        lo, _ = _bisect_array(
-            lambda s: _gap_norm_rows(widths, np.abs(a + s[:, None] * b), self.p) <= self.eps, T[j - 1], T[j], 60, 64
+        lo, _ = _exit_search(
+            lambda s: _gap_norm_rows(widths, np.abs(a + s[:, None] * b), self.p) - self.eps, T[j - 1], T[j]
         )
-        return float(lo)
+        return lo
 
     def _rule(self, prop, space):
         eps = self.eps
@@ -709,9 +713,10 @@ class _LevelFamily(UncertaintyFamily):
         pts.extend(x + j * max(resolution, 0.25) for j in range(1, 4))
         # random directions rescaled to the boundary: rho1 is quasi-convex and
         # X inside, so rho1 < level holds on an initial segment of each ray.
-        # A measure with a vectorized _batch tests 63 points of it per call;
-        # one evaluated row by row gains nothing from that and bisects.
-        vectorized = _vectorized(rho1)
+        # A measure with a vectorized _batch searches it on the margin
+        # rho1 - below, <= 0 exactly where rho1 < level, a fan of points per
+        # call; one evaluated row by row gains nothing from that and bisects.
+        vectorized, below = _vectorized(rho1), math.nextafter(level, -math.inf)
         while len(pts) < budget:
             D = Position(space, rng.normal(size=space.n))
             s_hi = 1.0
@@ -726,7 +731,7 @@ class _LevelFamily(UncertaintyFamily):
             sign = -1.0 if down else 1.0
             if vectorized:
                 ray = sign * D.values
-                lo, _ = _bisect_array(lambda s: rho1._batch(x + s[:, None] * ray, space) < level, 0.0, s_hi, 60, 64)
+                lo, _ = _exit_search(lambda s: rho1._batch(x + s[:, None] * ray, space) - below, 0.0, s_hi)
             else:
                 lo, _ = _bisect(lambda s: rho1(X + sign * s * D) < level, 0.0, s_hi, 60)
             pts.append(x + D.values * (sign * lo))
@@ -773,15 +778,13 @@ class _LevelFamily(UncertaintyFamily):
         return cone_witness(self, dst, Z)
 
     def _pullback(self, X, Z):
-        rho1 = self.rho1
+        # an exit from the set without MEMBER_TOL, so the point is within the
+        # level; a row loop gains nothing from a fan of points, and bisects
+        rho1, r0 = self.rho1, self.rho1(X)
         if not _vectorized(rho1):
-            return None  # a row loop tests 63 points where bisection tests one
-        r0, D = rho1(X), Z.values - X.values
-        # where _bisect on membership along the segment ends, 63 points per batched rho1
-        lo, _ = _bisect_array(
-            lambda s: self._within(rho1._batch(X.values + s[:, None] * D, X.space), r0, 0.0), 0.0, 1.0, 60, 64
-        )
-        return lo
+            return _bisect(lambda t: self._within(rho1(X + t * (Z - X)), r0, 0.0), 0.0, 1.0, 60)[0]
+        D = Z.values - X.values
+        return _exit_search(lambda s: self._excess(rho1._batch(X.values + s[:, None] * D, X.space), r0), 0.0, 1.0)[0]
 
     def _rule(self, prop, space):
         rho1 = self.rho1
@@ -799,6 +802,9 @@ class _LevelUpperSet(_LevelFamily):
 
     def _within(self, r, r0, tol):
         return r <= r0 + self.eps + tol
+
+    def _excess(self, r, r0):
+        return r - (r0 + self.eps)  # <= 0 where _within(r, r0, 0.0), for finite values
 
     def _rule(self, prop, space):
         verdict = super()._rule(prop, space)
@@ -819,6 +825,9 @@ class _LevelBand(_LevelFamily):
 
     def _within(self, r, r0, tol):
         return np.abs(r - r0) <= self.eps + tol
+
+    def _excess(self, r, r0):
+        return np.abs(r - r0) - self.eps  # <= 0 where _within(r, r0, 0.0), for finite values
 
     def _dominated(self, X, Z):
         return Z - _boundary_step(self.rho1, Z, self.rho1(X) - self.eps)

@@ -18,7 +18,7 @@ from robustrisk import (
     same_distribution,
     wasserstein_distance,
 )
-from robustrisk.prob_core import _bisect, _bisect_array, _merged_rows, _wasserstein_rows
+from robustrisk.prob_core import _bisect, _exit_search, _merged_rows, _wasserstein_rows
 
 from conftest import random_pos
 
@@ -196,30 +196,77 @@ def test_tie_slivers_do_not_separate_laws():
     assert wasserstein_distance(X, Y, math.inf) == 5.0
 
 
-@pytest.mark.parametrize("fan", [2, 3, 16, 64])
-def test_array_bisection_brackets_the_scalar_boundary(fan, rng):
-    """On a monotone step predicate s < t the k-ary search ends where
-    bisection does, within 2 ulps, and moves lo only to passing points."""
+def _counted(margin):
+    """``margin`` and a list that counts its calls."""
+    calls = []
+
+    def counted(s):
+        calls.append(s.size)
+        return margin(s)
+
+    return counted, calls
+
+
+def _search(margin, lo, hi):
+    """``_exit_search`` on ``margin``, checked against its contract and its
+    bound of 20 margin calls: lo holds or is the given lo, hi fails or is the
+    given hi."""
+    counted, calls = _counted(margin)
+    a, b = _exit_search(counted, lo, hi)
+    assert lo <= a < b <= hi
+    assert a == lo or margin(np.array([a]))[0] <= 0.0
+    assert b == hi or not margin(np.array([b]))[0] <= 0.0
+    assert len(calls) <= 20 and calls[0] == 65 and max(calls[1:], default=0) <= 63
+    return a, b
+
+
+def _monotone_margins(t):
+    """Margins that change sign once, at t: a step, and smooth convex ones."""
+    return {
+        "step": lambda s: s - t,
+        "square": lambda s: s * s - t * t,
+        "exp": lambda s: np.expm1(3.0 * s) - np.expm1(3.0 * t),
+    }
+
+
+def test_exit_search_brackets_the_scalar_boundary(rng):
+    """On margins that change sign once the search ends where bisection on
+    the same decisions does, within 2 ulps."""
     for hi in (1.0, 0.3, 8.0):
         for t in [0.0, 0.5 * hi, hi, *rng.uniform(0.0, hi, 20)]:
-            lo_s, _ = _bisect(lambda s: s < t, 0.0, hi, 60)
-            lo_a, hi_a = _bisect_array(lambda s: s < t, 0.0, hi, 60, fan)
-            assert lo_a <= t <= hi_a
-            assert lo_a < t or lo_a == 0.0
-            assert abs(lo_a - lo_s) <= 2 * np.spacing(t)
+            for margin in _monotone_margins(t).values():
+                lo_s, _ = _bisect(lambda s: margin(np.array([s]))[0] <= 0.0, 0.0, hi, 60)
+                lo, _ = _search(margin, 0.0, hi)
+                assert abs(lo - lo_s) <= 2 * np.spacing(t)
 
 
-@pytest.mark.parametrize("fan", [2, 4, 64])
-def test_array_bisection_takes_the_scalar_halvings(fan):
-    """Where the predicate holds on more than an initial part, the search
-    still ends where bisection does: past the gap that starts at 0.2."""
-    def below(s):
-        return (s < 0.2) | ((s > 0.45) & (s < 0.7))
+def test_exit_search_decides_nan_and_infinities():
+    """A NaN or +inf margin fails and a -inf one holds."""
+    holds = lambda s: s <= 0.4  # noqa: E731
+    for inside, outside in ((-1.0, np.nan), (-1.0, np.inf), (-np.inf, 1.0), (-np.inf, np.nan)):
+        lo, hi = _search(lambda s: np.where(holds(s), inside, outside), 0.0, 1.0)
+        assert lo == 0.4 and hi == np.nextafter(0.4, 1.0)
 
-    lo_s, hi_s = _bisect(below, 0.0, 1.0, 60)
-    lo_a, hi_a = _bisect_array(below, 0.0, 1.0, 60, fan)
-    assert lo_s == pytest.approx(0.7, abs=1e-15)
-    assert (lo_a, hi_a) == (lo_s, hi_s)
+
+def test_exit_search_keeps_the_given_ends():
+    """Nothing holds: the given lo comes back. Everything holds: the given
+    hi comes back."""
+    lo, hi = _search(lambda s: np.ones(s.size), 0.25, 1.0)
+    assert lo == 0.25 and hi == np.nextafter(0.25, 1.0)
+    lo, hi = _search(lambda s: -np.ones(s.size), 0.25, 1.0)
+    assert hi == 1.0 and lo == np.nextafter(1.0, 0.0)
+
+
+def test_exit_search_takes_the_first_exit_its_fans_see():
+    """Where the predicate holds on [0, .2) and (.45, .7), the search exits
+    just below .2, where the first fan sees it fail; bisection on the same
+    decisions goes past the gap and ends at .7."""
+    def margin(s):
+        return np.where((s < 0.2) | ((s > 0.45) & (s < 0.7)), -1.0, 1.0)
+
+    lo, hi = _search(margin, 0.0, 1.0)
+    assert (lo, hi) == (np.nextafter(0.2, 0.0), 0.2)
+    assert _bisect(lambda s: margin(np.array([s]))[0] <= 0.0, 0.0, 1.0, 60)[0] == pytest.approx(0.7, abs=1e-15)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])

@@ -21,7 +21,7 @@ from robustrisk import (
     solidify,
     transport_member,
 )
-from robustrisk import uncertainty
+from robustrisk import prob_core, uncertainty
 from robustrisk.prob_core import _bisect
 from robustrisk.robustify import _project
 from robustrisk.uncertainty import MEMBER_TOL, _boundary_step
@@ -598,8 +598,9 @@ def test_boundary_step_matches_bisection(rho1, skewed3, rng):
 
 def test_projected_ascent_over_a_row_loop_base(skewed3, monkeypatch):
     """A level set over a base evaluated row by row has no array search, so
-    each pull-back bisects on membership; the ascent still ends on a member,
-    at or above the grid value and below the supremum rho(X) + eps."""
+    each pull-back bisects the predicate without membership slack; the
+    ascent ends on a member, at or above the grid value and, with no slack,
+    at most the supremum rho(X) + eps."""
     pullbacks = []
     pullback = uncertainty._LevelFamily._pullback
 
@@ -612,10 +613,10 @@ def test_projected_ascent_over_a_row_loop_base(skewed3, monkeypatch):
     X = Position(skewed3, [0.4, -0.2, 0.1])
     rv = robust_value(_ENT, fam, X, solver="projected_ascent", budget=16, seed=3)
     grid = robust_value(_ENT, fam, X, solver="grid", budget=16, seed=3)
-    assert pullbacks and all(t is None for t in pullbacks)
+    assert pullbacks and all(t is not None for t in pullbacks)
     assert fam.membership(X, rv.witness)
     assert rv.guarantee == "lower_bound"
-    assert grid.value <= rv.value <= _ENT(X) + 0.3 + 1e-9
+    assert grid.value <= rv.value <= _ENT(X) + 0.3
 
 
 LEVEL_BASES = {"entropic": rr.entropic(1.0), "es": rr.expected_shortfall(0.3),
@@ -674,11 +675,20 @@ def _segments(rng):
             yield X, Z
 
 
+def _assert_first_exit(fam, X, Z, t):
+    """t is where the segment X + t (Z - X) first leaves U_X: every point of a
+    200-point grid on [0, t] is a member, and t is on the boundary."""
+    assert all(fam.membership(X, X + s * (Z - X)) for s in np.linspace(0.0, t, 200))
+    assert fam._margin(X, X + t * (Z - X)) == pytest.approx(0.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("kind", PROJECTION_KINDS)
 def test_projection_lands_on_the_bisection_boundary(kind, rng):
     """Each kind pulls Z back by a closed form or an array search: the point
-    is a member, its t agrees with the scalar bisection on membership, and a
-    traced copy of the family projects to the same point."""
+    is a member, and a traced copy of the family projects to the same point.
+    Where the segment leaves U_X once, its t agrees with the scalar bisection
+    on membership; a level band's segment can leave and re-enter the band,
+    and there t is the first exit."""
     fam = PROJECTION_KINDS[kind]()
     copy = _tracer().family(fam)
     outside = 0
@@ -690,6 +700,9 @@ def test_projection_lands_on_the_bisection_boundary(kind, rng):
             assert W is Z
             continue
         outside += 1
+        if kind == "level_band":
+            _assert_first_exit(fam, X, Z, fam._pullback(X, Z))
+            continue
         lo, _ = _bisect(lambda t: fam.membership(X, X + t * (Z - X)), 0.0, 1.0, 60)
         assert fam._pullback(X, Z) == pytest.approx(lo, abs=1e-9)
     assert outside >= 8
@@ -716,6 +729,64 @@ def test_wasserstein_pullback_stays_inside_up_to_its_exit(kind, rng):
         t = fam._pullback(X, Z)
         assert fam._dist(X, X + t * (Z - X)) == pytest.approx(fam.eps, abs=1e-9)
         assert all(fam._dist(X, X + s * (Z - X)) <= fam.eps + MEMBER_TOL for s in np.linspace(0.0, t, 200))
+
+
+@pytest.mark.parametrize("kind", ["level_upper_set", "level_band"])
+def test_level_pullback_stays_inside_up_to_its_exit(kind, rng):
+    """The pull-back of a level upper set or band is the first exit of the
+    segment: every point of the segment before it is a member, and rho1 there
+    is at the level."""
+    fam = PROJECTION_KINDS[kind]()
+    outside = 0
+    for X, Z in [*_segments(rng), *_wide_segments(rng)]:
+        if not fam.membership(X, Z):
+            outside += 1
+            _assert_first_exit(fam, X, Z, fam._pullback(X, Z))
+    assert outside >= 8
+
+
+def test_exit_search_takes_few_calls(rng, monkeypatch):
+    """The secant fans find each exit of a W_p piece (p = 1, 1.5, 2, inf) and
+    of an entropic level ray in at most 6 margin calls, where 60 halvings in
+    fans of 63 points took 10."""
+    calls = []
+
+    def counted(margin, lo, hi):
+        calls.append(0)
+
+        def margin_counted(s):
+            calls[-1] += 1
+            return margin(s)
+
+        return prob_core._exit_search(margin_counted, lo, hi)
+
+    monkeypatch.setattr(uncertainty, "_exit_search", counted)
+    for kind in W_KINDS:
+        fam = PROJECTION_KINDS[kind]()
+        for X, Z in [*_segments(rng), *_wide_segments(rng)]:
+            if not fam.membership(X, Z):
+                fam._pullback(X, Z)
+    pieces = len(calls)
+    for space in (rr.ProbSpace([0.5, 0.3, 0.2]), rr.ProbSpace(rng.dirichlet(np.full(6, 4.0)))):
+        for seed in range(3):
+            rr.level_upper_set(_ENT, 0.3).discretize(random_pos(space, rng), 0.25, 24, seed)
+    assert pieces >= 100 and len(calls) - pieces >= 30
+    assert max(calls) <= 6
+
+
+def test_band_pullback_takes_the_first_exit():
+    """On [.5, .5], entropic(1) of t (3, -1) is log(e^-3t + e^t) - log 2:
+    convex, lowest at t = ln(3)/4, where it is -.1308. The segment from
+    X = (0, 0) to Z = (3, -1) leaves the band of radius .1 below that dip,
+    re-enters above it and leaves again near t = .74. The pull-back stops at
+    the first exit, before the dip."""
+    space = rr.ProbSpace([0.5, 0.5])
+    X, Z = Position(space, [0.0, 0.0]), Position(space, [3.0, -1.0])
+    fam = rr.level_band(_ENT, 0.1)
+    t = fam._pullback(X, Z)
+    assert t < math.log(3.0) / 4.0
+    _assert_first_exit(fam, X, Z, t)
+    assert np.array_equal(_project(fam, X, Z, True).values, (X + t * (Z - X)).values)
 
 
 @pytest.mark.parametrize("kind", W_KINDS)
