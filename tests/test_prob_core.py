@@ -240,6 +240,41 @@ def test_exit_search_brackets_the_scalar_boundary(rng):
                 assert abs(lo - lo_s) <= 2 * np.spacing(t)
 
 
+@pytest.mark.parametrize("k", [2, 3, 16, 64])
+def test_array_bisection_brackets_the_scalar_boundary(k, rng):
+    """The array search ``_exit_search`` on the margin s**k - t**k, flat
+    below t and steep above it the more so as k grows, so its secant points
+    land ever further from the exit: it still ends where bisection on the
+    same decisions does, within 2 ulps, and lo holds."""
+    for hi in (1.0, 0.3, 8.0):
+        for t in [0.5 * hi, hi, *rng.uniform(0.1 * hi, hi, 20)]:
+            def margin(s):
+                return s**k - t**k
+
+            lo_s, _ = _bisect(lambda s: margin(np.array([s]))[0] <= 0.0, 0.0, hi, 60)
+            lo, hi_a = _search(margin, 0.0, hi)
+            assert abs(lo - lo_s) <= 2 * np.spacing(t)
+            assert lo <= t * (1 + 1e-15) and hi_a >= t * (1 - 1e-15)
+
+
+@pytest.mark.parametrize("gaps", [2, 4, 64])
+def test_array_bisection_takes_the_scalar_halvings(gaps):
+    """Where the predicate holds on [0, .7) but for ``gaps`` gaps of width
+    1e-9 below .5 that no point of the first fan and no halving hits, the
+    array search ``_exit_search`` ends where the scalar halvings do, at .7."""
+    centres = (np.arange(gaps) + 1.0 / 3.0) * 0.5 / gaps
+
+    def margin(s):
+        in_gap = (np.abs(s[:, None] - centres) < 5e-10).any(axis=1)
+        return np.where((s < 0.7) & ~in_gap, -1.0, 1.0)
+
+    lo_s, hi_s = _bisect(lambda s: margin(np.array([s]))[0] <= 0.0, 0.0, 1.0, 60)
+    lo, hi = _search(margin, 0.0, 1.0)
+    assert lo_s == pytest.approx(0.7, abs=1e-15)
+    assert lo_s <= lo < hi <= hi_s
+    assert (lo, hi) == (np.nextafter(0.7, 0.0), 0.7)
+
+
 def test_exit_search_decides_nan_and_infinities():
     """A NaN or +inf margin fails and a -inf one holds."""
     holds = lambda s: s <= 0.4  # noqa: E731
