@@ -21,7 +21,7 @@ from .prob_core import (
     Position,
     ProbSpace,
     ScenarioMeasure,
-    _density_norm_rows,
+    _lp_rows,
     _masses,
     _relative_entropy_rows,
     density_norm,
@@ -645,7 +645,7 @@ def dual_argmax(
     c = _minimal_penalty_rows(rho, W, space)
     v = (-(W @ X.values) - c).tolist()
     D = W / space.probs
-    dn = _density_norm_rows(D, space.probs, q).tolist()
+    dn = _lp_rows(D, space.probs, q).tolist()
     best = None
     best_val = -math.inf
     for k in np.flatnonzero(~np.isinf(c)).tolist():

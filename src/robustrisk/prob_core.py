@@ -2,8 +2,10 @@
 
 Everything here is exact finite-atom arithmetic: quantile functions are step
 functions with rational-free breakpoint merging, Wasserstein distances are
-computed on merged quantile breakpoints (no LP), relative entropy and density
-norms are plain weighted sums.
+computed on merged quantile breakpoints (no LP), relative entropy is a plain
+weighted sum. One L^p(P) norm (``_lp_rows``) serves distances of norm balls
+and density norms, and one row merge (``_merged_rows``) serves W_p rows, the
+rearranged expectation and the law test; each scalar form is its one-row call.
 """
 
 from __future__ import annotations
@@ -242,43 +244,20 @@ def quantile_function(X: Position) -> QuantileSteps:
     computed once per Position, which owns its values, and kept on it: every
     call for X returns the same read-only steps."""
     if X._quantiles is None:
-        q = _quantile_of(X.values, X.space.probs)
-        q.values.flags.writeable = q.cum.flags.writeable = False
-        object.__setattr__(X, "_quantiles", q)
+        order = X.values.argsort(kind="stable")
+        v = X.values[order]
+        # merge equal values so breakpoints are unique
+        keep = np.empty(v.size, dtype=bool)
+        keep[0] = True
+        np.greater(v[1:], v[:-1], out=keep[1:])
+        merged_v = v[keep]
+        merged_w = np.zeros(merged_v.size)
+        np.add.at(merged_w, np.add.accumulate(keep, dtype=np.intp) - 1, X.space.probs[order])
+        cum = np.add.accumulate(merged_w)
+        cum[-1] = 1.0
+        merged_v.flags.writeable = cum.flags.writeable = False
+        object.__setattr__(X, "_quantiles", QuantileSteps(values=merged_v, cum=cum))
     return X._quantiles
-
-
-def _quantile_of(values: np.ndarray, probs: np.ndarray) -> QuantileSteps:
-    order = values.argsort(kind="stable")
-    v = values[order]
-    # merge equal values so breakpoints are unique
-    keep = np.empty(v.size, dtype=bool)
-    keep[0] = True
-    np.greater(v[1:], v[:-1], out=keep[1:])
-    merged_v = v[keep]
-    merged_w = np.zeros(merged_v.size)
-    np.add.at(merged_w, np.add.accumulate(keep, dtype=np.intp) - 1, probs[order])
-    cum = np.add.accumulate(merged_w)
-    cum[-1] = 1.0
-    return QuantileSteps(values=merged_v, cum=cum)
-
-
-def _merged_quantile_gaps(qx: QuantileSteps, qy: QuantileSteps):
-    """Interval widths on the merged breakpoints of two quantile functions,
-    with the values of F_X^-1 and F_Y^-1 on each interval."""
-    cum = np.union1d(qx.cum, qy.cum)
-    cum = cum[cum > 0]
-    widths = np.diff(np.concatenate(([0.0], cum)))
-    ix = np.minimum(np.searchsorted(qx.cum, cum, side="left"), qx.values.size - 1)
-    iy = np.minimum(np.searchsorted(qy.cum, cum, side="left"), qy.values.size - 1)
-    return widths, qx.values[ix], qy.values[iy]
-
-
-def _quantile_norm(widths: np.ndarray, v: np.ndarray, p: float) -> float:
-    """L^p norm on (0, 1] of the step function equal to v on intervals of the given widths."""
-    if math.isinf(p):
-        return float(v[widths > _SLIVER].max(initial=0.0))
-    return float(np.dot(widths, v**p) ** (1.0 / p))
 
 
 def wasserstein_distance(X: Position, Y: Position, p: float = 1.0) -> float:
@@ -286,11 +265,32 @@ def wasserstein_distance(X: Position, Y: Position, p: float = 1.0) -> float:
 
     Computed exactly from the quantile-function gap on merged breakpoints:
     (integral_0^1 |F_X^-1(u) - F_Y^-1(u)|^p du)^(1/p), essential sup for p=inf.
+    It merges the two quantile functions on its own, as the reference that
+    the row kernel ``_wasserstein_rows`` is tested against.
     """
     if not p >= 1:
         raise ValueError("Wasserstein order p must be >= 1")
-    widths, ax, ay = _merged_quantile_gaps(quantile_function(X), quantile_function(Y))
-    return _quantile_norm(widths, np.abs(ax - ay), p)
+    qx, qy = quantile_function(X), quantile_function(Y)
+    cum = np.union1d(qx.cum, qy.cum)
+    cum = cum[cum > 0]
+    widths = np.diff(np.concatenate(([0.0], cum)))
+    ix = np.minimum(np.searchsorted(qx.cum, cum, side="left"), qx.values.size - 1)
+    iy = np.minimum(np.searchsorted(qy.cum, cum, side="left"), qy.values.size - 1)
+    gap = np.abs(qx.values[ix] - qy.values[iy])
+    if math.isinf(p):
+        return float(gap[widths > _SLIVER].max(initial=0.0))
+    return float(np.dot(widths, gap**p) ** (1.0 / p))
+
+
+def _lp_rows(V: np.ndarray, probs: np.ndarray, p: float) -> np.ndarray:
+    """The L^p(P) norm of V >= 0 along its last axis, atoms of masses
+    ``probs``; for p = inf the max. Summed along that contiguous axis, so
+    that a row's bits do not depend on how many rows come with it; a scalar
+    norm that must give a row's bits is the call on a (1, n) array, since
+    numpy takes the root of a 0-d result another way."""
+    if math.isinf(p):
+        return np.maximum.reduce(V, axis=-1)
+    return np.add.reduce(V**p * probs, axis=-1) ** (1.0 / p)
 
 
 def _merged_rows(qx: QuantileSteps, rows: np.ndarray, probs: np.ndarray):
@@ -321,11 +321,9 @@ def _merged_rows(qx: QuantileSteps, rows: np.ndarray, probs: np.ndarray):
 
 def _gap_norm_rows(widths: np.ndarray, gap: np.ndarray, p: float) -> np.ndarray:
     """The L^p norm on (0, 1] of each row of ``gap`` >= 0, a step function
-    on intervals of the given widths, along the last axis; for p = inf the
-    max over the intervals that are not slivers."""
-    if math.isinf(p):
-        return np.maximum.reduce(np.where(widths > _SLIVER, gap, 0.0), axis=-1)
-    return np.add.reduce(widths * gap**p, axis=-1) ** (1.0 / p)
+    on intervals of the given widths, along the last axis: ``_lp_rows`` with
+    the widths as masses, where for p = inf the max skips the slivers."""
+    return _lp_rows(np.where(widths > _SLIVER, gap, 0.0) if math.isinf(p) else gap, widths, p)
 
 
 def _wasserstein_rows(qx: QuantileSteps, rows: np.ndarray, probs: np.ndarray, p: float) -> np.ndarray:
@@ -351,13 +349,13 @@ def rearranged_expectation(Q: ScenarioMeasure, Y: Position) -> float:
 
 def _rearranged_rows(W: np.ndarray, Y: Position) -> np.ndarray:
     """``rearranged_expectation`` for each row of W, the Q-masses of a
-    measure Q on the space of Y, one quantile merge per row."""
-    qy, probs = quantile_function(Y), Y.space.probs
-    out = np.empty(len(W))
-    for k, w in enumerate(W):
-        widths, ay, ad = _merged_quantile_gaps(qy, _quantile_of(w / probs, probs))
-        out[k] = np.dot(widths, ay * ad)
-    return out
+    measure Q on the space of Y: the quantiles of Y against those of the
+    density dQ/dP, on the breakpoints of one merge for all rows."""
+    probs = Y.space.probs
+    D = W / probs
+    qy = quantile_function(Y)
+    widths, iy, atom = _merged_rows(qy, D, probs)
+    return np.add.reduce(widths * (qy.values[iy] * D[np.arange(len(D))[:, None], atom]), axis=1)
 
 
 def relative_entropy(Q: ScenarioMeasure) -> float:
@@ -375,17 +373,11 @@ def density_norm(Q: ScenarioMeasure, q: float) -> float:
     """L^q(P) norm of the density dQ/dP; q = inf gives the max."""
     if not q >= 1:
         raise ValueError("norm order q must be >= 1")
-    return float(_density_norm_rows(Q.density[None, :], Q.space.probs, q)[0])
-
-
-def _density_norm_rows(D: np.ndarray, probs: np.ndarray, q: float) -> np.ndarray:
-    """``density_norm`` for each row of the (m, n) density array D."""
-    if math.isinf(q):
-        return D.max(axis=1)
-    return ((D**q) @ probs) ** (1.0 / q)
+    return float(_lp_rows(Q.density[None, :], Q.space.probs, q)[0])
 
 
 def same_distribution(X: Position, Y: Position, tol: float = ATOL) -> bool:
     """True iff X and Y induce the same law under P (atoms merged, tolerance tol)."""
-    widths, ax, ay = _merged_quantile_gaps(quantile_function(X), quantile_function(Y))
-    return bool(np.all(np.abs(ax - ay)[widths > _SLIVER] <= tol))
+    qx = quantile_function(X)
+    widths, ix, atom = _merged_rows(qx, Y.values[None, :], Y.space.probs)
+    return bool(np.all(np.abs(qx.values[ix] - Y.values[atom])[widths > _SLIVER] <= tol))

@@ -30,13 +30,11 @@ from .prob_core import (
     quantile_function,
     same_distribution,
     _bisect,
-    _density_norm_rows,
     _exit_search,
     _gap_norm_rows,
+    _lp_rows,
     _masses,
-    _merged_quantile_gaps,
     _merged_rows,
-    _quantile_norm,
     _rearranged_rows,
     _wasserstein_rows,
 )
@@ -138,7 +136,9 @@ class UncertaintyFamily:
     A family's kind is its class: it owns its predicate ``_member(X, Z)`` and
     its array form ``_member_rows(X, rows)``, its generator ``_candidates(X,
     resolution, budget, rng)`` of the rows of an (m, n) array, and its closed
-    forms, the other underscore methods. Here each closed form returns None
+    forms, the other underscore methods. A ball's predicate is the one-row
+    call of its array form; a level family's takes the scalar rho1, which
+    costs less than a one-row batch. Here each closed form returns None
     ("no closed form"), which sends the callers to generic numerics, and the
     kinds below override them. Left unset, the fields ``membership`` and
     ``discretize`` are the kind's ``_member`` and ``_discretize`` bound to
@@ -274,12 +274,6 @@ def random_position(space: ProbSpace, rng: np.random.Generator) -> Position:
     return Position(space, rng.normal(0.0, 2.0, size=space.n))
 
 
-def _lp_norm(space: ProbSpace, v: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(np.max(np.abs(v)))
-    return float(np.dot(space.probs, np.abs(v) ** p) ** (1.0 / p))
-
-
 def _conjugate_order(p: float) -> float:
     if math.isinf(p):
         return 1.0
@@ -293,14 +287,17 @@ def _conjugate_order(p: float) -> float:
 
 
 class _Ball(UncertaintyFamily):
-    """Balls of radius eps around X in the distance ``_dist``."""
+    """Balls of radius eps around X in a distance that each kind writes once,
+    as ``_dist_rows(X, rows)`` for the rows of an (m, n) array. The scalar
+    distance and membership are its one-row calls, so both forms give the
+    same bits."""
 
     @property
     def p(self) -> float:
         return self.params["p"]
 
     def _dist(self, X: Position, Z: Position) -> float:
-        raise NotImplementedError
+        return float(self._dist_rows(X, Z.values[None, :])[0])
 
     def _member(self, X, Z):
         return self._dist(X, Z) <= self.eps + MEMBER_TOL
@@ -318,7 +315,7 @@ class _Ball(UncertaintyFamily):
         on the diagonal."""
         if math.isinf(self.p):
             return np.full(len(W), self.eps)
-        return self.eps * _density_norm_rows(W / space.probs, space.probs, _conjugate_order(self.p))
+        return self.eps * _lp_rows(W / space.probs, space.probs, _conjugate_order(self.p))
 
     def _split(self, X, Y, lam, Z):
         D = Z - (lam * X + (1.0 - lam) * Y)
@@ -331,24 +328,13 @@ class _Ball(UncertaintyFamily):
 class _NormBall(_Ball):
     """U_X = {Z : ||Z - X||_{L^p(P)} <= eps}, p in [1, inf]; p = inf is the sup ball."""
 
-    def _dist(self, X, Z):
-        return _lp_norm(X.space, Z.values - X.values, self.p)
-
     def _dist_rows(self, X, rows):
-        return self._norm_rows(np.abs(rows - X.values), X.space.probs)
-
-    def _norm_rows(self, D, probs):
-        """The L^p(P) norm of D >= 0 along its last axis, summed along that
-        contiguous axis so that a row's bits do not depend on how many rows
-        come with it."""
-        if math.isinf(self.p):
-            return D.max(axis=-1)
-        return (D**self.p * probs).sum(axis=-1) ** (1.0 / self.p)
+        return _lp_rows(np.abs(rows - X.values), X.space.probs, self.p)
 
     def _member_grid(self, centers, rows):
         # every center's distances in one array expression
         at = np.array([C.values for C in centers])[:, None, :]
-        return self._norm_rows(np.abs(rows - at), centers[0].space.probs) <= self.eps + MEMBER_TOL
+        return _lp_rows(np.abs(rows - at), centers[0].space.probs, self.p) <= self.eps + MEMBER_TOL
 
     def _candidates(self, X, resolution, budget, rng):
         """Rows: X, X -/+ eps, then for p = inf the 2^n sign corners (when
@@ -377,7 +363,7 @@ class _NormBall(_Ball):
         pts.extend(x + spikes)
         while len(pts) < budget:
             d = rng.normal(size=n)
-            nrm = _lp_norm(X.space, d, p)
+            nrm = _lp_rows(np.abs(d), X.space.probs, p)
             if nrm == 0:
                 continue
             r = eps * rng.uniform() ** (1.0 / max(n, 1))
@@ -434,14 +420,14 @@ class _NormBall(_Ball):
 
     def _plus_cone(self, X, Z):
         deficit = np.maximum(X.values - Z.values, 0.0)
-        return _lp_norm(X.space, deficit, self.p) <= self.eps + MEMBER_TOL
+        return bool(_lp_rows(deficit, X.space.probs, self.p) <= self.eps + MEMBER_TOL)
 
     def _dominated(self, X, Z):
         if math.isinf(self.p):
             return Position(X.space, np.minimum(Z.values, X.values + self.eps))
-        D = Z.values - X.values
+        D, probs = Z.values - X.values, X.space.probs
         tau, _ = _bisect(
-            lambda t: _lp_norm(X.space, np.minimum(D, t), self.p) <= self.eps, 0.0, float(np.max(np.abs(D))) + 1.0, 80
+            lambda t: _lp_rows(np.abs(np.minimum(D, t)), probs, self.p) <= self.eps, 0.0, float(np.max(np.abs(D))) + 1.0, 80
         )
         return Position(X.space, X.values + np.minimum(D, tau))
 
@@ -483,11 +469,6 @@ class _NormBall(_Ball):
 class _WassersteinBall(_Ball):
     """U_X = {Z : d_Wp(X, Z) <= eps}; membership depends on laws only."""
 
-    def _dist(self, X, Z):
-        """W_p(X, Z) as the one-row call of ``_dist_rows``, so scalar and row
-        membership agree bit for bit; X's quantiles are kept on X."""
-        return float(self._dist_rows(X, Z.values[None, :])[0])
-
     def _dist_rows(self, X, rows):
         return _wasserstein_rows(quantile_function(X), rows, X.space.probs, self.p)
 
@@ -509,7 +490,7 @@ class _WassersteinBall(_Ball):
         n_shifts = max(4, budget // 4)
         for k in range(n_shifts):
             d = rng.normal(size=n)
-            nrm = _quantile_norm(widths, np.abs(d), p)
+            nrm = _lp_rows(np.abs(d), widths, p)
             if nrm == 0:
                 continue
             radius = eps if k < n_shifts // 2 else eps * rng.uniform()
@@ -555,8 +536,10 @@ class _WassersteinBall(_Ball):
 
     def _plus_cone(self, X, Z):
         # lowering coordinates reaches exactly the laws with dominated quantiles
-        widths, ax, az = _merged_quantile_gaps(quantile_function(X), quantile_function(Z))
-        return _quantile_norm(widths, np.maximum(ax - az, 0.0), self.p) <= self.eps + MEMBER_TOL
+        qx = quantile_function(X)
+        widths, ix, atom = _merged_rows(qx, Z.values[None, :], X.space.probs)
+        deficit = np.maximum(qx.values[ix] - Z.values[atom], 0.0)
+        return bool(_gap_norm_rows(widths, deficit, self.p)[0] <= self.eps + MEMBER_TOL)
 
     def _dominated(self, X, Z):
         # dominated quantile envelope, realized comonotonically along Z
@@ -590,7 +573,7 @@ class _WassersteinBall(_Ball):
         with np.errstate(divide="ignore", invalid="ignore"):
             T = (x[None, :] - x[:, None]) / (D[:, None] - D[None, :])
         T = np.concatenate(([0.0], np.unique(T[(T > 0.0) & (T < 1.0)]), [1.0]))
-        lipschitz = _lp_norm(X.space, D, self.p)
+        lipschitz = _lp_rows(np.abs(D), probs, self.p)
         at, d = 0, 0.0  # T[at] is inside, at distance d <= eps
         while True:
             at = int(np.searchsorted(T, T[at] + (self.eps - d) / lipschitz, side="right"))

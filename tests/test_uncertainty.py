@@ -22,7 +22,7 @@ from robustrisk import (
     transport_member,
 )
 from robustrisk import prob_core, uncertainty
-from robustrisk.prob_core import _bisect
+from robustrisk.prob_core import _bisect, _lp_rows
 from robustrisk.robustify import _project
 from robustrisk.uncertainty import MEMBER_TOL, _boundary_step
 
@@ -322,15 +322,21 @@ def test_sup_ball_is_p_norm_ball_inf(uniform4, rng):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_norm_rows_bits_do_not_depend_on_the_row_count(p):
     """k blocks of rows stacked into one array get the bits of k separate
-    calls, so a candidate decided alone and among others gets one answer."""
+    calls of the one L^p(P) norm, so a candidate decided alone and among
+    others gets one answer; and each row's ``density_norm`` of order p > 1
+    (the dual norm of a ball's penalty term) is its row of the stacked call."""
     rng = np.random.default_rng(7)
-    fam = rr.p_norm_ball(p, 0.3)
     for _ in range(75):
         n, m, k = (int(v) for v in rng.integers((2, 1, 2), (9, 20, 6)))
-        probs = rng.dirichlet(np.ones(n))
+        space = rr.ProbSpace(rng.dirichlet(np.ones(n)))
+        probs = space.probs
         blocks = [np.abs(rng.normal(size=(m, n))) for _ in range(k)]
-        separate = np.concatenate([fam._norm_rows(B, probs) for B in blocks])
-        assert np.array_equal(fam._norm_rows(np.concatenate(blocks), probs), separate)
+        separate = np.concatenate([_lp_rows(B, probs, p) for B in blocks])
+        assert np.array_equal(_lp_rows(np.concatenate(blocks), probs, p), separate)
+        if p > 1.0:
+            D = rng.dirichlet(np.ones(n), size=m * k) / probs
+            scalar = [rr.density_norm(rr.ScenarioMeasure(space, d), p) for d in D]
+            assert np.array(scalar).tobytes() == _lp_rows(D, probs, p).tobytes()
 
 
 def test_wasserstein_cone_aligns_quantiles():
@@ -792,11 +798,13 @@ def test_band_pullback_takes_the_first_exit():
 @pytest.mark.parametrize("kind", W_KINDS)
 def test_wasserstein_pullback_skips_only_crossings_inside(kind, rng, monkeypatch):
     """The crossing times that the Lipschitz bound keeps inside the ball go
-    unscored, and scoring every one of them gives the same bits."""
+    unscored, and scoring every one of them gives the same bits. The bound is
+    the one 1-D norm call of the pull-back; an infinite one skips nothing."""
     fam = PROJECTION_KINDS[kind]()
     segments = [(X, Z) for X, Z in [*_segments(rng), *_wide_segments(rng)] if not fam.membership(X, Z)]
     skipping = [fam._pullback(X, Z) for X, Z in segments]
-    monkeypatch.setattr(uncertainty, "_lp_norm", lambda *args: math.inf)
+    norm = uncertainty._lp_rows
+    monkeypatch.setattr(uncertainty, "_lp_rows", lambda V, probs, p: math.inf if V.ndim == 1 else norm(V, probs, p))
     assert [fam._pullback(X, Z) for X, Z in segments] == skipping
 
 
@@ -949,13 +957,25 @@ def test_member_rows_match_membership(kind):
                 assert kept == [row.tobytes() for row in rows[:-2][got[:-2]]]
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["W1", "W2", "Winf"])
-def test_wasserstein_membership_is_the_one_row_call(p, rng):
-    """Scalar W_p distance and membership are the one-row call of the row
-    kernel: the same bits, also on tied rows and on the boundary rows that
-    ``_pullback`` places at distance eps, where a last-bit difference would
-    flip the answer. X's quantiles are computed once and kept."""
-    fam = rr.wasserstein_ball(p, 0.3)
+BALLS = {
+    "W1": lambda: rr.wasserstein_ball(1.0, 0.3),
+    "W2": lambda: rr.wasserstein_ball(2.0, 0.3),
+    "Winf": lambda: rr.wasserstein_ball(math.inf, 0.3),
+    "L1": lambda: rr.p_norm_ball(1.0, 0.3),
+    "L1.5": lambda: rr.p_norm_ball(1.5, 0.3),
+    "L2": lambda: rr.p_norm_ball(2.0, 0.3),
+    "Linf": lambda: rr.sup_norm_ball(0.3),
+}
+
+
+@pytest.mark.parametrize("kind", BALLS)
+def test_wasserstein_membership_is_the_one_row_call(kind, rng):
+    """Scalar distance and membership of a W_p or L^p(P) ball are the
+    one-row call of its row form: the same bits, also on tied rows and on
+    the boundary rows that ``_pullback`` places at distance eps, where a
+    last-bit difference would flip the answer. X's quantiles are computed
+    once and kept."""
+    fam = BALLS[kind]()
     for probs in ([0.25] * 4, [0.5, 0.3, 0.2], rng.dirichlet(np.full(6, 4.0))):
         space = rr.ProbSpace(probs / np.sum(probs))
         for k in range(12):
