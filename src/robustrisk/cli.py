@@ -463,6 +463,17 @@ def _pick_position(scenario: ScenarioFile, args):
     return name, scenario.positions[name]
 
 
+def _joined_level(argv: list) -> list:
+    """argv with each --level joined to the token after it as --level=<value>:
+    argparse takes a value such as -5.2e-05 or -inf for an option, as it
+    reads only plain negative decimals as numbers."""
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok == "--level" else None
+        out.append(tok if value is None else f"--level={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="robustrisk",
@@ -481,7 +492,7 @@ def main(argv=None) -> int:
     parser.add_argument("--verifier", default=None, help="dual-check verifier selection")
     parser.add_argument("--property", default=None, choices=uncertainty.FAMILY_PROPERTIES,
                         help="single property for the properties subcommand")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_level(sys.argv[1:] if argv is None else list(argv)))
 
     try:
         scenario = parse_scenario(args.scenario)

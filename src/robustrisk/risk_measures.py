@@ -86,6 +86,12 @@ class RiskFunctional:
         form, else None. Ties are spread in proportion to P."""
         return None
 
+    def _dual_vertices(self, space: ProbSpace) -> Optional[np.ndarray]:
+        """The extreme points of the dual set {Q : c_rho(Q) = 0} as the rows
+        of Q-masses of an (m, n) array, where that set is a polytope the kind
+        enumerates, else None. A coherent rho is the max of E_Q[-X] over it."""
+        return None
+
     def _same(self, other: RiskFunctional) -> bool:
         """Whether other is known to be the same measure."""
         return self is other
@@ -189,6 +195,9 @@ class _NegExpectation(_Kind):
     def _dual_scenario(self, X):
         return ScenarioMeasure.reference(X.space)
 
+    def _dual_vertices(self, space):
+        return space.probs[None, :].copy()
+
 
 def neg_expectation() -> RiskFunctional:
     """rho(X) = E[-X], the linear benchmark measure."""
@@ -222,6 +231,9 @@ class _WorstCase(_Kind):
 
     def _penalty_rows(self, W, space):
         return np.zeros(len(W))
+
+    def _dual_vertices(self, space):
+        return np.eye(space.n)  # the unit masses
 
     def _dual_scenario(self, X):
         # P conditioned on the atoms where X is smallest
@@ -290,6 +302,24 @@ class _ExpectedShortfall(_Kind):
         before = np.cumsum(mass) - mass
         share = np.clip((alpha - before) / mass, 0.0, 1.0)
         return ScenarioMeasure(X.space, share[group] / alpha)
+
+    def _dual_vertices(self, space):
+        # {dQ/dP <= 1/alpha} is a box cut by the plane of total mass 1: at a
+        # vertex every density but at most one is 0 or 1/alpha. The atoms of a
+        # set S take mass p_i/alpha; what is left is 0 (the vertex is S's row)
+        # or goes to one atom j outside S, when it fits under p_j/alpha, so
+        # that each vertex is made once. All 2^n sets S: guarded at n <= 12.
+        n, alpha, probs = space.n, self.params["alpha"], space.probs
+        if n > 12:
+            return None
+        S = (np.arange(2**n)[:, None] >> np.arange(n) & 1).astype(bool)
+        full = np.where(S, probs / alpha, 0.0)
+        left = 1.0 - full.sum(axis=1)
+        cap = probs / alpha
+        at, j = np.nonzero(~S & (left[:, None] > 1e-12) & (left[:, None] < cap - 1e-12))
+        split = full[at]
+        split[np.arange(at.size), j] = left[at]
+        return np.concatenate((full[np.abs(left) <= 1e-12], split))
 
 
 def expected_shortfall(alpha: float) -> RiskFunctional:

@@ -195,7 +195,8 @@ class UncertaintyFamily:
         return np.array([self._member_rows(C, rows) for C in centers])
 
     def _worst_case(self, rho: RiskFunctional, X: Position) -> Optional[tuple]:
-        """(value, witness, guarantee) for sup over U_X of rho."""
+        """(value, witness, guarantee) for sup over U_X of rho, where the kind
+        has a closed form for it, else None; the value is rho at the witness."""
         return None
 
     def _vertices(self, X: Position) -> Optional[np.ndarray]:
@@ -206,6 +207,12 @@ class UncertaintyFamily:
     def _support_rows(self, W: np.ndarray, X: Position) -> Optional[np.ndarray]:
         """phi_Q(X) = sup over U_X of E_Q[-Z] for each row of W, the Q-masses
         of a measure Q, where the kind has a closed form, else None."""
+        return None
+
+    def _support_argmax(self, W: np.ndarray, X: Position) -> Optional[np.ndarray]:
+        """For each row of W, the Q-masses of a measure Q, a member Z of U_X
+        with E_Q[-Z] = phi_Q(X), as the rows of an (m, n) array, where the
+        kind has a closed form, else None."""
         return None
 
     def _support(self, Q: ScenarioMeasure, X: Position) -> Optional[float]:
@@ -380,7 +387,9 @@ class _NormBall(_Ball):
         if eps == 0.0:
             return rho(X), X, "exact"
         value = rho._shifted_mean(X, eps)  # constant shift has L^p(P) norm exactly eps
-        return None if value is None else (value, X - eps, "exact")
+        if value is not None:
+            return value, X - eps, "exact"
+        return _dual_vertex_worst_case(self, rho, X) if self.p > 1.0 else None
 
     def _vertices(self, X):
         """Rows: for p = inf the 2^n corners X + eps * s, the signs s in
@@ -406,6 +415,15 @@ class _NormBall(_Ball):
 
     def _support_rows(self, W, X):
         return -(W @ X.values) + self._k_rows(W, X.space)
+
+    def _support_argmax(self, W, X):
+        # Hoelder's equality case for 1 < p < inf: with q = dQ/dP, the
+        # direction g = q^(p*-1) / ||q^(p*-1)||_p has ||g||_p = 1 and
+        # E_P[q g] = ||q||_p*, so X - eps g attains phi_Q(X)
+        if not 1.0 < self.p < math.inf:
+            return None
+        G = (W / X.space.probs) ** (_conjugate_order(self.p) - 1.0)
+        return X.values - self.eps * G / _lp_rows(G, X.space.probs, self.p)[:, None]
 
     def _support_penalty(self, Q, Qt):
         # phi_Q is E_Q[-.] plus a constant, so the penalty is finite only at Qt = Q
@@ -733,15 +751,35 @@ class _LevelFamily(UncertaintyFamily):
         return self._within(r[None, :], np.array([self.rho1(C) for C in centers])[:, None], MEMBER_TOL)
 
     def _worst_case(self, rho, X):
+        """rho1 itself: X shifted down to the level. A mean-only rho over the
+        set of a convex cash-additive rho1 with c1(P) = 0: members have
+        E[-Z] <= rho1(Z) + c1(P) <= rho1(X) + eps, which the constant at that
+        level attains. It is confirmed within the level without MEMBER_TOL,
+        and moved by the excess where rounding puts rho1 there outside."""
         rho1 = self.rho1
-        if not rho._same(rho1):
+        if rho._same(rho1):
+            target = rho(X) + self.eps
+            W = X - _boundary_step(rho1, X, target)
+            val = rho(W)
+            if abs(val - target) <= 1e-8:
+                return target, W, "exact"
+            return val, W, "lower_bound"
+        if rho._shifted_mean(X, 0.0) is None or not (rho1.flags.convex and rho1.flags.cash_additive):
             return None
-        target = rho(X) + self.eps
-        W = X - _boundary_step(rho1, X, target)
-        val = rho(W)
-        if abs(val - target) <= 1e-8:
-            return target, W, "exact"
-        return val, W, "lower_bound"
+        c1 = rho1._penalty_rows(X.space.probs[None, :], X.space)  # c1(P)
+        if c1 is None or c1[0] != 0.0:
+            return None
+        r0 = rho1(X)
+        c = r0 + self.eps
+        for _ in range(4):
+            W = Position(X.space, np.full(X.space.n, -c))
+            r = rho1(W)
+            excess = self._excess(r, r0)
+            if excess <= 0.0:
+                return rho(W), W, "exact"
+            step = max(excess, math.ulp(c))
+            c = c - step if r > r0 else c + step
+        return None
 
     def _support_rows(self, W, X):
         rho1 = self.rho1
@@ -858,6 +896,27 @@ def cone_witness(family: UncertaintyFamily, X: Position, Z: Position) -> Optiona
         return None
     W = family._dominated(X, Z)
     return W if W is not None and family.membership(X, W) else None
+
+
+def _dual_vertex_worst_case(family: UncertaintyFamily, rho: RiskFunctional, X: Position) -> Optional[tuple]:
+    """(rho(Z), Z, "exact") from the vertices of rho's dual set, where rho has
+    them and the family maximizes each support function in closed form, else
+    None.
+
+    R(X) = sup_Q [phi_Q(X) - c(Q)], and phi_Q(X) is convex in Q, so R(X) is
+    the best vertex's score. The member Z attaining that vertex's phi_Q has
+    rho(Z) >= E_Q[-Z] - c(Q), the score, and rho(Z) <= R(X), so Z attains R.
+    Z is confirmed by ``membership`` and rho(Z) against the score."""
+    V = rho._dual_vertices(X.space)
+    if V is None:
+        return None
+    score = family._support_rows(V, X) - rho._penalty_rows(V, X.space)
+    i = int(np.argmax(score))
+    Z = Position(X.space, family._support_argmax(V[i : i + 1], X)[0])
+    if not family.membership(X, Z):
+        return None
+    value = rho(Z)
+    return (value, Z, "exact") if value >= score[i] - 1e-9 else None
 
 
 def minkowski_split(

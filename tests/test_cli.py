@@ -244,6 +244,22 @@ def test_non_finite_level_flag_exits_2(scenario_file, config_file, capsys):
     assert "--level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("level", ["-5.2e-05", "-1e-300", "-0.5"])
+def test_negative_level_flag_in_any_notation(scenario_file, config_file, tmp_path, level):
+    """argparse reads only plain negative decimals as numbers; a level in
+    scientific notation is still the flag's value, not an unknown option."""
+    out = str(tmp_path / "acc.json")
+    assert main(["acceptance", "--scenario", scenario_file, "--config", config_file,
+                 "--level", level, "--out", out]) == 0
+    assert json.loads(open(out).read())["level"] == float(level)
+
+
+@pytest.mark.parametrize("level", ["nan", "-inf"])
+def test_non_finite_level_token_exits_2_with_the_level_message(scenario_file, config_file, capsys, level):
+    assert main(["acceptance", "--scenario", scenario_file, "--config", config_file, "--level", level]) == 2
+    assert "--level must be a finite number" in capsys.readouterr().err
+
+
 def test_unreplayable_counterexample_exits_2(scenario_file, config_file, capsys, monkeypatch):
     """The replay check is a real check, not an assert that python -O drops."""
     from robustrisk import uncertainty

@@ -1,6 +1,7 @@
 """Risk functionals: values, axiom flags, loss functions."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -253,3 +254,64 @@ def test_dual_scenario_ties(rho, probs, values, density):
         space = ProbSpace(np.array(probs)[perm])
         Q = rho._dual_scenario(Position(space, np.array(values)[perm]))
         np.testing.assert_allclose(Q.density, np.array(density)[perm], rtol=0, atol=1e-12)
+
+
+DUAL_VERTEX_MEASURES = [rr.expected_shortfall(0.5), rr.expected_shortfall(0.25), rr.worst_case(), rr.neg_expectation()]
+VERTEX_SPACES = [[0.5, 0.3, 0.2], [0.25] * 4, [0.1, 0.2, 0.3, 0.4], [0.05, 0.15, 0.3, 0.2, 0.3], [0.6, 0.4]]
+
+
+@pytest.mark.parametrize("rho", DUAL_VERTEX_MEASURES, ids=lambda r: r.name)
+@pytest.mark.parametrize("probs", VERTEX_SPACES, ids=lambda p: f"n{len(p)}")
+def test_dual_vertices_are_measures_of_zero_penalty(rho, probs):
+    space = ProbSpace(probs)
+    V = rho._dual_vertices(space)
+    assert V.ndim == 2 and V.shape[1] == space.n and len(V) >= 1
+    assert (V >= 0.0).all()
+    assert np.abs(V.sum(axis=1) - 1.0).max() <= 1e-12
+    assert (rho._penalty_rows(V, space) == 0.0).all()
+
+
+def _brute_force_vertices(probs, alpha):
+    """The vertices of {w : 0 <= w_i <= p_i/alpha, sum(w) = 1}: every basic
+    feasible point, n - 1 of the 2n bounds active with the total mass, solved
+    as a linear system and kept when it is feasible."""
+    n, cap = len(probs), np.asarray(probs) / alpha
+    bounds = [(i, 0.0) for i in range(n)] + [(i, c) for i, c in enumerate(cap)]
+    found = set()
+    for active in itertools.combinations(bounds, n - 1):
+        A, b = [np.ones(n)], [1.0]
+        for i, v in active:
+            A.append(np.eye(n)[i])
+            b.append(v)
+        A = np.array(A)
+        if abs(np.linalg.det(A)) < 1e-12:
+            continue
+        w = np.linalg.solve(A, np.array(b))
+        if (w >= -1e-12).all() and (w <= cap + 1e-12).all():
+            found.add(tuple(np.round(w, 9) + 0.0))
+    return found
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.25])
+@pytest.mark.parametrize("probs", [[0.5, 0.3, 0.2], [0.25] * 4], ids=["skewed3", "uniform4"])
+def test_es_dual_vertices_match_a_brute_force_enumeration(alpha, probs):
+    V = rr.expected_shortfall(alpha)._dual_vertices(ProbSpace(probs))
+    rows = [tuple(np.round(v, 9) + 0.0) for v in V]
+    assert len(rows) == len(set(rows))  # each vertex once
+    assert set(rows) == _brute_force_vertices(probs, alpha)
+
+
+def test_dual_vertices_of_the_worst_case_and_the_mean():
+    for probs in VERTEX_SPACES:
+        space = ProbSpace(probs)
+        np.testing.assert_array_equal(rr.worst_case()._dual_vertices(space), np.eye(space.n))
+        np.testing.assert_array_equal(rr.neg_expectation()._dual_vertices(space), [space.probs])
+
+
+def test_dual_vertices_absent_or_guarded():
+    space = ProbSpace([0.5, 0.5])
+    for rho in (rr.entropic(1.0), rr.expectation_floor(1.0), rr.certainty_equivalent(rr.exponential_loss()),
+                rr.q_entropic(0.5, 2.0)):
+        assert rho._dual_vertices(space) is None
+    assert rr.expected_shortfall(0.5)._dual_vertices(ProbSpace([1 / 12] * 12)) is not None
+    assert rr.expected_shortfall(0.5)._dual_vertices(ProbSpace([1 / 13] * 13)) is None

@@ -316,3 +316,97 @@ def test_largest_family_counts_only_tested_trials(uniform4, monkeypatch):
     monkeypatch.setattr(robustify, "largest_family_member", lambda rho, value, Z: False)
     verdicts = rr.largest_family_properties(rr.entropic(1.0), rr.sup_norm_ball(0.3), trials=3, seed=3, space=uniform4)
     assert verdicts["solid"].tag == "unknown"
+
+
+DUAL_VERTEX_MEASURES = (rr.expected_shortfall(0.5), rr.expected_shortfall(0.25), rr.worst_case(), rr.neg_expectation())
+
+
+def test_norm_ball_worst_case_from_dual_vertices_is_exact():
+    """ES, the worst case and E[-X] over L^p balls, 1 < p < inf, on a seeded
+    probe: the value is rho at a member, labelled exact, and PA(32) never
+    beats it."""
+    rng = np.random.default_rng(2701)
+    for k in range(216):
+        n = int(rng.integers(2, 9))
+        space = rr.ProbSpace(rng.dirichlet(np.full(n, 4.0)) if k % 2 else np.full(n, 1.0 / n))
+        X = Position(space, rng.normal(0.0, 1.5, n))
+        rho = DUAL_VERTEX_MEASURES[k % 4]
+        fam = rr.p_norm_ball((1.5, 2.0, 3.0)[k % 3], float(rng.uniform(0.1, 0.5)))
+        rv = robust_value(rho, fam, X)
+        assert (rv.solver, rv.guarantee) == ("analytic", "exact"), (k, rho.name, fam.name)
+        assert fam.membership(X, rv.witness)
+        if rho._shifted_mean(X, fam.eps) is None:
+            assert rv.value == rho(rv.witness)
+        else:  # E[-X] keeps its mean-shift value, a rounding away from rho(X - eps)
+            assert abs(rv.value - rho(rv.witness)) <= 1e-12
+        pa = robust_value(rho, fam, X, solver="projected_ascent", seed=k)
+        assert pa.value <= rv.value + 1e-9, (k, rho.name, fam.name, pa.value - rv.value)
+
+
+def test_es_over_an_l2_ball_on_three_atoms(skewed3):
+    """Density 2 on the atoms of mass .3 and .2: 0.08 + 0.2 ||2 1_{2,3}||_{L^2(P)}."""
+    X = Position(skewed3, [0.4, -0.2, 0.1])
+    rv = robust_value(rr.expected_shortfall(0.5), rr.p_norm_ball(2.0, 0.2), X)
+    assert (rv.solver, rv.guarantee) == ("analytic", "exact")
+    assert abs(rv.value - (0.08 + 0.2 * math.sqrt(2.0))) <= 1e-12
+
+
+def test_norm_ball_cells_without_dual_vertices_stay_on_the_search(skewed3):
+    """Past the ES guard (n > 12), and for measures with no dual vertices, the
+    cell keeps the search and its label."""
+    many = rr.ProbSpace(np.full(13, 1.0 / 13))
+    X13 = Position(many, np.linspace(-1.0, 1.0, 13))
+    X = Position(skewed3, [0.4, -0.2, 0.1])
+    cells = [(rr.expected_shortfall(0.5), X13), (rr.entropic(1.0), X),
+             (rr.certainty_equivalent(rr.exponential_loss()), X)]
+    for rho, at in cells:
+        assert rho._dual_vertices(at.space) is None
+        rv = robust_value(rho, rr.p_norm_ball(2.0, 0.2), at)
+        assert (rv.solver, rv.guarantee) == ("projected_ascent(8)", "lower_bound"), rho.name
+
+
+@pytest.mark.parametrize("make", [rr.level_upper_set, rr.level_band], ids=["upper-set", "band"])
+@pytest.mark.parametrize("rho1", [rr.entropic(1.0), rr.expected_shortfall(0.5)], ids=lambda r: r.name)
+def test_mean_only_measures_over_level_sets_are_exact(make, rho1, skewed3, rng):
+    """E[-Z] <= rho1(Z) <= rho1(X) + eps on the set, and the constant at
+    that level attains it, within the level without membership slack."""
+    fam = make(rho1, 0.3)
+    for k in range(6):
+        X = random_pos(skewed3, rng)
+        for rho, floor in ((rr.expectation_floor(0.5), 0.5), (rr.neg_expectation(), -math.inf)):
+            rv = robust_value(rho, fam, X)
+            assert (rv.solver, rv.guarantee) == ("analytic", "exact")
+            w = rv.witness.values
+            assert (w == w[0]).all()
+            assert fam._within(rho1(rv.witness), rho1(X), 0.0)
+            assert rv.value == rho(rv.witness)
+            assert abs(rv.value - max(rho1(X) + 0.3, floor)) <= 1e-12
+            if k == 0:
+                pa = robust_value(rho, fam, X, solver="projected_ascent", seed=k)
+                assert pa.value <= rv.value + 1e-9
+
+
+def test_level_closed_form_needs_a_convex_cash_additive_base(skewed3):
+    """A q_entropic base is not cash additive and a CE base not flagged
+    convex: their cells stay on the search. The level constructors refuse a
+    CE base, which has no cash flag, so that family is built from its kind."""
+    X = Position(skewed3, [0.4, -0.2, 0.1])
+    q = rr.q_entropic(0.5, 2.0)
+    ce = rr.certainty_equivalent(rr.exponential_loss())
+    fams = [rr.level_upper_set(q, 0.3), rr.level_band(q, 0.3),
+            rr.uncertainty._LevelUpperSet(name="level_upper_set(ce)", params={"eps": 0.3, "rho1": ce})]
+    for fam in fams:
+        for rho in (rr.expectation_floor(0.5), rr.neg_expectation()):
+            rv = robust_value(rho, fam, X, budget=16, restarts=1)
+            assert (rv.solver, rv.guarantee) == ("projected_ascent(1)", "lower_bound"), fam.name
+
+
+@pytest.mark.parametrize("make", [rr.level_upper_set, rr.level_band], ids=["upper-set", "band"])
+def test_level_self_robustification_keeps_its_bits(make, skewed3, rng):
+    """rho over its own level set: X shifted down by eps, the value rho(X) + eps."""
+    for rho in (rr.entropic(1.0), rr.expected_shortfall(0.5), rr.neg_expectation(), rr.worst_case()):
+        X = random_pos(skewed3, rng)
+        rv = robust_value(rho, make(rho, 0.3), X)
+        target = rho(X) + 0.3
+        assert (rv.solver, rv.guarantee, rv.value) == ("analytic", "exact", target)
+        np.testing.assert_array_equal(rv.witness.values, (X - (target - rho(X))).values)
