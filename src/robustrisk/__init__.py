@@ -48,7 +48,6 @@ from .uncertainty import (
     replay_witness,
     solidify,
     sup_norm_ball,
-    transport_member,
     wasserstein_ball,
 )
 from .robustify import (

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .prob_core import Position, ProbSpace, ScenarioMeasure, _masses, _relative_entropy_rows, expectation
+from .prob_core import Position, ProbSpace, ScenarioMeasure, _relative_entropy_rows, expectation
 
 __all__ = [
     "AxiomFlags",
@@ -71,11 +71,6 @@ class RiskFunctional:
         """Minimal penalty c_rho(Q) for each row of W, the Q-masses of a
         measure Q on space, where it is known in closed form, else None."""
         return None
-
-    def _penalty(self, Q: ScenarioMeasure) -> Optional[float]:
-        """c_rho(Q) in closed form, else None: the one-row ``_penalty_rows``."""
-        rows = self._penalty_rows(_masses(Q), Q.space)
-        return None if rows is None else float(rows[0])
 
     def _shifted_mean(self, X: Position, eps: float) -> Optional[float]:
         """rho(X - eps) from E[X] alone, for the measures that depend on the mean only."""

@@ -4,8 +4,8 @@ Each family carries an exact membership predicate and a solver-facing
 ``discretize`` generator. A family's kind is its class: norm balls (p in
 [1, inf], where p = inf is the sup ball), Wasserstein balls, level bands and
 upper sets, and solidified families each own their predicate, their candidate
-generator and their closed forms (worst cases, support functions, cone,
-transport and split witnesses, certified property rules) as methods. A family
+generator and their closed forms (worst cases, support functions, cone
+and split witnesses, certified property rules) as methods. A family
 built by hand, ``UncertaintyFamily(name, params, membership, discretize)``,
 has no closed forms. The module functions add only what does not depend on
 the kind: membership checks of what a closed form returns, and generic
@@ -55,7 +55,6 @@ __all__ = [
     "random_position",
     "cone_witness",
     "minkowski_split",
-    "transport_member",
     "FAMILY_PROPERTIES",
 ]
 
@@ -110,6 +109,14 @@ def counterexample(witness: dict, note: str = "") -> PropertyVerdict:
 
 def unknown(note: str = "") -> PropertyVerdict:
     return PropertyVerdict("unknown", note=note)
+
+
+def _sampled(trials: int, undecided: int) -> PropertyVerdict:
+    """The verdict of ``trials`` trials that found no violation, of which
+    ``undecided`` could not have found one."""
+    if undecided == trials:
+        return unknown("no trial could have found a violation")
+    return no_counterexample(trials - undecided, f"{undecided} undecided trials" if undecided else "")
 
 
 def _require_count(count: int, name: str = "trials") -> None:
@@ -215,11 +222,6 @@ class UncertaintyFamily:
         kind has a closed form, else None."""
         return None
 
-    def _support(self, Q: ScenarioMeasure, X: Position) -> Optional[float]:
-        """phi_Q(X) in closed form, else None: the one-row ``_support_rows``."""
-        rows = self._support_rows(_masses(Q), X)
-        return None if rows is None else float(rows[0])
-
     def _support_penalty(self, Q: ScenarioMeasure, Qt: ScenarioMeasure) -> Optional[float]:
         """Minimal penalty of the support functional phi_Q, evaluated at Qt."""
         return None
@@ -237,16 +239,14 @@ class UncertaintyFamily:
         return None
 
     def _dominated(self, X: Position, Z: Position) -> Optional[Position]:
-        """A candidate member W <= Z of U_X, given that Z lies in U_X + L^p_+."""
+        """A candidate member W <= Z of U_X, given that Z lies in U_X + L^p_+.
+        A monotone rho has rho(W) >= rho(Z), so a monotonicity trial carries
+        a member Z of U_Y, Y >= X, into U_X by it (``cone_witness``)."""
         return None
 
     def _split(self, X: Position, Y: Position, lam: float, Z: Position) -> Optional[tuple]:
         """Candidates (Z1, Z2) for U_X and U_Y with Z = lam*Z1 + (1-lam)*Z2."""
         return None
-
-    def _transport(self, src: Position, dst: Position, Z: Position) -> Optional[Position]:
-        """A candidate member of U_dst for a member Z of U_src."""
-        return Z
 
     def _rule(self, prop: str, space: ProbSpace) -> Optional[PropertyVerdict]:
         """A certified verdict (or verified counterexample) for the property."""
@@ -386,9 +386,9 @@ class _NormBall(_Ball):
             return rho(W), W, "exact"
         if eps == 0.0:
             return rho(X), X, "exact"
-        value = rho._shifted_mean(X, eps)  # constant shift has L^p(P) norm exactly eps
-        if value is not None:
-            return value, X - eps, "exact"
+        if rho._shifted_mean(X, eps) is not None:  # constant shift has L^p(P) norm exactly eps
+            W = X - eps
+            return rho(W), W, "exact"
         return _dual_vertex_worst_case(self, rho, X) if self.p > 1.0 else None
 
     def _vertices(self, X):
@@ -441,16 +441,8 @@ class _NormBall(_Ball):
         return bool(_lp_rows(deficit, X.space.probs, self.p) <= self.eps + MEMBER_TOL)
 
     def _dominated(self, X, Z):
-        if math.isinf(self.p):
-            return Position(X.space, np.minimum(Z.values, X.values + self.eps))
-        D, probs = Z.values - X.values, X.space.probs
-        tau, _ = _bisect(
-            lambda t: _lp_rows(np.abs(np.minimum(D, t)), probs, self.p) <= self.eps, 0.0, float(np.max(np.abs(D))) + 1.0, 80
-        )
-        return Position(X.space, X.values + np.minimum(D, tau))
-
-    def _transport(self, src, dst, Z):
-        return Z + (dst - src)
+        # min(X, Z) - X = -(X - Z)^+, whose norm _plus_cone bounds by eps
+        return Position(X.space, np.minimum(X.values, Z.values))
 
     def _pullback(self, X, Z):
         # ||t (Z - X)|| = t ||Z - X||: homogeneity puts the boundary at eps / ||Z - X||
@@ -525,9 +517,9 @@ class _WassersteinBall(_Ball):
         if math.isinf(self.p) and f.monotone and f.law_invariant:
             W = X - eps
             return rho(W), W, "exact"
-        value = rho._shifted_mean(X, eps)
-        if value is not None:
-            return value, X - eps, "exact"
+        if rho._shifted_mean(X, eps) is not None:
+            W = X - eps
+            return rho(W), W, "exact"
         if f.convex and f.law_invariant:
             # comonotone shift: X - eps sits on the ball boundary for every
             # order; attainment of the supremum there is not certified
@@ -568,14 +560,6 @@ class _WassersteinBall(_Ball):
         ixq = np.minimum(np.searchsorted(qx.cum, mids, side="left"), qx.values.size - 1)
         vals = np.empty(order.size)
         vals[order] = np.minimum(Z.values[order], qx.values[ixq])
-        return Position(Z.space, vals)
-
-    def _transport(self, src, dst, Z):
-        # quantile-space shift realized along Z's comonotone order; exact on
-        # uniform spaces, membership-verified in general
-        order_z = np.argsort(Z.values, kind="stable")
-        vals = np.empty(Z.space.n)
-        vals[order_z] = Z.values[order_z] + (np.sort(dst.values) - np.sort(src.values))
         return Position(Z.space, vals)
 
     def _pullback(self, X, Z):
@@ -795,9 +779,6 @@ class _LevelFamily(UncertaintyFamily):
         # its top rho1(X) + eps; an upper set is solid, so this is membership
         return self.rho1(Z) <= self.rho1(X) + self.eps + MEMBER_TOL
 
-    def _transport(self, src, dst, Z):
-        return cone_witness(self, dst, Z)
-
     def _pullback(self, X, Z):
         # an exit from the set without MEMBER_TOL, so the point is within the
         # level; a row loop gains nothing from a fan of points, and bisects
@@ -931,19 +912,6 @@ def minkowski_split(
     if pair is not None and family.membership(X, pair[0]) and family.membership(Y, pair[1]):
         return pair
     return None
-
-
-def transport_member(
-    family: UncertaintyFamily, src: Position, dst: Position, Z: Position
-) -> Optional[Position]:
-    """Map a member Z of U_src to a membership-verified candidate in U_dst.
-
-    For the monotone comparison dst <= src the returned candidate W satisfies
-    rho(W) >= rho(Z) for every decreasing rho (W is Z pushed down by src-dst,
-    in payoff or quantile space).
-    """
-    W = family._transport(src, dst, Z)
-    return W if W is not None and family.membership(dst, W) else None
 
 
 # ---------------------------------------------------------------------------
@@ -1154,11 +1122,7 @@ def _sampled_check(
                     return counterexample(w)
                 decided = decided or out is not None
         undecided += not decided
-
-    if undecided == trials:
-        return unknown("no trial could have found a violation")
-    note = f"{undecided} undecided trials" if undecided else ""
-    return no_counterexample(trials - undecided, note)
+    return _sampled(trials, undecided)
 
 
 def check_property(

@@ -318,6 +318,42 @@ def test_largest_family_counts_only_tested_trials(uniform4, monkeypatch):
     assert verdicts["solid"].tag == "unknown"
 
 
+def test_monotone_trial_places_its_witness_below_it():
+    """CE(exp) over a W1 ball on three atoms: a member of U_Y carried into
+    U_X by a quantile shift fell outside U_X, and the ascent's shortfall at X
+    came back as a counterexample. Its dominated member lands in U_X."""
+    v = verify_preservation(rr.certainty_equivalent(rr.exponential_loss()), rr.wasserstein_ball(1, 0.3), "monotone",
+                            trials=2, seed=965345527, space=rr.ProbSpace([0.5, 0.3, 0.2]))
+    assert (v.tag, v.trials, v.note) == ("sampled_no_counterexample", 2, "")
+
+
+def test_monotone_trial_without_a_placed_witness_is_undecided(monkeypatch):
+    """The cell above with no member of U_X below Y's witnesses: its second
+    trial's lower bound at X falls below the value at Y, a search's
+    shortfall that decides nothing, not a counterexample."""
+    monkeypatch.setattr(robustify, "cone_witness", lambda family, X, Z: None)
+    v = verify_preservation(rr.certainty_equivalent(rr.exponential_loss()), rr.wasserstein_ball(1, 0.3), "monotone",
+                            trials=2, seed=965345527, space=rr.ProbSpace([0.5, 0.3, 0.2]))
+    assert (v.tag, v.trials, v.note) == ("sampled_no_counterexample", 1, "1 undecided trials")
+
+
+@pytest.mark.parametrize("rho", [rr.neg_expectation(), rr.expectation_floor(0.5)], ids=lambda r: r.name)
+@pytest.mark.parametrize("make", [lambda e: rr.p_norm_ball(1.0, e), lambda e: rr.p_norm_ball(2.0, e),
+                                  lambda e: rr.wasserstein_ball(1.0, e)], ids=["L1", "L2", "W1"])
+def test_mean_only_worst_case_over_a_ball_is_rho_at_its_witness(rho, make):
+    """E[-X] and the floor over L1, L2 and W1 balls on Dirichlet spaces: the
+    exact value is rho at the witness X - eps to the bit, not the mean-shift
+    formula, which rounds differently."""
+    rng = np.random.default_rng(2801)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        space = rr.ProbSpace(rng.dirichlet(np.ones(n)))
+        X, fam = Position(space, rng.normal(0.0, 1.5, n)), make(float(rng.uniform(0.05, 0.5)))
+        rv = robust_value(rho, fam, X)
+        assert rv.exact and np.array_equal(rv.witness.values, (X - fam.eps).values)
+        assert rv.value == rho(rv.witness), (fam.name, X.values)
+
+
 DUAL_VERTEX_MEASURES = (rr.expected_shortfall(0.5), rr.expected_shortfall(0.25), rr.worst_case(), rr.neg_expectation())
 
 
@@ -334,11 +370,7 @@ def test_norm_ball_worst_case_from_dual_vertices_is_exact():
         fam = rr.p_norm_ball((1.5, 2.0, 3.0)[k % 3], float(rng.uniform(0.1, 0.5)))
         rv = robust_value(rho, fam, X)
         assert (rv.solver, rv.guarantee) == ("analytic", "exact"), (k, rho.name, fam.name)
-        assert fam.membership(X, rv.witness)
-        if rho._shifted_mean(X, fam.eps) is None:
-            assert rv.value == rho(rv.witness)
-        else:  # E[-X] keeps its mean-shift value, a rounding away from rho(X - eps)
-            assert abs(rv.value - rho(rv.witness)) <= 1e-12
+        assert fam.membership(X, rv.witness) and rv.value == rho(rv.witness)
         pa = robust_value(rho, fam, X, solver="projected_ascent", seed=k)
         assert pa.value <= rv.value + 1e-9, (k, rho.name, fam.name, pa.value - rv.value)
 

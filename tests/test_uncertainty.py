@@ -19,7 +19,6 @@ from robustrisk import (
     replay_witness,
     robust_value,
     solidify,
-    transport_member,
 )
 from robustrisk import prob_core, uncertainty
 from robustrisk.prob_core import _bisect, _lp_rows
@@ -179,28 +178,6 @@ def test_check_property_deterministic(uniform4):
         assert np.allclose(a.witness["Z"].values, b.witness["Z"].values)
 
 
-def test_transport_member_sup_ball(uniform4, rng):
-    fam = rr.sup_norm_ball(0.5)
-    for _ in range(20):
-        src = random_pos(uniform4, rng)
-        dst = src - Position(uniform4, np.abs(rng.normal(size=4)))
-        Z = src + Position(uniform4, rng.uniform(-0.5, 0.5, size=4))
-        W = transport_member(fam, src, dst, Z)
-        assert W is not None
-        assert fam.membership(dst, W)
-        assert np.all(W.values <= Z.values + 1e-12)
-
-
-def test_transport_member_wasserstein(uniform4, rng):
-    fam = rr.wasserstein_ball(1.0, 0.5)
-    for _ in range(20):
-        src = random_pos(uniform4, rng)
-        dst = src - Position(uniform4, np.abs(rng.normal(size=4)))
-        Z = src - float(rng.uniform(0, 0.5))
-        W = transport_member(fam, src, dst, Z)
-        assert W is not None and fam.membership(dst, W)
-
-
 def test_cone_witness(uniform4, rng):
     for fam in (rr.sup_norm_ball(0.5), rr.p_norm_ball(2.0, 0.5),
                 rr.level_upper_set(rr.entropic(1.0), 0.5)):
@@ -211,6 +188,32 @@ def test_cone_witness(uniform4, rng):
             if W is not None:
                 assert fam.membership(X, W)
                 assert np.all(W.values <= Z.values + 1e-9)
+    # X <= Y and Z in U_Y: Z lies in U_X + L^p_+, so a member of U_X below Z
+    # is always found, as a monotonicity trial needs. The W1 ball holds the
+    # L1 ball of the same radius, so L1 draws (the last at the radius) are members.
+    for fam in (rr.sup_norm_ball(0.5), rr.p_norm_ball(1.0, 0.5), rr.p_norm_ball(2.0, 0.5),
+                rr.wasserstein_ball(1.0, 0.5)):
+        p = 1.0 if isinstance(fam, uncertainty._WassersteinBall) else fam.p
+        for k in range(40):
+            X = random_pos(uniform4, rng)
+            Y = X + Position(uniform4, np.abs(rng.normal(size=4)))
+            D = rng.normal(size=4)
+            r = 0.5 if k % 4 == 0 else float(rng.uniform(0.0, 0.5))
+            Z = Y + Position(uniform4, D * (r / _lp_rows(np.abs(D), uniform4.probs, p)))
+            assert fam.membership(Y, Z), fam.name
+            W = cone_witness(fam, X, Z)
+            assert W is not None and fam.membership(X, W), fam.name
+            assert np.all(W.values <= Z.values), fam.name
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_norm_ball_dominated_member_is_the_minimum(p, skewed3, rng):
+    """A norm ball's dominated member is min(X, Z), found by no search: its
+    distance to X is ||(X - Z)^+||, the number ``_plus_cone`` bounds."""
+    fam = rr.p_norm_ball(p, 0.5)
+    for _ in range(20):
+        X, Z = random_pos(skewed3, rng), random_pos(skewed3, rng)
+        assert np.array_equal(fam._dominated(X, Z).values, np.minimum(X.values, Z.values))
 
 
 def _counting(monkeypatch, cls, name):
@@ -232,7 +235,8 @@ def test_band_cone_paths(skewed3, monkeypatch):
     for prop in ("monotone", "quasi_convex"):
         v = rr.verify_preservation(rr.entropic(1.0), band, prop, trials=4, seed=5, space=skewed3)
         assert (v.tag, v.trials) == ("sampled_no_counterexample", 4), prop
-    # witness transport went through cone_witness to the band's dominated member
+    # the trials placed their witnesses by cone_witness, which lowered them
+    # onto the band's dominated member
     assert plus_cone and len(dominated) == 6
 
 
@@ -564,7 +568,7 @@ def test_hand_built_support_function_meets_the_closed_form(skewed3, rng):
         X = random_pos(skewed3, rng)
         d = np.abs(rng.normal(size=3)) + 0.1
         Q = rr.ScenarioMeasure(skewed3, d / float(np.dot(skewed3.probs, d)))
-        assert fam._support(Q, X) is None
+        assert fam._support_rows(prob_core._masses(Q), X) is None
         assert rr.support_function(fam, Q, X) == pytest.approx(rr.support_function(ball, Q, X), abs=1e-12)
 
 
