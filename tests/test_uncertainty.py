@@ -188,22 +188,33 @@ def test_cone_witness(uniform4, rng):
             if W is not None:
                 assert fam.membership(X, W)
                 assert np.all(W.values <= Z.values + 1e-9)
-    # X <= Y and Z in U_Y: Z lies in U_X + L^p_+, so a member of U_X below Z
-    # is always found, as a monotonicity trial needs. The W1 ball holds the
-    # L1 ball of the same radius, so L1 draws (the last at the radius) are members.
-    for fam in (rr.sup_norm_ball(0.5), rr.p_norm_ball(1.0, 0.5), rr.p_norm_ball(2.0, 0.5),
-                rr.wasserstein_ball(1.0, 0.5)):
-        p = 1.0 if isinstance(fam, uncertainty._WassersteinBall) else fam.p
-        for k in range(40):
-            X = random_pos(uniform4, rng)
-            Y = X + Position(uniform4, np.abs(rng.normal(size=4)))
-            D = rng.normal(size=4)
-            r = 0.5 if k % 4 == 0 else float(rng.uniform(0.0, 0.5))
-            Z = Y + Position(uniform4, D * (r / _lp_rows(np.abs(D), uniform4.probs, p)))
-            assert fam.membership(Y, Z), fam.name
-            W = cone_witness(fam, X, Z)
-            assert W is not None and fam.membership(X, W), fam.name
-            assert np.all(W.values <= Z.values), fam.name
+    for fam in (rr.p_norm_ball(1.0, 0.5), rr.p_norm_ball(2.0, 0.5)):
+        _check_member_below(fam, fam.p, uniform4, rng)
+
+
+def _check_member_below(fam, p, space, rng):
+    """X <= Y and Z in U_Y: Z lies in U_X + L^p_+, so ``cone_witness`` always
+    finds a member of U_X below Z, as a monotonicity trial needs. Z is drawn
+    from the L^p ball about Y, the last of every four at the radius."""
+    for k in range(40):
+        X = random_pos(space, rng)
+        Y = X + Position(space, np.abs(rng.normal(size=4)))
+        D = rng.normal(size=4)
+        r = 0.5 if k % 4 == 0 else float(rng.uniform(0.0, 0.5))
+        Z = Y + Position(space, D * (r / _lp_rows(np.abs(D), space.probs, p)))
+        assert fam.membership(Y, Z), fam.name
+        W = cone_witness(fam, X, Z)
+        assert W is not None and fam.membership(X, W), fam.name
+        assert np.all(W.values <= Z.values), fam.name
+
+
+def test_transport_member_sup_ball(uniform4, rng):
+    _check_member_below(rr.sup_norm_ball(0.5), math.inf, uniform4, rng)
+
+
+def test_transport_member_wasserstein(uniform4, rng):
+    # the W1 ball holds the L1 ball of the same radius, so L1 draws are members
+    _check_member_below(rr.wasserstein_ball(1.0, 0.5), 1.0, uniform4, rng)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
