@@ -72,10 +72,6 @@ class RiskFunctional:
         measure Q on space, where it is known in closed form, else None."""
         return None
 
-    def _shifted_mean(self, X: Position, eps: float) -> Optional[float]:
-        """rho(X - eps) from E[X] alone, for the measures that depend on the mean only."""
-        return None
-
     def _dual_scenario(self, X: Position) -> Optional[ScenarioMeasure]:
         """A maximizer Q of E_Q[-X] - c_rho(Q) where it is known in closed
         form, else None. Ties are spread in proportion to P."""
@@ -101,6 +97,10 @@ class _Kind(RiskFunctional):
 
     def _same(self, other: RiskFunctional) -> bool:
         return self is other or (type(other) is type(self) and self.params == other.params)
+
+
+class _MeanOnly(_Kind):
+    """A nondecreasing function of E[-X] alone."""
 
 
 @dataclass(frozen=True)
@@ -177,15 +177,12 @@ def power_loss(k: float) -> LossFunction:
     return LossFunction(f"power{k}", ell, lambda y: y ** (1.0 / k), conj)
 
 
-class _NegExpectation(_Kind):
+class _NegExpectation(_MeanOnly):
     def _batch(self, pts, space):
         return -pts @ space.probs
 
     def _penalty_rows(self, W, space):
         return np.where(np.abs(W / space.probs - 1.0).max(axis=1) <= 1e-9, 0.0, math.inf)
-
-    def _shifted_mean(self, X, eps):
-        return -expectation(X) + eps
 
     def _dual_scenario(self, X):
         return ScenarioMeasure.reference(X.space)
@@ -199,12 +196,9 @@ def neg_expectation() -> RiskFunctional:
     return _NegExpectation(name="neg_expectation", evaluate=lambda X: -expectation(X), flags=_ALL_AXIOMS)
 
 
-class _ExpectationFloor(_Kind):
+class _ExpectationFloor(_MeanOnly):
     def _batch(self, pts, space):
         return np.maximum(-pts @ space.probs, self.params["K"])
-
-    def _shifted_mean(self, X, eps):
-        return max(-expectation(X) + eps, self.params["K"])
 
 
 def expectation_floor(K: float) -> RiskFunctional:

@@ -115,13 +115,13 @@ def _project(family: UncertaintyFamily, X: Position, Z: Position, x_member: bool
     the segment leaves U_X by the kind's own search (``family._pullback``),
     or else by a scalar bisection on membership. A ball's search gives the
     first exit, also on a Wasserstein ball, which is not X-star-shaped. A
-    level family's gives an exit from the set without membership slack: over
-    a vectorized base the first one its fans see, also on a level band, which
-    need not be X-star-shaped, and over a row-by-row base where a scalar
-    bisection ends. The kind's point is confirmed by ``family.membership``,
-    and the scalar bisection on membership runs when that fails; it moves
-    only to points where membership held, and on a set that is not
-    X-star-shaped its exit need not be the first.
+    level family's gives an exit from the set without membership slack, the
+    first one its margin search sees, also on a level band, which need not
+    be X-star-shaped. The kind's point is confirmed by ``family.membership``.
+    The bisection serves kinds without a search (solidified and hand-built
+    families) and runs when that confirmation fails; it moves only to points
+    where membership held, and on a set that is not X-star-shaped its exit
+    need not be the first.
     """
     if family.membership(X, Z):
         return Z
@@ -284,11 +284,6 @@ def _place(family, X, Y, lam, Z, via_union, via_convex):
     return ([], []) if split is None else ([split[0]], [split[1]])
 
 
-def _tested(tested: int) -> PropertyVerdict:
-    """The verdict after ``tested`` trials that could each have found a violation."""
-    return no_counterexample(tested) if tested else unknown("no solve witness was a member of the largest family")
-
-
 def verify_preservation(
     rho: RiskFunctional,
     family: UncertaintyFamily,
@@ -434,7 +429,7 @@ def largest_family_properties(
             out["solid"] = counterexample({"X": X, "Z": Z, "Zbar": Zbar})
             break
     else:
-        out["solid"] = _tested(tested)
+        out["solid"] = _sampled(trials, trials - tested)
 
     # monotonicity of the induced family, via monotonicity of the robust value
     out["monotone"] = verify_preservation(rho, family, "monotone", trials=trials, seed=seed + 1, space=space)

@@ -29,7 +29,6 @@ from .prob_core import (
     ScenarioMeasure,
     quantile_function,
     same_distribution,
-    _bisect,
     _exit_search,
     _gap_norm_rows,
     _lp_rows,
@@ -38,7 +37,7 @@ from .prob_core import (
     _rearranged_rows,
     _wasserstein_rows,
 )
-from .risk_measures import RiskFunctional
+from .risk_measures import RiskFunctional, _MeanOnly
 
 __all__ = [
     "MEMBER_TOL",
@@ -262,10 +261,10 @@ class UncertaintyFamily:
         on membership. Balls give the first exit: a norm ball in closed form,
         a Wasserstein ball by an exact search over the pieces of the segment
         between crossing times. A level family gives an exit from the set
-        without MEMBER_TOL: over a vectorized base the first exit its search
-        sees, which on a band that the segment leaves and re-enters between
-        two points of its first fan is not the first; over a row-by-row base
-        where a scalar bisection on that predicate ends."""
+        without MEMBER_TOL, the first exit an exit search on its margin sees,
+        over any base (one built by hand through its row loop); on a band
+        that the segment leaves and re-enters between two points of the
+        search's first fan it is not the first."""
         return None
 
 
@@ -386,7 +385,7 @@ class _NormBall(_Ball):
             return rho(W), W, "exact"
         if eps == 0.0:
             return rho(X), X, "exact"
-        if rho._shifted_mean(X, eps) is not None:  # constant shift has L^p(P) norm exactly eps
+        if isinstance(rho, _MeanOnly):  # constant shift has L^p(P) norm exactly eps
             W = X - eps
             return rho(W), W, "exact"
         return _dual_vertex_worst_case(self, rho, X) if self.p > 1.0 else None
@@ -517,7 +516,7 @@ class _WassersteinBall(_Ball):
         if math.isinf(self.p) and f.monotone and f.law_invariant:
             W = X - eps
             return rho(W), W, "exact"
-        if rho._shifted_mean(X, eps) is not None:
+        if isinstance(rho, _MeanOnly):
             W = X - eps
             return rho(W), W, "exact"
         if f.convex and f.law_invariant:
@@ -652,18 +651,15 @@ def _require_level_flags(rho1: RiskFunctional):
         )
 
 
-def _vectorized(rho1: RiskFunctional) -> bool:
-    """Whether rho1's kind evaluates a batch of rows in one array expression."""
-    return type(rho1)._batch is not RiskFunctional._batch
-
-
 def _boundary_step(rho1: RiskFunctional, Z: Position, target: float) -> float:
     """Smallest k >= 0 with rho1(Z - k) ~= target.
 
     A cash-additive rho1 has rho1(Z - k) = rho1(Z) + k, so k = target - rho1(Z)
-    in closed form. Otherwise by bracket growth and bisection, which rely on
-    k -> rho1(Z - k) being increasing and continuous (rho1 monotone) and
-    growing without bound, so that the bracket reaches the target.
+    in closed form. Otherwise by bracket growth and an exit search on the
+    margin rho1(Z - k) - below, which rely on k -> rho1(Z - k) being
+    increasing and continuous (rho1 monotone) and growing without bound, so
+    that the bracket reaches the target. The search returns its failing end,
+    where rho1(Z - k) >= target.
     """
     start = rho1(Z)
     if start >= target:
@@ -675,7 +671,8 @@ def _boundary_step(rho1: RiskFunctional, Z: Position, target: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("level boundary bracket growth failed")
-    return _bisect(lambda k: rho1(Z - k) < target, 0.0, hi, 200, 1e-13)[1]
+    z, below = Z.values, math.nextafter(target, -math.inf)
+    return _exit_search(lambda k: rho1._batch(z - k[:, None], Z.space) - below, 0.0, hi)[1]
 
 
 class _LevelFamily(UncertaintyFamily):
@@ -697,11 +694,9 @@ class _LevelFamily(UncertaintyFamily):
         # upward shifts (members whenever the family is solid)
         pts.extend(x + j * max(resolution, 0.25) for j in range(1, 4))
         # random directions rescaled to the boundary: rho1 is quasi-convex and
-        # X inside, so rho1 < level holds on an initial segment of each ray.
-        # A measure with a vectorized _batch searches it on the margin
-        # rho1 - below, <= 0 exactly where rho1 < level, a fan of points per
-        # call; one evaluated row by row gains nothing from that and bisects.
-        vectorized, below = _vectorized(rho1), math.nextafter(level, -math.inf)
+        # X inside, so rho1 < level holds on an initial segment of each ray,
+        # searched on the margin rho1 - below, <= 0 exactly where rho1 < level
+        below = math.nextafter(level, -math.inf)
         while len(pts) < budget:
             D = Position(space, rng.normal(size=space.n))
             s_hi = 1.0
@@ -713,14 +708,10 @@ class _LevelFamily(UncertaintyFamily):
             else:
                 pts.append(x + D.values)
                 continue
-            sign = -1.0 if down else 1.0
-            if vectorized:
-                ray = sign * D.values
-                lo, _ = _exit_search(lambda s: rho1._batch(x + s[:, None] * ray, space) - below, 0.0, s_hi)
-            else:
-                lo, _ = _bisect(lambda s: rho1(X + sign * s * D) < level, 0.0, s_hi, 60)
-            pts.append(x + D.values * (sign * lo))
-            pts.append(x + D.values * (sign * 0.5 * lo))
+            ray = -D.values if down else D.values
+            lo, _ = _exit_search(lambda s: rho1._batch(x + s[:, None] * ray, space) - below, 0.0, s_hi)
+            pts.append(x + ray * lo)
+            pts.append(x + ray * (0.5 * lo))
         return np.array(pts)
 
     def _member(self, X, Z):
@@ -748,7 +739,7 @@ class _LevelFamily(UncertaintyFamily):
             if abs(val - target) <= 1e-8:
                 return target, W, "exact"
             return val, W, "lower_bound"
-        if rho._shifted_mean(X, 0.0) is None or not (rho1.flags.convex and rho1.flags.cash_additive):
+        if not isinstance(rho, _MeanOnly) or not (rho1.flags.convex and rho1.flags.cash_additive):
             return None
         c1 = rho1._penalty_rows(X.space.probs[None, :], X.space)  # c1(P)
         if c1 is None or c1[0] != 0.0:
@@ -780,11 +771,8 @@ class _LevelFamily(UncertaintyFamily):
         return self.rho1(Z) <= self.rho1(X) + self.eps + MEMBER_TOL
 
     def _pullback(self, X, Z):
-        # an exit from the set without MEMBER_TOL, so the point is within the
-        # level; a row loop gains nothing from a fan of points, and bisects
+        # an exit from the set without MEMBER_TOL, so the point is within the level
         rho1, r0 = self.rho1, self.rho1(X)
-        if not _vectorized(rho1):
-            return _bisect(lambda t: self._within(rho1(X + t * (Z - X)), r0, 0.0), 0.0, 1.0, 60)[0]
         D = Z.values - X.values
         return _exit_search(lambda s: self._excess(rho1._batch(X.values + s[:, None] * D, X.space), r0), 0.0, 1.0)[0]
 

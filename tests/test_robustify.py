@@ -318,6 +318,20 @@ def test_largest_family_counts_only_tested_trials(uniform4, monkeypatch):
     assert verdicts["solid"].tag == "unknown"
 
 
+def test_largest_family_notes_undecided_solidity_trials(uniform4, monkeypatch):
+    """A solidity trial whose witness is not in the largest family is counted
+    as undecided, as in the sampled checks: the first of three is skipped."""
+    member, calls = robustify.largest_family_member, []
+
+    def first_skipped(rho, value, Z):
+        calls.append(Z)
+        return len(calls) > 1 and member(rho, value, Z)
+
+    monkeypatch.setattr(robustify, "largest_family_member", first_skipped)
+    v = rr.largest_family_properties(rr.entropic(1.0), rr.sup_norm_ball(0.3), trials=3, seed=3, space=uniform4)["solid"]
+    assert (v.tag, v.trials, v.note) == ("sampled_no_counterexample", 2, "1 undecided trials")
+
+
 def test_monotone_trial_places_its_witness_below_it():
     """CE(exp) over a W1 ball on three atoms: a member of U_Y carried into
     U_X by a quantile shift fell outside U_X, and the ascent's shortfall at X

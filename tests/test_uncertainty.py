@@ -20,7 +20,7 @@ from robustrisk import (
     robust_value,
     solidify,
 )
-from robustrisk import prob_core, uncertainty
+from robustrisk import prob_core, robustify, uncertainty
 from robustrisk.prob_core import _bisect, _lp_rows
 from robustrisk.robustify import _project
 from robustrisk.uncertainty import MEMBER_TOL, _boundary_step
@@ -604,11 +604,20 @@ def _bracket_and_bisect(rho1, Z, target):
     return _bisect(lambda k: rho1(Z - k) < target, 0.0, hi, 200, 1e-13)[1]
 
 
+def _q_entropic_clone() -> rr.RiskFunctional:
+    """q_entropic(.5, 2) built by hand: its evaluate and flags, no _batch."""
+    q = rr.q_entropic(0.5, 2.0)
+    return rr.RiskFunctional("q_entropic_clone", q.evaluate, q.flags)
+
+
 @pytest.mark.parametrize("rho1", [rr.entropic(1.0), rr.expected_shortfall(0.3), rr.worst_case(),
-                                  rr.neg_expectation(), rr.q_entropic(0.5, 2.0)], ids=lambda r: r.name)
+                                  rr.neg_expectation(), rr.q_entropic(0.5, 2.0), _q_entropic_clone()],
+                         ids=lambda r: r.name)
 def test_boundary_step_matches_bisection(rho1, skewed3, rng):
     """A cash-additive base steps to the level in closed form, where
-    bisection lands; q_entropic is not cash additive and still bisects."""
+    bisection lands; q_entropic is not cash additive, and an exit search on
+    its margin lands there too, also through the row loop of a hand-built
+    copy."""
     for _ in range(20):
         Z = random_pos(skewed3, rng)
         target = rho1(Z) + float(rng.uniform(-1.0, 3.0))
@@ -618,10 +627,10 @@ def test_boundary_step_matches_bisection(rho1, skewed3, rng):
 
 
 def test_projected_ascent_over_a_row_loop_base(skewed3, monkeypatch):
-    """A level set over a base evaluated row by row has no array search, so
-    each pull-back bisects the predicate without membership slack; the
-    ascent ends on a member, at or above the grid value and, with no slack,
-    at most the supremum rho(X) + eps."""
+    """A level set over a base evaluated row by row searches each pull-back
+    on its margin through the row loop, without membership slack; the ascent
+    ends on a member, at or above the grid value and, with no slack, at most
+    the supremum rho(X) + eps."""
     pullbacks = []
     pullback = uncertainty._LevelFamily._pullback
 
@@ -648,8 +657,8 @@ LEVEL_BASES = {"entropic": rr.entropic(1.0), "es": rr.expected_shortfall(0.3),
 @pytest.mark.parametrize("base", LEVEL_BASES)
 def test_level_candidates_are_members(base, kind):
     """Every candidate is a member, and as many candidates are members as
-    when each ray was bisected (the counts below), whether the base is
-    vectorized or not."""
+    when each ray was bisected (the counts below), whether the base
+    evaluates its rows in one array call or one by one."""
     make = getattr(rr, kind)
     for space, x in ((rr.ProbSpace([0.5, 0.3, 0.2]), [0.4, -0.2, 0.1]),
                      (rr.ProbSpace([0.25] * 4), [1.0, -1.0, 0.5, 0.0])):
@@ -663,6 +672,25 @@ def test_level_candidates_are_members(base, kind):
                 members = fam.discretize(X, 0.25, 24, seed)
                 assert all(fam.membership(X, Z) for Z in members)
                 assert len(members) == expected
+
+
+def test_level_families_never_bisect(skewed3, monkeypatch):
+    """Rays, boundary steps and pull-backs of a level family are exit
+    searches on its margin, over a hand-built base and over q_entropic,
+    which is not cash additive: no scalar bisection runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar bisection")
+
+    monkeypatch.setattr(uncertainty, "_bisect", refuse, raising=False)
+    monkeypatch.setattr(robustify, "_bisect", refuse)
+    X = Position(skewed3, [0.4, -0.2, 0.1])
+    for base in (_entropic_clone(), rr.q_entropic(0.5, 2.0)):
+        for fam in (rr.level_upper_set(base, 0.3), rr.level_band(base, 0.3)):
+            for seed in range(3):
+                assert len(fam.discretize(X, 0.25, 24, seed))
+            rv = robust_value(_ENT, fam, X, solver="projected_ascent", budget=16, seed=3)
+            assert fam.membership(X, rv.witness)
 
 
 def test_solidified_family_is_certified_solid(skewed3):
