@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -60,8 +59,7 @@ __all__ = [
 
 _RANDOM_GRID_POINTS = 300  # Dirichlet draws on a space of more than 3 atoms
 # Largest lattice simplex_grid builds on up to 3 atoms. Step 0.002 on three
-# atoms gives 125,751 measures in under a second: a row of ``weights`` each,
-# and a ScenarioMeasure each only once ``points`` is read.
+# atoms gives 125,751 measures in under a second, a row of ``weights`` each.
 _SIMPLEX_GRID_CAP = 200_000
 
 
@@ -70,24 +68,20 @@ class SimplexGrid:
     """Finite set of scenario measures covering the probability simplex.
 
     ``weights`` is the (m, n) array of their Q-masses, one measure a row; the
-    dual searches score its rows. ``points`` holds the same measures, in the
-    same order, as ScenarioMeasures with density row / P, built on first use.
+    dual searches score its rows. Iterating the grid yields the same
+    measures, in the same order, as ScenarioMeasures with density row / P.
     """
 
     space: ProbSpace
     step: float
     weights: np.ndarray
 
-    @cached_property
-    def points(self) -> tuple:
-        return tuple(self.measure(k) for k in range(len(self.weights)))
-
     def measure(self, k: int) -> ScenarioMeasure:
         """Row k as a ScenarioMeasure."""
         return ScenarioMeasure(self.space, self.weights[k] / self.space.probs)
 
     def __iter__(self):
-        return iter(self.points)
+        return (self.measure(k) for k in range(len(self.weights)))
 
     def __len__(self):
         return len(self.weights)
@@ -515,41 +509,36 @@ def verify_convex_cash_additive_dual(
 ) -> dict:
     """Robust value vs sup_{Qt} { E_Qt[-X] - inf_Q { c_{phi_Q}(Qt) + c_rho(Q) } }.
 
-    c_{phi_Q}(Qt) is finite only for Qt in a class around Q (Q itself for
-    norm balls, its rearrangements for Wasserstein balls), so the infimum
-    runs over the grid measures whose ``_partner_key`` lies within the
-    class window of Qt's, found by one sort."""
+    c_{phi_Q}(Qt) is finite only where dQ/dP and dQt/dP share a law (Q = Qt
+    for norm balls), so the infimum runs over the grid measures whose
+    E_P[(dQ/dP)^2] lies in Qt's window, found by one sort; the pairs with
+    c_rho(Q) finite are scored in one ``_support_penalty_rows`` call."""
     if not (rho.flags.convex and rho.flags.cash_additive):
         raise ValueError(f"{rho.name} must be convex and cash-additive")
-    lhs = robust_value(rho, family, X)
-    space, W = grid.space, grid.weights
-    keyed = family._partner_key(W, space)
-    if keyed is None:
+    space, W, P = grid.space, grid.weights, grid.space.probs[None, :]
+    if family._support_penalty_rows(P, P, space) is None:
         raise ValueError(f"no support-penalty closed form for {family.name}")
-    key, win = keyed
+    lhs = robust_value(rho, family, X)
+    # E_P[D^2] is law-invariant. Where two quantile functions of densities
+    # up to M differ by at most 1e-9 off intervals of width at most 1e-12
+    # (at most 2n of them), it moves by at most 2M 1e-9 + 2n M^2 1e-12.
+    D = W / space.probs
+    M = max(1.0, float(D.max(initial=0.0)))
+    key, win = (D * D) @ space.probs, 4e-9 * M + 4e-12 * space.n * M * M
     order = np.argsort(key, kind="stable")
     lo = np.searchsorted(key[order], key - win, "left")
-    hi = np.searchsorted(key[order], key + win, "right")
-    pts = grid.points
-    c_rho = _minimal_penalty_rows(rho, W, space).tolist()
-    gain = (-(W @ X.values)).tolist()
-    dual, arg = -math.inf, None
-    for t, Qt in enumerate(pts):
-        inner = math.inf
-        for s in order[lo[t] : hi[t]]:
-            cr = c_rho[s]
-            if math.isinf(cr):
-                continue
-            cphi = family._support_penalty(pts[s], Qt)
-            if math.isinf(cphi):
-                continue
-            inner = min(inner, cphi + cr)
-        if math.isinf(inner):
-            continue
-        v = gain[t] - inner
-        if v > dual:
-            dual, arg = v, t
-    if arg is not None:
+    size = np.searchsorted(key[order], key + win, "right") - lo
+    # pair j of Qt's run is Q = order[lo[t] + j - start of the run]
+    t = np.repeat(np.arange(len(W)), size)
+    s = order[np.arange(t.size) + np.repeat(lo - np.cumsum(size) + size, size)]
+    c_rho = _minimal_penalty_rows(rho, W, space)
+    keep = ~np.isinf(c_rho[s])
+    s, t = s[keep], t[keep]
+    inner = np.full(len(W), math.inf)
+    np.minimum.at(inner, t, c_rho[s] + family._support_penalty_rows(W[s], W[t], space))
+    v = -(W @ X.values) - inner
+    dual, arg = float(v.max()), int(v.argmax())
+    if dual > -math.inf:
         # along the diagonal Qt = Q the inner infimum collapses to the closed
         # form -k_Q + c_rho(Q), giving a one-measure objective to refine
         def g(V):
@@ -570,7 +559,7 @@ def verify_second_approach_dual(
     if not (rho.flags.convex and rho.flags.cash_additive and rho.flags.continuous_from_above):
         raise ValueError(f"{rho.name} must be convex, cash-additive, continuous from above")
     lhs = robust_value(rho, family, X, seed=seed)
-    rho1, P, space = family.rho1, ScenarioMeasure.reference(X.space), grid.space
+    rho1, space, P = family.rho1, grid.space, grid.space.probs[None, :]
     if rho1 is not None:
         if not rho1.flags.cash_additive:
             raise ValueError("second-approach verifier needs a cash-additive base for level families")
@@ -590,7 +579,7 @@ def verify_second_approach_dual(
             return np.where(np.isinf(c1) | np.isinf(cr), -math.inf, inner + family.eps + c1 - cr)
 
         dual = _grid_sup(grid, g_outer)
-    elif family._support_penalty(P, P) is not None:
+    elif family._support_penalty_rows(P, P, space) is not None:
         # phi_Q = E_Q[-.] + k_Q up to rearrangement, so R_{phi_Q}(t, Qt) is
         # t + k_Q at Qt = Q and -inf otherwise
         support = _support_of(family, X, 0)

@@ -41,18 +41,15 @@ _SLIVER = ATOL
 _TINY = np.finfo(float).tiny
 
 
-def _bisect(below, lo: float, hi: float, steps: int, rtol: float = 0.0):
+def _bisect(below, lo: float, hi: float, steps: int):
     """Bisection on [lo, hi]: where ``below(mid)`` holds lo moves up to mid,
-    else hi moves down. Stops after ``steps`` halvings, or as soon as
-    hi - lo < rtol * max(1, |hi|). Returns the final (lo, hi)."""
+    else hi moves down, for ``steps`` halvings. Returns the final (lo, hi)."""
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         if below(mid):
             lo = mid
         else:
             hi = mid
-        if hi - lo < rtol * max(1.0, abs(hi)):
-            break
     return lo, hi
 
 
@@ -378,6 +375,13 @@ def density_norm(Q: ScenarioMeasure, q: float) -> float:
 
 def same_distribution(X: Position, Y: Position, tol: float = ATOL) -> bool:
     """True iff X and Y induce the same law under P (atoms merged, tolerance tol)."""
-    qx = quantile_function(X)
-    widths, ix, atom = _merged_rows(qx, Y.values[None, :], Y.space.probs)
-    return bool(np.all(np.abs(qx.values[ix] - Y.values[atom])[widths > _SLIVER] <= tol))
+    return bool(_same_law_rows(quantile_function(X), Y.values[None, :], Y.space.probs, tol)[0])
+
+
+def _same_law_rows(qx: QuantileSteps, rows: np.ndarray, probs: np.ndarray, tol: float) -> np.ndarray:
+    """``same_distribution`` of the law with quantile function ``qx`` and each
+    row of the (m, n) array ``rows``, a position on atoms of masses ``probs``:
+    the quantiles agree within tol on every merged interval but slivers."""
+    widths, ix, atom = _merged_rows(qx, rows, probs)
+    gap = np.abs(qx.values[ix] - rows[np.arange(len(rows))[:, None], atom])
+    return np.all((gap <= tol) | (widths <= _SLIVER), axis=1)

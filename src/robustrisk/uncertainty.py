@@ -26,15 +26,14 @@ import numpy as np
 from .prob_core import (
     Position,
     ProbSpace,
-    ScenarioMeasure,
     quantile_function,
     same_distribution,
     _exit_search,
     _gap_norm_rows,
     _lp_rows,
-    _masses,
     _merged_rows,
     _rearranged_rows,
+    _same_law_rows,
     _wasserstein_rows,
 )
 from .risk_measures import RiskFunctional, _MeanOnly
@@ -221,15 +220,12 @@ class UncertaintyFamily:
         kind has a closed form, else None."""
         return None
 
-    def _support_penalty(self, Q: ScenarioMeasure, Qt: ScenarioMeasure) -> Optional[float]:
-        """Minimal penalty of the support functional phi_Q, evaluated at Qt."""
-        return None
-
-    def _partner_key(self, W: np.ndarray, space: ProbSpace) -> Optional[tuple]:
-        """(key, win) for the rows of W, the Q-masses of measures Q, where
-        ``_support_penalty(Q, Qt)`` is finite only for Qt in a class around
-        Q: one number per row that moves by at most win within a class. So a
-        sort on the key finds each row's class. None for kinds without one."""
+    def _support_penalty_rows(self, W: np.ndarray, Wt: np.ndarray, space: ProbSpace) -> Optional[np.ndarray]:
+        """c_{phi_Q}(Qt), the minimal penalty of the support functional phi_Q
+        at Qt, for each aligned pair of rows of W and Wt, the Q-masses of Q
+        and Qt, where the kind has a closed form, else None. It is finite
+        only where the densities dQ/dP and dQt/dP have the same law within
+        1e-9, so a search for Qt's partners keeps to Qt's law class."""
         return None
 
     def _plus_cone(self, X: Position, Z: Position) -> Optional[bool]:
@@ -238,7 +234,8 @@ class UncertaintyFamily:
         return None
 
     def _dominated(self, X: Position, Z: Position) -> Optional[Position]:
-        """A candidate member W <= Z of U_X, given that Z lies in U_X + L^p_+.
+        """A candidate member W <= Z of U_X, for Z outside U_X; no W <= Z is
+        a member unless Z lies in U_X + L^p_+.
         A monotone rho has rho(W) >= rho(Z), so a monotonicity trial carries
         a member Z of U_Y, Y >= X, into U_X by it (``cone_witness``)."""
         return None
@@ -310,9 +307,6 @@ class _Ball(UncertaintyFamily):
 
     def _member_rows(self, X, rows):
         return self._dist_rows(X, rows) <= self.eps + MEMBER_TOL
-
-    def _k(self, Q: ScenarioMeasure) -> float:
-        return float(self._k_rows(_masses(Q), Q.space)[0])
 
     def _k_rows(self, W: np.ndarray, space: ProbSpace) -> np.ndarray:
         """phi_Q(X) minus the (rearranged) Q-expectation of -X, for each row
@@ -424,16 +418,10 @@ class _NormBall(_Ball):
         G = (W / X.space.probs) ** (_conjugate_order(self.p) - 1.0)
         return X.values - self.eps * G / _lp_rows(G, X.space.probs, self.p)[:, None]
 
-    def _support_penalty(self, Q, Qt):
+    def _support_penalty_rows(self, W, Wt, space):
         # phi_Q is E_Q[-.] plus a constant, so the penalty is finite only at Qt = Q
-        return -self._k(Q) if float(np.max(np.abs(Q.density - Qt.density))) <= 1e-9 else math.inf
-
-    def _partner_key(self, W, space):
-        # densities within 1e-9 of each other have keys within 1e-9 * sum(c);
-        # irrational weights keep distinct lattice densities apart
-        D = W / space.probs
-        c = np.sqrt(np.arange(2.0, space.n + 2.0))
-        return D @ c, float(c.sum()) * (1e-9 + 1e-12 * max(1.0, float(D.max(initial=0.0))))
+        same = np.abs(W / space.probs - Wt / space.probs).max(axis=1) <= 1e-9
+        return np.where(same, -self._k_rows(W, space), math.inf)
 
     def _plus_cone(self, X, Z):
         deficit = np.maximum(X.values - Z.values, 0.0)
@@ -529,19 +517,16 @@ class _WassersteinBall(_Ball):
     def _support_rows(self, W, X):
         return _rearranged_rows(W, -X) + self._k_rows(W, X.space)
 
-    def _support_penalty(self, Q, Qt):
-        # phi_Q depends on the law of its argument: finite at rearrangements of Q
-        if same_distribution(Position(Q.space, Q.density), Position(Q.space, Qt.density), tol=1e-9):
-            return -self._k(Q)
-        return math.inf
-
-    def _partner_key(self, W, space):
-        # E_P[D^2] is law-invariant. Where two quantile functions of densities
-        # up to M differ by at most 1e-9 off intervals of width at most 1e-12
-        # (at most 2n of them), it moves by at most 2M 1e-9 + 2n M^2 1e-12.
-        D = W / space.probs
-        M = max(1.0, float(D.max(initial=0.0)))
-        return (D * D) @ space.probs, 4e-9 * M + 4e-12 * space.n * M * M
+    def _support_penalty_rows(self, W, Wt, space):
+        # phi_Q depends on the law of its argument: finite at rearrangements
+        # of Q. Each run of rows that share a Qt (a run starts where Wt moves,
+        # or at row 0) is one merge against Qt's law.
+        same = np.empty(len(W), dtype=bool)
+        starts = np.flatnonzero(np.diff(Wt, axis=0, prepend=np.nan).any(axis=1))
+        for a, b in zip(starts, [*starts[1:], len(W)]):
+            qt = quantile_function(Position(space, Wt[a] / space.probs))
+            same[a:b] = _same_law_rows(qt, W[a:b] / space.probs, space.probs, 1e-9)
+        return np.where(same, -self._k_rows(W, space), math.inf)
 
     def _plus_cone(self, X, Z):
         # lowering coordinates reaches exactly the laws with dominated quantiles
@@ -855,14 +840,11 @@ def level_upper_set(rho1: RiskFunctional, eps: float) -> UncertaintyFamily:
 
 
 def cone_witness(family: UncertaintyFamily, X: Position, Z: Position) -> Optional[Position]:
-    """A member W of U_X with W <= Z pointwise, when Z in U_X + L^p_+; else None.
-
-    Used to turn cone-membership decisions into explicit dominated members.
-    """
+    """A member W of U_X with W <= Z pointwise: Z when it is a member, else
+    the kind's dominated member when that is one (it can be only where Z lies
+    in U_X + L^p_+, so ``_plus_cone`` is not asked); else None."""
     if family.membership(X, Z):
         return Z
-    if family._plus_cone(X, Z) is not True:
-        return None
     W = family._dominated(X, Z)
     return W if W is not None and family.membership(X, W) else None
 

@@ -361,10 +361,13 @@ def row_grid(request):
 
 
 def test_grid_weights_are_the_points_as_rows(row_grid):
-    """Row k of weights holds the Q-masses of points[k]: density times P."""
+    """Row k of weights holds the Q-masses of the k-th measure the grid
+    yields: density times P."""
     W = row_grid.weights
     assert W.shape == (len(row_grid), row_grid.space.n) and not W.flags.writeable
-    for w, Q in zip(W, row_grid.points):
+    measures = list(row_grid)
+    assert len(measures) == len(W)
+    for w, Q in zip(W, measures):
         np.testing.assert_array_equal(w / row_grid.space.probs, Q.density)
 
 
@@ -470,15 +473,24 @@ def test_non_expansivity_witness_is_pinned():
 
 def _pairwise_convex_cash_dual(rho, family, X, grid):
     """The dual of verify_convex_cash_additive_dual by the loop over every
-    pair (Q, Qt) of grid measures, before the polish."""
+    pair (Q, Qt) of grid measures, before the polish, with c_{phi_Q}(Qt) from
+    its definition: -eps ||dQ/dP||_{p*} where the densities of Q and Qt agree
+    (norm balls) or share a law (Wasserstein balls) within 1e-9, else +inf."""
     pts = list(grid)
     c_rho = [minimal_penalty(rho, Q) for Q in pts]
+    p = family.p
+    q = 1.0 if math.isinf(p) else math.inf if p == 1.0 else p / (p - 1.0)
+
+    def c_phi(Q, Qt):
+        if family.name.startswith("wasserstein"):
+            same = rr.same_distribution(Position(Q.space, Q.density), Position(Q.space, Qt.density), tol=1e-9)
+        else:
+            same = np.abs(Q.density - Qt.density).max() <= 1e-9
+        return -family.eps * rr.density_norm(Q, q) if same else math.inf
+
     dual = -math.inf
     for Qt in pts:
-        inner = min(
-            (family._support_penalty(Q, Qt) + cr for Q, cr in zip(pts, c_rho) if not math.isinf(cr)),
-            default=math.inf,
-        )
+        inner = min((c_phi(Q, Qt) + cr for Q, cr in zip(pts, c_rho) if not math.isinf(cr)), default=math.inf)
         if not math.isinf(inner):
             dual = max(dual, expectation_under(Qt, -X) - inner)
     return dual
@@ -502,20 +514,34 @@ def test_convex_cash_dual_matches_the_pairwise_loop(space, step, rng, monkeypatc
 @pytest.mark.parametrize("family", [rr.sup_norm_ball(0.2), rr.p_norm_ball(2.0, 0.2), rr.wasserstein_ball(1.0, 0.2)],
                          ids=lambda f: f.name)
 def test_convex_cash_dual_calls_the_support_penalty_linearly(family, monkeypatch):
-    """The inner infimum runs over each Qt's class only, found by a sort: Qt
-    itself on a norm ball, its rearrangements on a Wasserstein ball. So the
-    support penalty is called O(m) times, not m^2 (53,361 on this grid)."""
+    """The inner infimum runs over each Qt's law class only, found by a sort,
+    and all its pairs are scored in one call of the support-penalty rows:
+    O(m) pair rows, not m^2 (53,361 on this grid). The verifier first probes
+    the hook on the row of P for a closed form."""
     space = ProbSpace([1 / 3, 1 / 3, 1 / 3])
     grid = simplex_grid(space, step=0.05)
-    calls = []
+    rows = []
     kind = type(family)
-    original = kind._support_penalty
-    monkeypatch.setattr(kind, "_support_penalty", lambda self, Q, Qt: calls.append(1) or original(self, Q, Qt))
+    original = kind._support_penalty_rows
+    monkeypatch.setattr(
+        kind, "_support_penalty_rows", lambda self, W, Wt, sp: rows.append(len(W)) or original(self, W, Wt, sp)
+    )
     verify_convex_cash_additive_dual(rr.entropic(1.0), family, Position(space, [0.4, -0.2, 0.1]), grid)
-    # a norm-ball class is Qt alone; a Wasserstein class holds at most the 3! rearrangements, and
-    # the sort may add the few measures whose key falls in the window by chance
-    limit = 8 * len(grid) if family.name.startswith("wasserstein") else len(grid)
-    assert len(grid) <= len(calls) <= limit
+    # a law class holds at most the 3! rearrangements, and the sort may add
+    # the few measures whose key falls in the window by chance
+    assert len(rows) == 2 and rows[0] == 1
+    assert len(grid) <= rows[1] <= 8 * len(grid)
+
+
+@pytest.mark.parametrize("family", [rr.sup_norm_ball(0.2), rr.wasserstein_ball(1.0, 0.2)], ids=lambda f: f.name)
+def test_convex_cash_dual_builds_no_measures(family, monkeypatch):
+    """The verifier scores rows of Q-masses only: it builds no ScenarioMeasure."""
+    space = ProbSpace([0.5, 0.3, 0.2])
+    grid = simplex_grid(space, step=0.05)
+    built, init = [], ScenarioMeasure.__init__
+    monkeypatch.setattr(ScenarioMeasure, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    out = verify_convex_cash_additive_dual(rr.entropic(1.0), family, Position(space, [0.4, -0.2, 0.1]), grid)
+    assert math.isfinite(out["dual"]) and not built
 
 
 def _polish_one_move_at_a_time(space, g, w0, radius):

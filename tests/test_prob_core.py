@@ -18,7 +18,7 @@ from robustrisk import (
     same_distribution,
     wasserstein_distance,
 )
-from robustrisk.prob_core import _bisect, _exit_search, _merged_rows, _wasserstein_rows
+from robustrisk.prob_core import _SLIVER, _bisect, _exit_search, _merged_rows, _same_law_rows, _wasserstein_rows
 
 from conftest import random_pos
 
@@ -176,6 +176,30 @@ def test_same_distribution_tolerance(uniform4):
     Y = Position(uniform4, [1.0 + 1e-14, 4.0, 3.0, 2.0])
     assert same_distribution(X, Y, tol=1e-9)
     assert not same_distribution(X, X + 0.5)
+
+
+def test_same_law_rows_match_same_distribution():
+    """The law test of many rows gives, row for row, the one-row call that
+    ``same_distribution`` makes and the masked comparison on one merge. The
+    rows rearrange X, whose values tie, move atoms by about tol, and sit on
+    masses whose cumulative sums differ by summation order."""
+    rng = np.random.default_rng(17)
+    for probs in ([0.1, 0.2, 0.3, 0.4], [0.25] * 4, [0.1, 0.2, 0.4, 0.2, 0.1]):
+        sp = ProbSpace(probs)
+        X = Position(sp, rng.choice([-1.0, 0.0, 2.0], size=sp.n))
+        qx = quantile_function(X)
+        rows = np.array([X.values[rng.permutation(sp.n)] for _ in range(60)])
+        rows[::3] += rng.choice([0.0, 5e-10, 2e-9], size=(20, sp.n))
+        rows[1::7] = rng.choice([-1.0, 0.0, 2.0], size=(9, sp.n))
+        for tol in (1e-12, 1e-9):
+            batch = _same_law_rows(qx, rows, sp.probs, tol)
+            for row, got in zip(rows, batch):
+                Y = Position(sp, row)
+                widths, ix, atom = _merged_rows(qx, row[None, :], sp.probs)
+                masked = np.all(np.abs(qx.values[ix] - row[atom])[widths > _SLIVER] <= tol)
+                one = _same_law_rows(qx, row[None, :], sp.probs, tol)[0]
+                assert got == same_distribution(X, Y, tol) == masked == one
+            assert batch.any() and not batch.all()
 
 
 def test_tie_slivers_do_not_separate_laws():

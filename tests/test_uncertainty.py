@@ -246,9 +246,9 @@ def test_band_cone_paths(skewed3, monkeypatch):
     for prop in ("monotone", "quasi_convex"):
         v = rr.verify_preservation(rr.entropic(1.0), band, prop, trials=4, seed=5, space=skewed3)
         assert (v.tag, v.trials) == ("sampled_no_counterexample", 4), prop
-    # the trials placed their witnesses by cone_witness, which lowered them
-    # onto the band's dominated member
-    assert plus_cone and len(dominated) == 6
+    # the trials placed their witnesses by cone_witness, which asks the
+    # band's dominated member for each of the 7 placements outside the band
+    assert plus_cone and len(dominated) == 7
 
 
 def test_band_cone_witness(skewed3):
@@ -601,7 +601,7 @@ def _bracket_and_bisect(rho1, Z, target):
     hi = 1.0
     while rho1(Z - hi) < target:
         hi *= 2.0
-    return _bisect(lambda k: rho1(Z - k) < target, 0.0, hi, 200, 1e-13)[1]
+    return _bisect(lambda k: rho1(Z - k) < target, 0.0, hi, 200)[1]
 
 
 def _q_entropic_clone() -> rr.RiskFunctional:
@@ -920,6 +920,20 @@ def test_wasserstein_dominated_member(p, skewed3, rng):
         assert fam.membership(X, W) and np.all(W.values <= Z.values)
 
 
+def test_wasserstein_cone_witness_takes_two_merges(rng, monkeypatch):
+    """A W1 placement outside U_X merges quantiles twice: membership of Z
+    and of its dominated member. Whether Z lies in U_X + L^p_+ is not asked
+    apart, since only there can the dominated member be a member."""
+    fam = rr.wasserstein_ball(1.0, 0.5)
+    X, Z = next(_cone_cases(rr.ProbSpace([1 / 3] * 3), fam, rng))
+    calls, merge = [], prob_core._merged_rows
+    for module in (prob_core, uncertainty):
+        monkeypatch.setattr(module, "_merged_rows", lambda *a: calls.append(1) or merge(*a))
+    W = cone_witness(fam, X, Z)
+    assert len(calls) == 2
+    assert W is not None and fam.membership(X, W) and np.all(W.values <= Z.values)
+
+
 def test_winf_ball_worst_case_is_the_downward_shift(skewed3, uniform4, rng):
     """Over a W_inf ball a monotone law-invariant measure peaks at X - eps,
     and a search finds nothing higher (run for the two nonlinear measures on
@@ -938,16 +952,20 @@ def test_winf_ball_worst_case_is_the_downward_shift(skewed3, uniform4, rng):
 
 def test_wasserstein_support_penalty(uniform4):
     """The support functional's penalty is -eps ||dQ/dP||_q* at the
-    rearrangements of Q and +inf at every other measure."""
-    Q = rr.ScenarioMeasure(uniform4, [1.6, 0.4, 1.2, 0.8])
-    shuffled = rr.ScenarioMeasure(uniform4, [0.4, 1.2, 0.8, 1.6])
-    other = rr.ScenarioMeasure(uniform4, [1.5, 0.5, 1.2, 0.8])
-    w1 = rr.wasserstein_ball(1.0, 0.2)
-    for Qt in (Q, shuffled):
-        assert w1._support_penalty(Q, Qt) == pytest.approx(-0.2 * 1.6, abs=1e-15)
-    assert w1._support_penalty(Q, other) == math.inf
-    w2 = rr.wasserstein_ball(2.0, 0.2)
-    assert w2._support_penalty(Q, shuffled) == pytest.approx(-0.2 * math.sqrt(np.mean(Q.density**2)), abs=1e-15)
+    rearrangements of Q and +inf at every other measure; over a norm ball
+    it is finite at Q alone. Rows of Q-masses are scored in aligned pairs,
+    the first three of which share their Qt."""
+    densities = ([1.6, 0.4, 1.2, 0.8], [0.4, 1.2, 0.8, 1.6], [1.5, 0.5, 1.2, 0.8])
+    Q, shuffled, other = (0.25 * np.array(d) for d in densities)
+    W, Wt = np.array([Q, shuffled, other, Q]), np.array([Q, Q, Q, shuffled])
+    pen = rr.wasserstein_ball(1.0, 0.2)._support_penalty_rows(W, Wt, uniform4)
+    assert pen[[0, 1, 3]] == pytest.approx([-0.2 * 1.6] * 3, abs=1e-15) and pen[2] == math.inf
+    l2 = -0.2 * math.sqrt(np.mean(np.array(densities[0]) ** 2))
+    pen = rr.wasserstein_ball(2.0, 0.2)._support_penalty_rows(W, Wt, uniform4)
+    assert pen[[0, 1, 3]] == pytest.approx([l2] * 3, abs=1e-15) and pen[2] == math.inf
+    pen = rr.p_norm_ball(2.0, 0.2)._support_penalty_rows(W, Wt, uniform4)
+    assert pen[0] == pytest.approx(l2, abs=1e-15) and pen[1:].tolist() == [math.inf] * 3
+    assert rr.level_band(rr.entropic(1.0), 0.2)._support_penalty_rows(W, Wt, uniform4) is None
 
 
 # ---------------------------------------------------------------------------
