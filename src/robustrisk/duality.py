@@ -558,11 +558,13 @@ def verify_second_approach_dual(
     """Robust value vs sup_{Q,Qt} { R_{phi_Q}(E_Qt[-X], Qt) - c_rho(Q) }."""
     if not (rho.flags.convex and rho.flags.cash_additive and rho.flags.continuous_from_above):
         raise ValueError(f"{rho.name} must be convex, cash-additive, continuous from above")
-    lhs = robust_value(rho, family, X, seed=seed)
     rho1, space, P = family.rho1, grid.space, grid.space.probs[None, :]
+    if rho1 is not None and not rho1.flags.cash_additive:
+        raise ValueError("second-approach verifier needs a cash-additive base for level families")
+    if rho1 is None and family._support_penalty_rows(P, P, space) is None:
+        raise ValueError(f"no second-approach closed form for {family.name}")
+    lhs = robust_value(rho, family, X, seed=seed)
     if rho1 is not None:
-        if not rho1.flags.cash_additive:
-            raise ValueError("second-approach verifier needs a cash-additive base for level families")
         base = penalty_type(rho1, "cash_additive")
 
         # phi_Q(Y) = rho1(Y) + eps + c_rho1(Q), hence R_{phi_Q} = R_rho1 + eps + c_rho1(Q)
@@ -579,7 +581,7 @@ def verify_second_approach_dual(
             return np.where(np.isinf(c1) | np.isinf(cr), -math.inf, inner + family.eps + c1 - cr)
 
         dual = _grid_sup(grid, g_outer)
-    elif family._support_penalty_rows(P, P, space) is not None:
+    else:
         # phi_Q = E_Q[-.] + k_Q up to rearrangement, so R_{phi_Q}(t, Qt) is
         # t + k_Q at Qt = Q and -inf otherwise
         support = _support_of(family, X, 0)
@@ -589,8 +591,6 @@ def verify_second_approach_dual(
             return np.where(np.isinf(cr), -math.inf, support(W) - cr)
 
         dual = _grid_sup(grid, g)
-    else:
-        raise ValueError(f"no second-approach closed form for {family.name}")
     return _robust_report(lhs, dual, grid)
 
 

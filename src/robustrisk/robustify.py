@@ -24,9 +24,11 @@ from .risk_measures import RiskFunctional
 from .uncertainty import (
     PropertyVerdict,
     UncertaintyFamily,
+    _best_row,
     _require_count,
     _require_step,
     _sampled,
+    _scan,
     check_property,
     cone_witness,
     counterexample,
@@ -62,22 +64,6 @@ class RobustValue:
         return self.guarantee == "exact"
 
 
-def _scan(values, rows) -> Optional[int]:
-    """Index of the largest of ``values``, the value at each row of ``rows``:
-    values within 1e-12 of the best so far tie and go to the lexicographically
-    smaller row, and the first +inf ends the scan. None when no value is
-    above -inf. ``values`` may be lazy: the scan draws no value past a +inf."""
-    best_v, best_i = -math.inf, None
-    for i, v in enumerate(values):
-        if v == math.inf:
-            return i
-        if v > best_v + 1e-12 or (
-            abs(v - best_v) <= 1e-12 and (best_i is None or tuple(rows[i]) < tuple(rows[best_i]))
-        ):
-            best_v, best_i = v, i
-    return best_i
-
-
 def _best(rho: RiskFunctional, candidates: Sequence[Position]):
     """Max of rho over candidates by ``_scan``, and the values of rho
     computed on the way: all of them unless one is +inf, where it stops."""
@@ -92,15 +78,10 @@ def _best(rho: RiskFunctional, candidates: Sequence[Position]):
     return (-math.inf, None, values) if i is None else (values[i], candidates[i], values)
 
 
-_BATCH_ROWS = 1 << 14  # rows per rho._batch call, which bounds its temporaries
-
-
 def _best_vertex(rho: RiskFunctional, X: Position, rows: np.ndarray) -> RobustValue:
-    """``_scan`` over the vertex rows, evaluated by ``rho._batch`` in one
-    call (one per 2^14 rows); only the chosen row becomes a Position, and its
-    value is scalar rho there."""
-    parts = [rho._batch(rows[k : k + _BATCH_ROWS], X.space) for k in range(0, len(rows), _BATCH_ROWS)]
-    i = _scan(np.concatenate(parts).tolist(), rows)
+    """``_best_row`` over the vertex rows; only the chosen row becomes a
+    Position, and its value is scalar rho there."""
+    i = _best_row(rho, rows, X.space)
     if i is None:
         return RobustValue(-math.inf, None, "vertex_enum", "exact")
     W = Position(X.space, rows[i])
@@ -195,7 +176,7 @@ def robust_value(
         elif solver == "analytic":
             raise ValueError(f"no analytic solver for {rho.name} over {family.name}")
     if rv is None and solver in ("auto", "vertex_enum"):
-        rows = family._vertices(X) if rho.flags.convex else None
+        rows = family._vertices(X) if rho.flags.convex or rho.flags.quasi_convex else None
         if rows is not None:
             rv = _best_vertex(rho, X, rows)
         elif solver == "vertex_enum":

@@ -206,7 +206,7 @@ class UncertaintyFamily:
 
     def _vertices(self, X: Position) -> Optional[np.ndarray]:
         """Vertices of the polytope U_X as the rows of an (m, n) array; a
-        convex rho attains its sup at one."""
+        quasi-convex rho attains its sup at one."""
         return None
 
     def _support_rows(self, W: np.ndarray, X: Position) -> Optional[np.ndarray]:
@@ -271,6 +271,32 @@ def _own_rows(family: UncertaintyFamily) -> bool:
     nor a solidified one, nor a copy with a replaced ``membership``."""
     rows = type(family)._member_rows is not UncertaintyFamily._member_rows
     return rows and family.membership == family._member
+
+
+def _scan(values, rows) -> Optional[int]:
+    """Index of the largest of ``values``, the value at each row of ``rows``:
+    values within 1e-12 of the best so far tie and go to the lexicographically
+    smaller row, and the first +inf ends the scan. None when no value is
+    above -inf. ``values`` may be lazy: the scan draws no value past a +inf."""
+    best_v, best_i = -math.inf, None
+    for i, v in enumerate(values):
+        if v == math.inf:
+            return i
+        if v > best_v + 1e-12 or (
+            abs(v - best_v) <= 1e-12 and (best_i is None or tuple(rows[i]) < tuple(rows[best_i]))
+        ):
+            best_v, best_i = v, i
+    return best_i
+
+
+_BATCH_ROWS = 1 << 14  # rows per rho._batch call, which bounds its temporaries
+
+
+def _best_row(rho: RiskFunctional, rows: np.ndarray, space: ProbSpace) -> Optional[int]:
+    """``_scan`` over the rows of an (m, n) array, evaluated by ``rho._batch``
+    in one call (one per 2^14 rows)."""
+    parts = [rho._batch(rows[k : k + _BATCH_ROWS], space) for k in range(0, len(rows), _BATCH_ROWS)]
+    return _scan(np.concatenate(parts).tolist(), rows)
 
 
 def random_position(space: ProbSpace, rng: np.random.Generator) -> Position:
@@ -512,6 +538,16 @@ class _WassersteinBall(_Ball):
             # order; attainment of the supremum there is not certified
             W = X - eps
             return rho(W), W, "lower_bound"
+        probs = X.space.probs
+        if self.p == 1.0 and f.law_invariant and f.quasi_convex and (probs == probs[0]).all():
+            # Birkhoff-von Neumann: an optimal coupling of two uniform laws is
+            # a permutation, so the laws in the W1 ball are those in the L1
+            # ball, and a quasi-convex rho peaks at one of its vertices
+            rows = _NormBall._vertices(self, X)
+            i = _best_row(rho, rows, X.space)
+            W = None if i is None else Position(X.space, rows[i])
+            if W is not None and self.membership(X, W):
+                return rho(W), W, "exact"
         return None
 
     def _support_rows(self, W, X):

@@ -276,6 +276,22 @@ def test_second_approach_dual_over_a_level_set():
         verify_second_approach_dual(rho, rr.level_upper_set(rr.q_entropic(0.5, 2.0), 0.3), X, grid)
 
 
+def test_second_approach_dual_refuses_before_the_robust_value(monkeypatch):
+    """A family with neither a cash-additive level base nor a support-penalty
+    closed form is refused before the robust value is searched for."""
+
+    def searched(*args, **kwargs):
+        raise RuntimeError("robust_value ran before the family was refused")
+
+    monkeypatch.setattr(duality, "robust_value", searched)
+    space = ProbSpace([0.5, 0.3, 0.2])
+    rho, X, grid = rr.entropic(1.0), Position(space, [0.4, -0.2, 0.1]), simplex_grid(space, step=0.05)
+    with pytest.raises(ValueError, match="no second-approach closed form"):
+        verify_second_approach_dual(rho, rr.solidify(rr.p_norm_ball(2.0, 0.3)), X, grid)
+    with pytest.raises(ValueError, match="needs a cash-additive base"):
+        verify_second_approach_dual(rho, rr.level_upper_set(rr.q_entropic(0.5, 2.0), 0.3), X, grid)
+
+
 @pytest.mark.parametrize("kw", [dict(step=0), dict(step=-0.1), dict(step=math.nan), dict(bound=0), dict(bound=math.inf)])
 def test_lattice_steps_must_be_positive_and_finite(pair, kw):
     """The box bound and the lattice steps are fixed positive finite

@@ -199,10 +199,12 @@ def test_wasserstein_lower_bound_route(uniform4):
     assert fam.membership(X, rv.witness)
 
 
-def test_solver_selection_errors(uniform4):
+def test_solver_selection_errors(uniform4, skewed3):
+    # on unequal atom masses a W1 ball has no closed form for CE
+    with pytest.raises(ValueError, match="no analytic solver"):
+        robust_value(rr.certainty_equivalent(rr.identity_loss()), rr.wasserstein_ball(1.0, 0.2),
+                     Position(skewed3, [0.1, 0.2, -0.1]), solver="analytic")
     X = Position(uniform4, [0.1, 0.2, -0.1, 0.0])
-    with pytest.raises(ValueError):
-        robust_value(rr.certainty_equivalent(rr.identity_loss()), rr.wasserstein_ball(1.0, 0.2), X, solver="analytic")
     with pytest.raises(ValueError):
         robust_value(rr.neg_expectation(), rr.level_band(rr.entropic(1.0), 0.2), X, solver="vertex_enum")
     with pytest.raises(ValueError, match="unknown solver"):
@@ -409,6 +411,80 @@ def test_norm_ball_cells_without_dual_vertices_stay_on_the_search(skewed3):
         assert rho._dual_vertices(at.space) is None
         rv = robust_value(rho, rr.p_norm_ball(2.0, 0.2), at)
         assert (rv.solver, rv.guarantee) == ("projected_ascent(8)", "lower_bound"), rho.name
+
+
+CE_LOSSES = (rr.certainty_equivalent(rr.exponential_loss()), rr.certainty_equivalent(rr.identity_loss()))
+
+
+def _l1_spikes(X, eps):
+    """X -/+ eps/p_i e_i: the vertices of the L1 ball, W1 members on every space."""
+    steps = np.diag(eps / X.space.probs)
+    return [Position(X.space, X.values + s * d) for d in steps for s in (-1.0, 1.0)]
+
+
+def test_quasi_convex_measures_over_w1_balls_on_uniform_spaces_are_exact():
+    """CE over a W1 ball on equal atom masses is valued at the L1 ball's
+    vertices (Birkhoff-von Neumann): on a seeded probe the value is rho at a
+    member, labelled exact, and neither PA(32) nor an L1 spike beats it."""
+    rng = np.random.default_rng(3201)
+    for k in range(28):
+        n = 2 + k % 7
+        space = rr.ProbSpace(np.full(n, 1.0 / n))
+        X, rho = Position(space, rng.normal(0.0, 1.5, n)), CE_LOSSES[k // 7 % 2]
+        fam = rr.wasserstein_ball(1.0, float(rng.uniform(0.1, 0.5)))
+        rv = robust_value(rho, fam, X)
+        assert (rv.solver, rv.guarantee) == ("analytic", "exact"), (k, rho.name)
+        assert fam.membership(X, rv.witness) and rv.value == rho(rv.witness)
+        pa = robust_value(rho, fam, X, solver="projected_ascent", budget=16, seed=k)
+        best = max(pa.value, *map(rho, _l1_spikes(X, fam.eps)))
+        assert best <= rv.value + 1e-9, (k, rho.name, best - rv.value)
+
+
+def test_quasi_convex_measures_over_w1_balls_elsewhere_keep_the_search(monkeypatch):
+    """On Dirichlet spaces the vertex scan never runs, so CE over a W1 ball
+    keeps the search's value and label; entropic and ES over a W1 ball on a
+    uniform space keep the comonotone lower bound at X - eps."""
+    monkeypatch.setattr(rr.uncertainty, "_best_row", lambda *a: pytest.fail("the vertex scan ran"))
+    rng = np.random.default_rng(3202)
+    for n in range(2, 9):
+        space = rr.ProbSpace(rng.dirichlet(np.ones(n)))
+        X = Position(space, rng.normal(0.0, 1.5, n))
+        for rho in CE_LOSSES:
+            rv = robust_value(rho, rr.wasserstein_ball(1.0, 0.3), X, budget=16, restarts=1)
+            assert (rv.solver, rv.guarantee) == ("projected_ascent(1)", "lower_bound"), (n, rho.name)
+        uniform = Position(rr.ProbSpace(np.full(n, 1.0 / n)), X.values)
+        for rho in (rr.entropic(1.0), rr.expected_shortfall(0.5)):
+            rv = robust_value(rho, rr.wasserstein_ball(1.0, 0.3), uniform)
+            assert (rv.solver, rv.guarantee) == ("analytic", "lower_bound"), (n, rho.name)
+            assert np.array_equal(rv.witness.values, (uniform - 0.3).values)
+
+
+def test_quasi_convex_measures_over_l1_balls_take_the_vertices():
+    """CE over an L1 ball on uniform and Dirichlet spaces: "auto" values the
+    vertices, and gets the value and witness of the scan over Positions."""
+    rng = np.random.default_rng(3203)
+    for n in range(2, 9):
+        for space in (rr.ProbSpace(np.full(n, 1.0 / n)), rr.ProbSpace(rng.dirichlet(np.ones(n)))):
+            X, fam = Position(space, rng.normal(0.0, 1.5, n)), rr.p_norm_ball(1.0, float(rng.uniform(0.1, 0.5)))
+            for rho in CE_LOSSES:
+                rv = robust_value(rho, fam, X)
+                value, witness, _ = _reference_vertex_scan(rho, fam, X)
+                assert (rv.solver, rv.guarantee) == ("vertex_enum", "exact"), (n, rho.name)
+                assert rv.value == value and rv.witness.values.tobytes() == witness.values.tobytes()
+
+
+def test_power_loss_ce_over_an_l1_ball_refuses_a_positive_vertex(skewed3):
+    """The power loss is defined on losses -Z >= 0 only: a vertex with a
+    positive payoff raises, as the search did, and no -inf value is labelled
+    exact; with every vertex in the domain the vertices give the value."""
+    rho, fam = rr.certainty_equivalent(rr.power_loss(2.0)), rr.p_norm_ball(1.0, 0.2)
+    X = Position(skewed3, [-0.1, -0.5, -0.3])  # the spike X + .2/.5 e_1 is positive
+    for solver in ("auto", "vertex_enum"):
+        with pytest.raises(ValueError, match="power loss defined on x >= 0"):
+            robust_value(rho, fam, X, solver=solver)
+    rv = robust_value(rho, fam, X - 1.0)
+    assert (rv.solver, rv.guarantee) == ("vertex_enum", "exact") and math.isfinite(rv.value)
+    assert rv.value == rho(rv.witness)
 
 
 @pytest.mark.parametrize("make", [rr.level_upper_set, rr.level_band], ids=["upper-set", "band"])
