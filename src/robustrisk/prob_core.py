@@ -287,6 +287,8 @@ def _lp_rows(V: np.ndarray, probs: np.ndarray, p: float) -> np.ndarray:
     numpy takes the root of a 0-d result another way."""
     if math.isinf(p):
         return np.maximum.reduce(V, axis=-1)
+    if p == 1.0:  # x**1 is x: the same bits without the two powers
+        return np.add.reduce(V * probs, axis=-1)
     return np.add.reduce(V**p * probs, axis=-1) ** (1.0 / p)
 
 
@@ -310,10 +312,9 @@ def _merged_rows(qx: QuantileSteps, rows: np.ndarray, probs: np.ndarray):
     # on each merged interval, the index of either step: the count of its
     # breakpoints that come before (qx's first among equal breakpoints)
     from_row = pos >= k
-    seen = np.add.accumulate(from_row, axis=1, dtype=np.intp)
-    iy = np.minimum(seen - from_row, n - 1)
-    ix = np.minimum(np.arange(k + n) - seen + from_row, k - 1)
-    return widths, ix, order[r, iy]
+    before = np.add.accumulate(from_row, axis=1, dtype=np.intp) - from_row
+    ix = np.minimum(np.arange(k + n) - before, k - 1)
+    return widths, ix, order[r, np.minimum(before, n - 1)]
 
 
 def _gap_norm_rows(widths: np.ndarray, gap: np.ndarray, p: float) -> np.ndarray:

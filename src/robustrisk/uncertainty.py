@@ -586,15 +586,19 @@ class _WassersteinBall(_Ball):
         # The order of X + t D, D = Z - X, changes only at the times where two
         # atoms cross. Between two of them the quantile gaps are affine in t,
         # so the distance is convex there: the first scored time outside the
-        # ball closes the piece that holds the first exit, and a search on the
-        # margin W_p - eps of that piece's gaps finds it without sorting.
-        # Crossing times are scored 64 to a call, in order, after skipping
-        # those that the bound W_p(X + s D, X + t D) <= |t - s| ||D||_p keeps
-        # inside the ball.
+        # ball closes the piece that holds the first exit, which the piece's
+        # gaps give without sorting again. For p = 1 the distance on the piece
+        # is piecewise linear, kinked where a gap changes sign, so one call
+        # scores the piece's ends and kinks and the exit is linear between the
+        # last point inside and the first outside; for other p a search on the
+        # margin W_p - eps finds it. Crossing times are scored 64 to a call,
+        # in order, after skipping those that the bound
+        # W_p(X + s D, X + t D) <= |t - s| ||D||_p keeps inside the ball.
         x, D, probs, qx = X.values, Z.values - X.values, X.space.probs, quantile_function(X)
         with np.errstate(divide="ignore", invalid="ignore"):
             T = (x[None, :] - x[:, None]) / (D[:, None] - D[None, :])
-        T = np.concatenate(([0.0], np.unique(T[(T > 0.0) & (T < 1.0)]), [1.0]))
+        T = np.sort(T[(T > 0.0) & (T < 1.0)])
+        T = np.concatenate(([0.0], T[:1], T[1:][T[1:] > T[:-1]], [1.0]))  # np.unique's times, at less cost
         lipschitz = _lp_rows(np.abs(D), probs, self.p)
         at, d = 0, 0.0  # T[at] is inside, at distance d <= eps
         while True:
@@ -609,11 +613,22 @@ class _WassersteinBall(_Ball):
         # T[j - 1] was scored or skipped, so the piece [T[j - 1], T[j]] starts inside
         j = at + int(out[0])
         widths, ix, atom = _merged_rows(qx, (x + 0.5 * (T[j - 1] + T[j]) * D)[None, :], probs)
-        a, b = qx.values[ix] - x[atom], -D[atom]
-        lo, _ = _exit_search(
-            lambda s: _gap_norm_rows(widths, np.abs(a + s[:, None] * b), self.p) - self.eps, T[j - 1], T[j]
-        )
-        return lo
+        a, b = qx.values[ix][0] - x[atom][0], -D[atom][0]
+
+        def margin(s):
+            return _gap_norm_rows(widths, np.abs(a + s[:, None] * b), self.p) - self.eps
+
+        if self.p != 1.0:
+            return _exit_search(margin, T[j - 1], T[j])[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kinks = -a / b
+        s = np.concatenate(([T[j - 1]], np.sort(kinks[(kinks > T[j - 1]) & (kinks < T[j])]), [T[j]]))
+        m = margin(s)
+        out = m > 0.0
+        out[0], out[-1] = False, True  # as for _exit_search: the start counts as inside, the end as outside
+        i = int(out.argmax())
+        m0, m1 = min(float(m[i - 1]), 0.0), max(float(m[i]), 0.0)
+        return float(s[i - 1] - m0 * (s[i] - s[i - 1]) / (m1 - m0)) if m1 > m0 else float(s[i - 1])
 
     def _rule(self, prop, space):
         eps = self.eps

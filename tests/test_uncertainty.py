@@ -780,6 +780,21 @@ def test_wasserstein_pullback_stays_inside_up_to_its_exit(kind, rng):
         assert all(fam._dist(X, X + s * (Z - X)) <= fam.eps + MEMBER_TOL for s in np.linspace(0.0, t, 200))
 
 
+def test_w1_pullback_takes_its_exit_in_closed_form(rng, monkeypatch):
+    """On a piece of the segment W1 is piecewise linear in t, so the
+    pull-back interpolates the exit from one scoring of the piece's ends and
+    kinks: no fan search runs, and the exit lies on the sphere."""
+    monkeypatch.setattr(uncertainty, "_exit_search", lambda *a: pytest.fail("the fan search ran"))
+    fam = PROJECTION_KINDS["w1"]()
+    outside = 0
+    for X, Z in [*_segments(rng), *_wide_segments(rng)]:
+        if not fam.membership(X, Z):
+            outside += 1
+            t = fam._pullback(X, Z)
+            assert fam._dist(X, X + t * (Z - X)) == pytest.approx(fam.eps, abs=1e-12)
+    assert outside >= 8
+
+
 @pytest.mark.parametrize("kind", ["level_upper_set", "level_band"])
 def test_level_pullback_stays_inside_up_to_its_exit(kind, rng):
     """The pull-back of a level upper set or band is the first exit of the
@@ -795,9 +810,9 @@ def test_level_pullback_stays_inside_up_to_its_exit(kind, rng):
 
 
 def test_exit_search_takes_few_calls(rng, monkeypatch):
-    """The secant fans find each exit of a W_p piece (p = 1, 1.5, 2, inf) and
-    of an entropic level ray in at most 6 margin calls, where 60 halvings in
-    fans of 63 points took 10."""
+    """The secant fans find each exit of a W_p piece (p = 1.5, 2, inf; a W1
+    piece takes its exit in closed form) and of an entropic level ray in at
+    most 6 margin calls, where 60 halvings in fans of 63 points took 10."""
     calls = []
 
     def counted(margin, lo, hi):
@@ -810,9 +825,9 @@ def test_exit_search_takes_few_calls(rng, monkeypatch):
         return prob_core._exit_search(margin_counted, lo, hi)
 
     monkeypatch.setattr(uncertainty, "_exit_search", counted)
-    for kind in W_KINDS:
+    for kind in ("w1.5", "w2", "winf"):
         fam = PROJECTION_KINDS[kind]()
-        for X, Z in [*_segments(rng), *_wide_segments(rng)]:
+        for X, Z in [*_segments(rng), *_segments(rng), *_wide_segments(rng)]:
             if not fam.membership(X, Z):
                 fam._pullback(X, Z)
     pieces = len(calls)
